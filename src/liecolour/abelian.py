@@ -84,10 +84,6 @@ def make_group(orders) -> AbelianGroup:
     return AbelianGroup(orders)
 
 
-def group_from_json(obj) -> AbelianGroup:
-    return AbelianGroup(obj["orders"])
-
-
 def element_add(group, a, b):
     return group.add(a, b)
 

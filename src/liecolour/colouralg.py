@@ -20,7 +20,7 @@ from .grading import multiplier_inverse, parity_split, twisted_factor
 class ColourAlgebra:
     __slots__ = ("group", "epsilon", "field", "basis", "constants", "_table")
 
-    def __init__(self, group, epsilon, basis, constants, validate=True):
+    def __init__(self, group, epsilon, basis, constants):
         """`basis` is a list of (name, degree); `constants` maps (i, j) to
         {k: coefficient}.  Missing (j, i) entries are filled in from
         eps-antisymmetry; supplied ones are checked against it."""
@@ -44,8 +44,7 @@ class ColourAlgebra:
         self.constants = {
             ij: dict(row) for ij, row in self._table.items() if row
         }
-        if validate:
-            self._validate()
+        self._validate()
 
     # -- construction helpers -------------------------------------------------
 

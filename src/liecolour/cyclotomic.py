@@ -333,8 +333,17 @@ class CycloNum:
 
 
 def num_from_json(obj):
+    """Scalar from JSON; coefficients must be integers or numeric strings
+    (such as "-5/2" or "1.5"), never floats, which are not exact."""
     f = field(int(obj["m"]))
-    coeffs = [Fraction(s) for s in obj["coeffs"]]
+    coeffs = []
+    for c in obj["coeffs"]:
+        if type(c) is not int and not isinstance(c, str):
+            raise InvalidInput(f"coefficient {c!r} is neither an integer nor a string")
+        try:
+            coeffs.append(Fraction(c))
+        except (ValueError, ZeroDivisionError):
+            raise InvalidInput(f"coefficient {c!r} is not a rational number") from None
     return f.num(coeffs)
 
 

@@ -10,6 +10,15 @@ Gamma/H): the module is absolutely irreducible iff the unital algebra these
 generate is all of End(V).  The closure dimension is computed mod p first;
 a full-rank answer mod p certifies the exact answer, anything else falls
 back to exact witness search and, as a last resort, an exact closure.
+
+Validation happens once, where a module enters the program: the
+GradedModule constructor (user code and the catalog formulas) and JSON
+loading both run the full representation and homogeneity check.  The
+transforms here and in loopfunctor (coarsen, twist, parity_shift,
+direct_sum, discolour/recolour, restriction, quotient, loop) map a valid
+module to a valid one by construction, so they check only what their own
+arguments can get wrong (subgroup inclusion, matching data, homogeneous
+rows, span invariance) and build their output without revalidating it.
 """
 
 from __future__ import annotations
@@ -153,9 +162,7 @@ class Submodule:
     def validate(self):
         V = self.parent
         f = V.field
-        basis = RowBasis(f, V.dim)
-        for r in self.rows:
-            basis.add(list(r))
+        basis = linalg.row_span(f, self.rows, V.dim)
         if basis.rank != len(self.rows):
             raise InvalidSubmodule("basis rows are dependent")
         for mat in V.action:
@@ -170,9 +177,7 @@ class Submodule:
                     raise InvalidSubmodule("basis row mixes sectors")
 
     def contains(self, vec):
-        basis = RowBasis(self.parent.field, self.parent.dim)
-        for r in self.rows:
-            basis.add(list(r))
+        basis = linalg.row_span(self.parent.field, self.rows, self.parent.dim)
         return basis.contains(list(vec))
 
     def to_json(self):
@@ -208,11 +213,12 @@ def coarsen(module, hsub_new) -> GradedModule:
         hsub_new,
         [d for d in module.degrees],
         [module.matrix(k) for k in range(module.algebra.dim())],
+        validate=False,
     )
 
 
 def twist(module, character) -> GradedModule:
-    """Scale rho(x) by f(deg x); the twisted action is revalidated."""
+    """Scale rho(x) by f(deg x) for a character f of Gamma."""
     if character.group != module.algebra.group:
         raise InvalidInput("character on a different group")
     f = module.field
@@ -220,7 +226,9 @@ def twist(module, character) -> GradedModule:
         mat_scale(module.matrix(k), character.eval(module.algebra.degree(k), f))
         for k in range(module.algebra.dim())
     ]
-    return GradedModule(module.algebra, module.hsub, list(module.degrees), mats)
+    return GradedModule(
+        module.algebra, module.hsub, list(module.degrees), mats, validate=False
+    )
 
 
 def parity_shift(module, h) -> GradedModule:
@@ -233,6 +241,7 @@ def parity_shift(module, h) -> GradedModule:
         module.hsub,
         degrees,
         [module.matrix(k) for k in range(module.algebra.dim())],
+        validate=False,
     )
 
 
@@ -245,7 +254,9 @@ def direct_sum(a, b) -> GradedModule:
         top = [list(r) + [f.zero] * b.dim for r in a.action[k]]
         bot = [[f.zero] * a.dim + list(r) for r in b.action[k]]
         mats.append(top + bot)
-    return GradedModule(a.algebra, a.hsub, list(a.degrees) + list(b.degrees), mats)
+    return GradedModule(
+        a.algebra, a.hsub, list(a.degrees) + list(b.degrees), mats, validate=False
+    )
 
 
 def discolour_module(module, sigma) -> GradedModule:
@@ -271,7 +282,7 @@ def discolour_module(module, sigma) -> GradedModule:
             for r in range(module.dim):
                 mat[r][c] = mat[r][c] * s
         mats.append(mat)
-    return GradedModule(target, module.hsub, list(module.degrees), mats)
+    return GradedModule(target, module.hsub, list(module.degrees), mats, validate=False)
 
 
 def recolour_module(module, sigma) -> GradedModule:
@@ -336,14 +347,21 @@ def submodule_to_module(sub):
     """Restrict the parent action to the submodule's own coordinates.
 
     Returns (module, rows); basis row k of `rows` is the vector of the
-    restricted module's k-th coordinate inside the parent.
+    restricted module's k-th coordinate inside the parent.  The rows may be
+    in any order and need not be echelon: coordinates on the echelon basis
+    are entries at its pivots, and the transition matrix to the given rows
+    (the identity when they are the echelon rows) is applied to them.
     """
     V = sub.parent
     f = V.field
     rows = [list(r) for r in sub.rows]
-    basis = RowBasis(f, V.dim)
-    for r in rows:
-        basis.add(r)
+    basis = linalg.row_span(f, rows, V.dim)
+    if basis.rank != len(rows):
+        raise InvalidSubmodule("basis rows are dependent")
+    at_pivots = [[r[p] for p in basis.pivots] for r in rows]
+    to_rows = None
+    if not linalg.mat_eq(at_pivots, identity(f, len(rows))):
+        to_rows = linalg.transpose(linalg.invert(f, at_pivots))
     degrees = []
     for r in rows:
         sectors = {V.degrees[i] for i, x in enumerate(r) if not x.is_zero()}
@@ -358,9 +376,9 @@ def submodule_to_module(sub):
             resid, coords = basis.reduce(img, coords=True)
             if not vec_is_zero(resid):
                 raise InvalidSubmodule("span is not invariant under the action")
-            cols.append(coords)
+            cols.append(coords if to_rows is None else mat_vec(to_rows, coords, f))
         mats.append([[cols[c][r] for c in range(len(rows))] for r in range(len(rows))])
-    module = GradedModule(V.algebra, V.hsub, degrees, mats)
+    module = GradedModule(V.algebra, V.hsub, degrees, mats, validate=False)
     return module, rows
 
 
@@ -680,26 +698,19 @@ def is_graded_irreducible(module) -> IrreducibilityVerdict:
 # decomposition and quotients
 # ---------------------------------------------------------------------------
 
-def _minimal_submodule_containing(module, vec):
-    sub = spin(module, [vec])
+def shrink_to_irreducible(sub) -> Submodule:
+    """A graded irreducible submodule inside `sub`, found by restricting and
+    descending into reducibility witnesses; keeps the homogeneous flag."""
+    module = sub.parent
+    f = module.field
     while True:
         restricted, rows = submodule_to_module(sub)
         verdict = is_graded_irreducible(restricted)
         if verdict.irreducible:
             return sub
-        f = module.field
-        lifted = []
-        for wrow in verdict.witness.rows:
-            v = [f.zero] * module.dim
-            for coef, parent_row in zip(wrow, rows):
-                if not coef.is_zero():
-                    for j, x in enumerate(parent_row):
-                        if not x.is_zero():
-                            v[j] = v[j] + coef * x
-            lifted.append(v)
-        basis = RowBasis(f, module.dim)
-        for v in lifted:
-            basis.add(v)
+        cols = linalg.transpose(rows)
+        lifted = [mat_vec(cols, list(w), f) for w in verdict.witness.rows]
+        basis = linalg.row_span(f, lifted, module.dim)
         sub = Submodule(
             parent=module,
             rows=tuple(tuple(r) for r in basis.rows),
@@ -744,7 +755,7 @@ def decompose(module):
         idx += 1
         if accum.contains(v):
             continue
-        sub = _minimal_submodule_containing(module, v)
+        sub = shrink_to_irreducible(spin(module, [v]))
         probe = accum.copy()
         added = [probe.add(list(r)) for r in sub.rows]
         if all(added):
@@ -764,9 +775,7 @@ def graded_quotient(module, sub) -> GradedModule:
         raise InvalidSubmodule("quotient needs a homogeneous submodule")
     f = module.field
     d = module.dim
-    basis = RowBasis(f, d)
-    for r in sub.rows:
-        basis.add(list(r))
+    basis = linalg.row_span(f, sub.rows, d)
     pivots = set(basis.pivots)
     comp = [i for i in range(d) if i not in pivots]
     degrees = [module.degrees[i] for i in comp]
@@ -780,14 +789,12 @@ def graded_quotient(module, sub) -> GradedModule:
             resid = basis.reduce(img)
             cols.append([resid[i] for i in comp])
         mats.append([[cols[c][r] for c in range(len(comp))] for r in range(len(comp))])
-    return GradedModule(module.algebra, module.hsub, degrees, mats)
+    return GradedModule(module.algebra, module.hsub, degrees, mats, validate=False)
 
 
 def submodule_from_rows(module, rows, homogeneous=None) -> Submodule:
     f = module.field
-    basis = RowBasis(f, module.dim)
-    for r in rows:
-        basis.add(list(r))
+    basis = linalg.row_span(f, rows, module.dim)
     if homogeneous is None:
         homogeneous = not module.is_ungraded()
     sub = Submodule(

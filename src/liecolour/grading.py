@@ -11,7 +11,6 @@ finite abelian groups.
 from __future__ import annotations
 
 from . import cyclotomic
-from .abelian import AbelianGroup
 from .errors import InvalidCommutationFactor, InvalidInput, InvalidMultiplier, LieColourError
 
 
@@ -68,6 +67,24 @@ class _Bimultiplicative:
                         pair=(i, j),
                     )
 
+    def to_json(self):
+        return {
+            "group": self.group.to_json(),
+            "m": self.field.m,
+            "exponents": [list(r) for r in self.exponents],
+        }
+
+    def __eq__(self, other):
+        return (
+            type(other) is type(self)
+            and self.group == other.group
+            and self.field is other.field
+            and self.exponents == other.exponents
+        )
+
+    def __hash__(self):
+        return hash((type(self).__name__, self.group.orders, self.field.m, self.exponents))
+
 
 class CommutationFactor(_Bimultiplicative):
     """eps: G x G -> roots of unity with eps(a,b) eps(b,a) = 1."""
@@ -94,24 +111,6 @@ class CommutationFactor(_Bimultiplicative):
     def parity(self, a):
         return 0 if self.eval(a, a) == self.field.one else 1
 
-    def to_json(self):
-        return {
-            "group": self.group.to_json(),
-            "m": self.field.m,
-            "exponents": [list(r) for r in self.exponents],
-        }
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, CommutationFactor)
-            and self.group == other.group
-            and self.field is other.field
-            and self.exponents == other.exponents
-        )
-
-    def __hash__(self):
-        return hash(("eps", self.group.orders, self.field.m, self.exponents))
-
 
 class Multiplier(_Bimultiplicative):
     """Bimultiplicative 2-cocycle sigma used to twist brackets."""
@@ -119,24 +118,6 @@ class Multiplier(_Bimultiplicative):
     def __init__(self, group, f, exponents):
         super().__init__(group, f, exponents)
         self._check_orders(InvalidMultiplier)
-
-    def to_json(self):
-        return {
-            "group": self.group.to_json(),
-            "m": self.field.m,
-            "exponents": [list(r) for r in self.exponents],
-        }
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, Multiplier)
-            and self.group == other.group
-            and self.field is other.field
-            and self.exponents == other.exponents
-        )
-
-    def __hash__(self):
-        return hash(("sigma", self.group.orders, self.field.m, self.exponents))
 
     def __mul__(self, other):
         if self.group != other.group or self.field is not other.field:
@@ -249,14 +230,3 @@ def trivial_multiplier(group, f) -> Multiplier:
     k = group.rank
     return Multiplier(group, f, [[0] * k for _ in range(k)])
 
-
-def factor_from_json(obj) -> CommutationFactor:
-    group = AbelianGroup(obj["group"]["orders"])
-    f = cyclotomic.field(int(obj["m"]))
-    return CommutationFactor(group, f, obj["exponents"])
-
-
-def multiplier_from_json(obj) -> Multiplier:
-    group = AbelianGroup(obj["group"]["orders"])
-    f = cyclotomic.field(int(obj["m"]))
-    return Multiplier(group, f, obj["exponents"])

@@ -28,26 +28,6 @@ from .gmodule import GradedModule
 from .grading import CommutationFactor, Multiplier
 
 
-def group_to_json(group):
-    return group.to_json()
-
-
-def group_from_json(obj):
-    return AbelianGroup(obj["orders"])
-
-
-def subgroup_to_json(sub):
-    return sub.to_json()
-
-
-def subgroup_from_json(group, obj):
-    return subgroup_from_generators(group, [tuple(g) for g in obj["generators"]])
-
-
-def factor_to_json(eps):
-    return eps.to_json()
-
-
 def factor_from_json(obj):
     return CommutationFactor(
         AbelianGroup(obj["group"]["orders"]), field(int(obj["m"])), obj["exponents"]

@@ -16,18 +16,17 @@ import json
 from dataclasses import dataclass, field as dc_field
 from typing import Optional
 
-from .abelian import jordan_holder, quotient, twist_reps
+from .abelian import _prime_factors, jordan_holder, quotient, twist_reps
 from .errors import InconclusiveIrreducibility, InvalidInput, InvalidSubgroupStep
 from .gmodule import (
     GradedModule,
-    Submodule,
     is_graded_irreducible,
     is_isomorphic,
     parity_shift,
+    shrink_to_irreducible,
     submodule_to_module,
     twist,
 )
-from .linalg import RowBasis
 
 
 @dataclass
@@ -50,17 +49,6 @@ class LoopModule:
         raise InvalidInput(f"no loop basis vector ({source_index}, {coset_rep})")
 
 
-def _is_prime(n):
-    if n < 2:
-        return False
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            return False
-        d += 1
-    return True
-
-
 def loop(module, refiner, sector_order=None) -> LoopModule:
     """Loop module of a Gamma/H-graded module along K <= H with H/K simple."""
     g = module.algebra.group
@@ -68,7 +56,7 @@ def loop(module, refiner, sector_order=None) -> LoopModule:
     if not refiner.is_subset_of(hsub):
         raise InvalidSubgroupStep("refining subgroup must sit inside the grading subgroup")
     step = hsub.order() // refiner.order()
-    if not _is_prime(step):
+    if _prime_factors(step) != {step}:
         raise InvalidSubgroupStep(
             f"index {step} of the refining subgroup is not prime"
         )
@@ -101,7 +89,7 @@ def loop(module, refiner, sector_order=None) -> LoopModule:
                 if not c.is_zero():
                     mat[position[(j, target_rep)]][col] = c
         mats.append(mat)
-    looped = GradedModule(module.algebra, refiner, degrees, mats)
+    looped = GradedModule(module.algebra, refiner, degrees, mats, validate=False)
     return LoopModule(
         module=looped, source=module, refiner=refiner, bookkeeping=tuple(bookkeeping)
     )
@@ -169,10 +157,7 @@ def bijection_F(module, refiner) -> BijectionOutcome:
         return BijectionOutcome(
             gradable=False, module=lm.module, loop=lm, source=module
         )
-    sub = verdict.witness
-    restricted, rows = submodule_to_module(
-        _shrink_to_irreducible(lm.module, sub)
-    )
+    restricted, rows = submodule_to_module(shrink_to_irreducible(verdict.witness))
     if restricted.dim != module.dim:
         raise InconclusiveIrreducibility(
             "proper graded submodule of the loop is not a copy of the source"
@@ -192,32 +177,6 @@ def bijection_F(module, refiner) -> BijectionOutcome:
         source=module,
         embedding=embedding,
     )
-
-
-def _shrink_to_irreducible(module, sub):
-    while True:
-        restricted, rows = submodule_to_module(sub)
-        verdict = is_graded_irreducible(restricted)
-        if verdict.irreducible:
-            return sub
-        f = module.field
-        lifted = []
-        for wrow in verdict.witness.rows:
-            v = [f.zero] * module.dim
-            for coef, parent_row in zip(wrow, rows):
-                if not coef.is_zero():
-                    for j, x in enumerate(parent_row):
-                        if not x.is_zero():
-                            v[j] = v[j] + coef * x
-            lifted.append(v)
-        basis = RowBasis(f, module.dim)
-        for v in lifted:
-            basis.add(v)
-        sub = Submodule(
-            parent=module,
-            rows=tuple(tuple(r) for r in basis.rows),
-            homogeneous=True,
-        )
 
 
 @dataclass

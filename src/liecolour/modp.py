@@ -17,6 +17,7 @@ from functools import lru_cache
 
 import numpy as np
 
+from .abelian import _prime_factors
 from .errors import InvalidInput
 
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
@@ -53,18 +54,6 @@ def prime_for(m):
     while not _is_prime(p):
         p += m
     return p
-
-
-def _prime_factors(n):
-    out, d = set(), 2
-    while d * d <= n:
-        while n % d == 0:
-            out.add(d)
-            n //= d
-        d += 1
-    if n > 1:
-        out.add(n)
-    return out
 
 
 @lru_cache(maxsize=None)

@@ -28,11 +28,13 @@ from .cyclotomic import field
 from .errors import ClassificationMismatch, InvalidInput, InvalidVariant
 from .gmodule import (
     GradedModule,
+    Submodule,
     coarsen,
     is_graded_irreducible,
     is_isomorphic,
     parity_shift,
     recolour_module,
+    submodule_to_module,
     twist,
 )
 from .grading import CommutationFactor, Multiplier
@@ -226,29 +228,8 @@ def _make_u_family(lam, variant):
         v[_loop_index(lm, 1, lam - j)] = i * (-zeta * xi * sign)
         rows.append(v)
     ungraded = coarsen(rc, full_subgroup(GROUP))
-    return _restrict_in_basis(ungraded, rows)
-
-
-def _restrict_in_basis(module, rows):
-    """Restriction of an invariant span in the given (not re-echelonized)
-    basis, so catalog action formulas match coordinates exactly."""
-    f = module.field
-    cols = [[rows[c][r] for c in range(len(rows))] for r in range(module.dim)]
-    mats = []
-    for k in range(module.algebra.dim()):
-        out = []
-        for r in rows:
-            img = linalg.mat_vec(module.action[k], list(r), f)
-            coords = linalg.solve(f, cols, img)
-            if coords is None:
-                raise InvalidInput("span is not invariant under the action")
-            out.append(coords)
-        mats.append([[out[c][r] for c in range(len(rows))] for r in range(len(rows))])
-    degrees = []
-    for r in rows:
-        secs = {module.degrees[i] for i, x in enumerate(r) if not x.is_zero()}
-        degrees.append(secs.pop() if len(secs) == 1 else module.quo.zero())
-    return GradedModule(module.algebra, module.hsub, degrees, mats)
+    # restricted on the given rows, so the catalog formulas match coordinates
+    return submodule_to_module(Submodule(ungraded, rows, False))[0]
 
 
 @dataclass(frozen=True)
@@ -369,15 +350,23 @@ class ClassificationReport:
 
 
 def _coverage_notes(classes, catalog, tag=""):
-    """Mutual isomorphism coverage between computed classes and the catalog."""
-    notes = []
-    for name, mod in catalog.items():
-        if not any(is_isomorphic(mod, c) for c in classes):
-            notes.append(f"{tag}catalog module {name} not reproduced by the lift")
-    for idx, c in enumerate(classes):
-        if not any(is_isomorphic(c, mod) for mod in catalog.values()):
-            notes.append(f"{tag}lift class {idx} matches no catalog module")
-    return notes
+    """Mutual isomorphism coverage between computed classes and the catalog.
+
+    Returns the notes and the class x catalog table they are read from:
+    table[idx][name] is whether class idx is isomorphic to catalog[name].
+    """
+    table = [{name: is_isomorphic(c, mod) for name, mod in catalog.items()} for c in classes]
+    notes = [
+        f"{tag}catalog module {name} not reproduced by the lift"
+        for name in catalog
+        if not any(row[name] for row in table)
+    ]
+    notes += [
+        f"{tag}lift class {idx} matches no catalog module"
+        for idx, row in enumerate(table)
+        if not any(row.values())
+    ]
+    return notes, table
 
 
 def classify_lambda(lam) -> LambdaReport:
@@ -402,21 +391,25 @@ def classify_lambda(lam) -> LambdaReport:
         catalog = {v: _graded_variant(lam, v) for v in ("E+", "E-", "O+", "O-")}
     else:
         catalog = {v: _graded_variant(lam, v) for v in ("loopE", "loopO")}
-    notes += _coverage_notes(classes, catalog)
+    coverage, table = _coverage_notes(classes, catalog)
+    notes += coverage
     if not even and len(classes) == 1:
-        # the note's leading words are matched verbatim by perfbench
-        if is_isomorphic(catalog["loopE"], catalog["loopO"]):
+        # one class isomorphic to both catalog loops makes them isomorphic,
+        # to exactly one of them makes them not; the note's leading words
+        # are matched verbatim by perfbench
+        matches = table[0]
+        if all(matches.values()):
             info.append(
                 "loopE and loopO are isomorphic (twists of one fully graded"
                 " module, so the odd case carries a single graded class)"
             )
-        else:
+        elif any(matches.values()):
             notes.append("loopE and loopO are not isomorphic")
     # recoloured side: carry classes over colour sl2 and re-check
     sig = discolouring_sigma()
     rc_classes = [recolour_module(c, sig) for c in classes]
     rc_catalog = {name: recolour_module(mod, sig) for name, mod in catalog.items()}
-    notes += _coverage_notes(rc_classes, rc_catalog, tag="recoloured: ")
+    notes += _coverage_notes(rc_classes, rc_catalog, tag="recoloured: ")[0]
     for c in rc_classes:
         if not is_graded_irreducible(c).irreducible:
             notes.append("recoloured class is not graded irreducible")

@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 from liecolour import jsonio
 from liecolour.cli import main
 from liecolour.workbench import (
@@ -75,6 +77,20 @@ def test_cli_verify_invalid_file(tmp_path):
     assert main(["verify", str(bad)]) == 2
     missing = str(tmp_path / "missing.json")
     assert main(["verify", missing]) == 2
+
+
+@pytest.mark.parametrize(
+    "coeff", ["abc", 0.1, 0.0, False], ids=["not-a-number", "float", "exact-float", "bool"]
+)
+def test_cli_verify_rejects_inexact_coefficient(tmp_path, coeff):
+    # only integers and numeric strings are scalars: anything else is
+    # invalid input (exit 2), never a traceback or a silently converted value,
+    # even where the value (0.0, False) equals the zero entry it replaces
+    blob = jsonio.module_to_json(make_sl2_graded(2, "E"))
+    assert blob["action"][0][0]["coeffs"][0] == "0"
+    blob["action"][0][0]["coeffs"][0] = coeff
+    path = _write(tmp_path, "inexact.json", blob)
+    assert main(["verify", path]) == 2
 
 
 def test_cli_verify_mathematically_broken_algebra(tmp_path):
