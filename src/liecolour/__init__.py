@@ -73,7 +73,6 @@ from .grading import (
     default_field,
     eps_eval,
     make_commutation_factor,
-    make_multiplier,
     multiplier_inverse,
     parity_split,
     scheunert_multiplier,

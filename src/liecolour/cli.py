@@ -36,6 +36,7 @@ from .errors import (
     ModuleValidationError,
 )
 from .gmodule import is_graded_irreducible, is_isomorphic
+from .grading import Multiplier
 
 EXIT_OK = 0
 EXIT_MISMATCH = 1
@@ -102,7 +103,7 @@ def cmd_discolour(args):
         sigma = workbench.discolouring_sigma()
     else:
         with open(args.sigma) as fh:
-            sigma = jsonio.multiplier_from_json(json.load(fh))
+            sigma = jsonio.bimultiplicative_from_json(Multiplier, json.load(fh))
     out = discolour(alg, sigma)
     print(jsonio.dump(jsonio.algebra_to_json(out)))
     return EXIT_OK

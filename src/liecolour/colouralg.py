@@ -164,12 +164,10 @@ class ColourAlgebra:
         v[i] = self.field.one
         return v
 
-    def to_json(self, include_derived=False):
+    def to_json(self):
         brackets = []
         for (i, j), row in sorted(self._table.items()):
-            if not row:
-                continue
-            if not include_derived and i > j:
+            if not row or i > j:
                 continue
             brackets.append(
                 {

@@ -332,21 +332,6 @@ class CycloNum:
         return {"m": self.field.m, "coeffs": [str(c) for c in self.coeffs]}
 
 
-def num_from_json(obj):
-    """Scalar from JSON; coefficients must be integers or numeric strings
-    (such as "-5/2" or "1.5"), never floats, which are not exact."""
-    f = field(int(obj["m"]))
-    coeffs = []
-    for c in obj["coeffs"]:
-        if type(c) is not int and not isinstance(c, str):
-            raise InvalidInput(f"coefficient {c!r} is neither an integer nor a string")
-        try:
-            coeffs.append(Fraction(c))
-        except (ValueError, ZeroDivisionError):
-            raise InvalidInput(f"coefficient {c!r} is not a rational number") from None
-    return f.num(coeffs)
-
-
 # ---------------------------------------------------------------------------
 # rational polynomial helpers used by inverse()
 # ---------------------------------------------------------------------------

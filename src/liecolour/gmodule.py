@@ -176,10 +176,6 @@ class Submodule:
                 if len(sectors) > 1:
                     raise InvalidSubmodule("basis row mixes sectors")
 
-    def contains(self, vec):
-        basis = linalg.row_span(self.parent.field, self.rows, self.parent.dim)
-        return basis.contains(list(vec))
-
     def to_json(self):
         return {
             "dim": self.dim,
@@ -313,33 +309,24 @@ def spin(module, vectors) -> Submodule:
     f = module.field
     graded = not module.is_ungraded()
     vecs = [list(v) for v in vectors if not vec_is_zero(list(v))]
-    homogeneous = True
-    if graded:
-        for v in vecs:
-            if len({module.degrees[i] for i, x in enumerate(v) if not x.is_zero()}) > 1:
-                homogeneous = False
-                break
-    basis = RowBasis(f, module.dim)
-    work = []
-    for v in vecs:
-        pieces = _homogeneous_parts(module, v) if (graded and homogeneous) else [v]
-        for piece in pieces:
-            if basis.add(piece):
-                work.append(piece)
-    while work:
-        v = work.pop()
+    split = graded and all(
+        len({module.degrees[i] for i, x in enumerate(v) if not x.is_zero()}) == 1 for v in vecs
+    )
+
+    def pieces(v):
+        return _homogeneous_parts(module, v) if split else [v]
+
+    def images(v):
         for mat in module.action:
             img = mat_vec(mat, v, f)
-            if vec_is_zero(img):
-                continue
-            pieces = _homogeneous_parts(module, img) if (graded and homogeneous) else [img]
-            for piece in pieces:
-                if basis.add(piece):
-                    work.append(piece)
+            if not vec_is_zero(img):
+                yield from pieces(img)
+
+    basis = RowBasis(f, module.dim).close([p for v in vecs for p in pieces(v)], images)
     return Submodule(
         parent=module,
         rows=tuple(tuple(r) for r in basis.rows),
-        homogeneous=homogeneous or not graded,
+        homogeneous=split or not graded,
     )
 
 
@@ -377,7 +364,7 @@ def submodule_to_module(sub):
             if not vec_is_zero(resid):
                 raise InvalidSubmodule("span is not invariant under the action")
             cols.append(coords if to_rows is None else mat_vec(to_rows, coords, f))
-        mats.append([[cols[c][r] for c in range(len(rows))] for r in range(len(rows))])
+        mats.append(linalg.transpose(cols))
     module = GradedModule(V.algebra, V.hsub, degrees, mats, validate=False)
     return module, rows
 
@@ -428,17 +415,8 @@ def intertwiners(V, W):
     if not variables:
         return []
     f = V.field
-    if rows:
-        try:
-            p, omega = modp.fp_for_field(f)
-            fp_rows = np.array(
-                [[modp.scalar_to_fp(x, p, omega) for x in row] for row in rows],
-                dtype=np.int64,
-            )
-            if modp.fp_rank(fp_rows, p) == len(variables):
-                return []  # zero nullity mod p certifies zero nullity exactly
-        except ValueError:
-            pass
+    if modp.certifies_zero_nullity(f, rows, len(variables)):
+        return []
     null = linalg.nullspace(f, rows, len(variables))
     out = []
     for sol in null:
@@ -523,32 +501,14 @@ def _generator_matrices(module):
 
 
 def _closure_rank_exact(f, mats, d):
-    basis = RowBasis(f, d * d)
-    eye = identity(f, d)
-    basis.add([x for row in eye for x in row])
-    work = [eye]
-    target = d * d
-    while work and basis.rank < target:
-        w = work.pop()
-        for g in mats:
-            prod = mat_mul(w, g, f)
-            if basis.add([x for row in prod for x in row]):
-                work.append(prod)
-                if basis.rank == target:
-                    return target
-    return basis.rank
+    """Dimension of the unital algebra the d x d matrices generate, exactly."""
 
+    def products(w):
+        wm = [w[i * d : (i + 1) * d] for i in range(d)]
+        return ([x for row in mat_mul(wm, g, f) for x in row] for g in mats)
 
-def _standard_basis_spins(module):
-    f = module.field
-    d = module.dim
-    for i in range(d):
-        v = [f.zero] * d
-        v[i] = f.one
-        sub = spin(module, [v])
-        if 0 < sub.dim < d:
-            return sub
-    return None
+    eye = [x for row in identity(f, d) for x in row]
+    return RowBasis(f, d * d).close([eye], products).rank
 
 
 def _field_roots(f, mu):
@@ -628,15 +588,14 @@ def _divisors(n):
     return sorted(out)
 
 
-def _commutant_kernel_vectors(module, comm=None):
+def _commutant_kernel_vectors(module):
     """Homogeneous vectors spanning kernels of (M - c) for non-scalar
     commutant elements M and verified eigenvalues c."""
     f = module.field
     d = module.dim
-    comm = commutant(module) if comm is None else comm
     out = []
     eye = identity(f, d)
-    for M in comm:
+    for M in commutant(module):
         diag0 = M[0][0]
         if linalg.mat_eq(M, mat_scale(eye, diag0)):
             continue
@@ -649,11 +608,19 @@ def _commutant_kernel_vectors(module, comm=None):
     return out
 
 
+def _candidate_vectors(module):
+    """Vectors to spin in search of submodules: the unit vectors, then the
+    commutant kernel vectors, which are computed only if reached."""
+    f = module.field
+    for i in range(module.dim):
+        v = [f.zero] * module.dim
+        v[i] = f.one
+        yield v
+    yield from _commutant_kernel_vectors(module)
+
+
 def _proper_graded_submodule(module):
-    sub = _standard_basis_spins(module)
-    if sub is not None:
-        return sub
-    for v in _commutant_kernel_vectors(module):
+    for v in _candidate_vectors(module):
         sub = spin(module, [v])
         if 0 < sub.dim < module.dim:
             return sub
@@ -672,14 +639,7 @@ def is_graded_irreducible(module) -> IrreducibilityVerdict:
         raise InvalidInput("irreducibility of the zero module is undefined")
     f = module.field
     gens = _generator_matrices(module)
-    rank_p = None
-    try:
-        p, omega = modp.fp_for_field(f)
-        mats_p = [modp.mat_to_fp(g, p, omega) for g in gens]
-        rank_p = modp.closure_rank(mats_p, p, d)
-    except ValueError:
-        rank_p = None
-    if rank_p == d * d:
+    if modp.certifies_full_closure(f, gens, d):
         return IrreducibilityVerdict(True, closure_dim=d * d)
     witness = _proper_graded_submodule(module)
     if witness is not None:
@@ -721,38 +681,21 @@ def shrink_to_irreducible(sub) -> Submodule:
 def decompose(module):
     """Split a completely reducible module into graded irreducible summands.
 
-    Greedy assembly over minimal submodules generated by standard basis
-    vectors; if those do not fill the module (every basis vector can meet
-    several summands at once), kernel vectors of commutant elements are
-    added to the candidate pool.  An
-    irreducible candidate never partially overlaps the accumulated span, so
-    when the module is completely reducible this terminates with a direct
-    sum; otherwise NotCompletelyReducible is raised.
+    Greedy assembly over minimal submodules generated by the candidate
+    vectors: unit vectors first, then (only if those do not fill the module,
+    since a unit vector can meet several summands at once) kernel vectors
+    of commutant elements.  An irreducible candidate never partially
+    overlaps the accumulated span, so when the module is completely
+    reducible this terminates with a direct sum; otherwise
+    NotCompletelyReducible is raised.
     """
     f = module.field
     d = module.dim
     if d == 0:
         return []
-    pool = []
-    for i in range(d):
-        v = [f.zero] * d
-        v[i] = f.one
-        pool.append(v)
     summands = []
     accum = RowBasis(f, d)
-    extended = False
-    idx = 0
-    while accum.rank < d:
-        if idx >= len(pool):
-            if extended:
-                raise NotCompletelyReducible(
-                    f"direct sum stalled at dimension {accum.rank} of {d}"
-                )
-            pool.extend(_commutant_kernel_vectors(module))
-            extended = True
-            continue
-        v = pool[idx]
-        idx += 1
+    for v in _candidate_vectors(module):
         if accum.contains(v):
             continue
         sub = shrink_to_irreducible(spin(module, [v]))
@@ -761,9 +704,11 @@ def decompose(module):
         if all(added):
             summands.append(sub)
             accum = probe
+            if accum.rank == d:
+                return summands
         # an irreducible candidate either lies inside the span or misses it
         # entirely; partial overlaps cannot happen, so a skip is safe
-    return summands
+    raise NotCompletelyReducible(f"direct sum stalled at dimension {accum.rank} of {d}")
 
 
 def graded_quotient(module, sub) -> GradedModule:
@@ -781,14 +726,8 @@ def graded_quotient(module, sub) -> GradedModule:
     degrees = [module.degrees[i] for i in comp]
     mats = []
     for k in range(module.algebra.dim()):
-        cols = []
-        for c in comp:
-            e = [f.zero] * d
-            e[c] = f.one
-            img = mat_vec(module.action[k], e, f)
-            resid = basis.reduce(img)
-            cols.append([resid[i] for i in comp])
-        mats.append([[cols[c][r] for c in range(len(comp))] for r in range(len(comp))])
+        resids = [basis.reduce([row[c] for row in module.action[k]]) for c in comp]
+        mats.append(linalg.transpose([[r[i] for i in comp] for r in resids]))
     return GradedModule(module.algebra, module.hsub, degrees, mats, validate=False)
 
 

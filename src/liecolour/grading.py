@@ -133,10 +133,6 @@ def make_commutation_factor(group, f, exponents) -> CommutationFactor:
     return CommutationFactor(group, f, exponents)
 
 
-def make_multiplier(group, f, exponents) -> Multiplier:
-    return Multiplier(group, f, exponents)
-
-
 def eps_eval(eps, a, b):
     return eps.eval(a, b)
 

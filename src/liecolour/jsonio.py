@@ -13,31 +13,77 @@ Schemas (field names are fixed):
                 "degrees": [[...], ...], "action": [flat row-major scalars]}
 
 Scalars round-trip bit-exactly: rationals are emitted as reduced strings.
+Integer fields are JSON integers or decimal strings (one strict reader);
+m lies in 1..1024 and a group has at most 256 elements.
 """
 
 from __future__ import annotations
 
 import json
+import math
 import os
+import re
+from fractions import Fraction
 
 from .abelian import AbelianGroup, subgroup_from_generators
 from .colouralg import ColourAlgebra
-from .cyclotomic import field, num_from_json
+from .cyclotomic import field
 from .errors import InvalidInput
 from .gmodule import GradedModule
-from .grading import CommutationFactor, Multiplier
+from .grading import CommutationFactor
+
+MAX_M = 1024  # building field(m) costs O(m)
+MAX_GROUP_ORDER = 256  # groups are enumerated element by element
+_DECIMAL = re.compile(r"[+-]?[0-9]{1,18}")  # fits in 64 bits
 
 
-def factor_from_json(obj):
-    return CommutationFactor(
-        AbelianGroup(obj["group"]["orders"]), field(int(obj["m"])), obj["exponents"]
-    )
+def _read_int(value, what):
+    """An integer field: a JSON integer (not a bool) or a decimal-integer
+    string; InvalidInput otherwise."""
+    if isinstance(value, str) and _DECIMAL.fullmatch(value):
+        value = int(value)
+    if type(value) is not int:
+        raise InvalidInput(f"{what}: {value!r} is not an integer")
+    return value
 
 
-def multiplier_from_json(obj):
-    return Multiplier(
-        AbelianGroup(obj["group"]["orders"]), field(int(obj["m"])), obj["exponents"]
-    )
+def _ints(values, what):
+    return tuple(_read_int(v, what) for v in values)
+
+
+def _field(obj):
+    m = _read_int(obj["m"], "m")
+    if not 1 <= m <= MAX_M:
+        raise InvalidInput(f"m = {m} is outside 1..{MAX_M}")
+    return field(m)
+
+
+def _group_from_json(obj):
+    orders = _ints(obj["orders"], "group orders")
+    if math.prod(orders) > MAX_GROUP_ORDER:
+        raise InvalidInput(f"group order is above {MAX_GROUP_ORDER}: {orders}")
+    return AbelianGroup(orders)
+
+
+def num_from_json(obj):
+    """Scalar from JSON; coefficients must be integers or numeric strings
+    (such as "-5/2" or "1.5"), never floats, which are not exact."""
+    f = _field(obj)
+    coeffs = []
+    for c in obj["coeffs"]:
+        if type(c) is not int and not isinstance(c, str):
+            raise InvalidInput(f"coefficient {c!r} is neither an integer nor a string")
+        try:
+            coeffs.append(Fraction(c))
+        except (ValueError, ZeroDivisionError):
+            raise InvalidInput(f"coefficient {c!r} is not a rational number") from None
+    return f.num(coeffs)
+
+
+def bimultiplicative_from_json(cls, obj):
+    """A CommutationFactor or Multiplier (the class `cls`) from JSON."""
+    exponents = [_ints(r, "exponents") for r in obj["exponents"]]
+    return cls(_group_from_json(obj["group"]), _field(obj), exponents)
 
 
 def algebra_to_json(alg):
@@ -45,14 +91,14 @@ def algebra_to_json(alg):
 
 
 def algebra_from_json(obj):
-    group = AbelianGroup(obj["group"]["orders"])
-    eps = factor_from_json(obj["epsilon"])
-    basis = [(b["name"], tuple(b["degree"])) for b in obj["basis"]]
+    group = _group_from_json(obj["group"])
+    eps = bimultiplicative_from_json(CommutationFactor, obj["epsilon"])
+    basis = [(b["name"], _ints(b["degree"], "degree")) for b in obj["basis"]]
     constants = {}
     for entry in obj["brackets"]:
-        i, j = int(entry["i"]), int(entry["j"])
+        i, j = _read_int(entry["i"], "bracket i"), _read_int(entry["j"], "bracket j")
         constants[(i, j)] = {
-            int(k): num_from_json(v) for k, v in entry["coeffs"].items()
+            _read_int(k, "bracket k"): num_from_json(v) for k, v in entry["coeffs"].items()
         }
     return ColourAlgebra(group, eps, basis, constants)
 
@@ -76,8 +122,8 @@ def module_from_json(obj, base_dir="."):
         with open(os.path.join(base_dir, ref)) as fh:
             ref = json.load(fh)
     alg = algebra_from_json(ref)
-    hsub = subgroup_from_generators(alg.group, [tuple(g) for g in obj["H"]])
-    degrees = [tuple(d) for d in obj["degrees"]]
+    hsub = subgroup_from_generators(alg.group, [_ints(g, "H") for g in obj["H"]])
+    degrees = [_ints(d, "degrees") for d in obj["degrees"]]
     dim = len(degrees)
     mats = []
     for flat in obj["action"]:
@@ -101,8 +147,8 @@ def load_file(path):
     raise InvalidInput(f"{path}: neither an algebra nor a module")
 
 
-def dump(obj, path=None, pretty=True):
-    text = json.dumps(obj, indent=2 if pretty else None, sort_keys=True)
+def dump(obj, path=None):
+    text = json.dumps(obj, indent=2, sort_keys=True)
     if path is None:
         return text
     with open(path, "w") as fh:

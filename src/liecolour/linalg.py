@@ -2,8 +2,9 @@
 
 Matrices are plain lists of lists of CycloNum; dimensions here never exceed
 a few dozen, so the point is exactness and determinism, not speed.  The
-incremental RowBasis keeps a reduced row echelon basis and is the engine
-behind spinning, nullspaces, quotients and restrictions.
+incremental RowBasis keeps a reduced row echelon basis and is the one
+elimination engine: behind nullspaces, quotients, restrictions, inversion
+and minimal polynomials, and (`RowBasis.close`) every closure.
 """
 
 from __future__ import annotations
@@ -138,6 +139,19 @@ class RowBasis:
     def contains(self, vec):
         return vec_is_zero(self.reduce(vec))
 
+    def close(self, vectors, images):
+        """Grow to the smallest span containing the vectors and closed under
+        `images`: images(v) is added for every v that enlarged the span.
+        Returns self."""
+        work = [v for v in vectors if self.add(v)]
+        while work and self.rank < self.ncols:
+            for w in images(work.pop()):
+                if self.add(w):
+                    if self.rank == self.ncols:
+                        return self
+                    work.append(w)
+        return self
+
     def copy(self):
         other = RowBasis(self.field, self.ncols)
         other.rows = [list(r) for r in self.rows]
@@ -150,10 +164,6 @@ def row_span(f, vectors, ncols):
     for v in vectors:
         basis.add(v)
     return basis
-
-
-def rank(f, vectors, ncols):
-    return row_span(f, vectors, ncols).rank
 
 
 def nullspace(f, rows, ncols):
@@ -178,80 +188,38 @@ def nullspace(f, rows, ncols):
 
 
 def invert(f, a):
-    """Matrix inverse, or None if singular."""
+    """Matrix inverse, or None if singular: the reduced echelon form of
+    [A | I] is [I | A^-1] exactly when every pivot lies in the A block."""
     n = len(a)
     if any(len(r) != n for r in a):
         raise InvalidInput("inverse of a non-square matrix")
-    aug = [list(row) + [f.one if i == j else f.zero for j in range(n)] for i, row in enumerate(a)]
-    for col in range(n):
-        piv = next((r for r in range(col, n) if not aug[r][col].is_zero()), None)
-        if piv is None:
-            return None
-        aug[col], aug[piv] = aug[piv], aug[col]
-        inv = aug[col][col].inverse()
-        aug[col] = [x * inv for x in aug[col]]
-        for r in range(n):
-            if r != col:
-                c = aug[r][col]
-                if not c.is_zero():
-                    aug[r] = [x - c * y for x, y in zip(aug[r], aug[col])]
-    return [row[n:] for row in aug]
+    basis = row_span(f, [list(r) + e for r, e in zip(a, identity(f, n))], 2 * n)
+    if basis.pivots != list(range(n)):
+        return None
+    return [row[n:] for row in basis.rows]
 
 
 def is_invertible(f, a):
-    n = len(a)
-    return rank(f, [list(r) for r in a], n) == n
-
-
-def solve(f, a, b):
-    """One exact solution x of A x = b, or None if inconsistent.
-
-    Underdetermined systems get the solution with free variables zero.
-    """
-    nrows, ncols = len(a), len(a[0]) if a else 0
-    aug = [list(row) + [bi] for row, bi in zip(a, b)]
-    basis = RowBasis(f, ncols + 1)
-    for row in aug:
-        basis.add(row)
-    x = [f.zero] * ncols
-    for row, p in zip(basis.rows, basis.pivots):
-        if p == ncols:
-            return None  # a pivot in the augmented column: inconsistent
-    for row, p in reversed(list(zip(basis.rows, basis.pivots))):
-        acc = row[ncols]
-        for j in range(p + 1, ncols):
-            if not row[j].is_zero():
-                acc = acc - row[j] * x[j]
-        x[p] = acc
-    return x
+    return row_span(f, a, len(a)).rank == len(a)
 
 
 def min_poly(f, mat):
     """Coefficients (low degree first, monic) of the minimal polynomial.
 
-    Forward elimination on flattened powers of the matrix, tracking each
-    echelon row as a combination of powers; the first power that reduces to
-    zero yields the (monic) dependency.
+    Each power vec(A^k) is reduced with the unit tag e_k appended, so a
+    residual is always e_k minus a combination of lower tags; the first
+    power whose matrix block reduces to zero carries the monic dependency
+    in its tag block (by Cayley-Hamilton, at k <= n at the latest).
     """
     n = len(mat)
-    rows = []  # (echelon vector, combo over power indices, pivot column)
+    nn = n * n
+    basis = RowBasis(f, nn + n + 1)
     power = identity(f, n)
-    k = 0
-    while True:
-        v = [x for row in power for x in row]
-        combo = [f.zero] * (k + 1)
-        combo[k] = f.one
-        for row, rc, p in rows:
-            c = v[p]
-            if c.is_zero():
-                continue
-            v = [a - c * b for a, b in zip(v, row)]
-            for j, b in enumerate(rc):
-                combo[j] = combo[j] - c * b
-        pivot = next((j for j in range(n * n) if not v[j].is_zero()), None)
-        if pivot is None:
-            return combo  # monic: combo[k] == 1 by construction
-        inv = v[pivot].inverse()
-        rows.append(([x * inv for x in v], [x * inv for x in combo], pivot))
+    for k in range(n + 1):
+        tag = [f.zero] * (n + 1)
+        tag[k] = f.one
+        resid = basis.reduce([x for row in power for x in row] + tag)
+        if vec_is_zero(resid[:nn]):
+            return resid[nn : nn + k + 1]
+        basis.add(resid)
         power = mat_mul(power, mat, f)
-        k += 1

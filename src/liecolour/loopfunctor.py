@@ -241,12 +241,10 @@ def iterate_lift(module, group=None) -> LiftReport:
     return report
 
 
-def twist_orbit(module, hsub=None):
+def twist_orbit(module):
     """Twists of the module by coset representatives of H-perp, deduplicated."""
-    hsub = module.hsub if hsub is None else hsub
-    g = module.algebra.group
     out = []
-    for ch in twist_reps(g, hsub):
+    for ch in twist_reps(module.algebra.group, module.hsub):
         cand = twist(module, ch)
         if not any(is_isomorphic(cand, seen) for seen in out):
             out.append(cand)

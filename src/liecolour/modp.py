@@ -4,11 +4,13 @@ Reducing Q(zeta_m) -> F_p along zeta -> omega (omega of multiplicative
 order m, which exists whenever p = 1 mod m) can only lower ranks.  That
 one-sided guarantee is used as a sound fast path:
 
-* a full-rank answer mod p certifies full rank over the exact field;
-* a zero nullity mod p certifies that an exact nullspace is zero.
+* `certifies_full_closure`: a full closure rank mod p certifies that the
+  matrices generate the whole matrix algebra over the exact field;
+* `certifies_zero_nullity`: full column rank mod p certifies that an exact
+  nullspace is zero.
 
-Everything else falls back to exact arithmetic elsewhere; no verdict in
-this package ever rests on a rank that merely *dropped* mod p.
+These two are the interface.  False means "no certificate" (the rank
+dropped, or a denominator is 0 mod p), never the opposite verdict.
 """
 
 from __future__ import annotations
@@ -157,3 +159,23 @@ def fp_rank(rows, p):
     for r in rows:
         ech.add(r)
     return ech.rank
+
+
+def certifies_zero_nullity(f, rows, ncols):
+    """True if the rows over f have rank ncols mod p, which proves that
+    their exact nullspace is zero."""
+    try:
+        p, omega = fp_for_field(f)
+        return bool(rows) and fp_rank(mat_to_fp(rows, p, omega), p) == ncols
+    except ValueError:  # a denominator is 0 mod p
+        return False
+
+
+def certifies_full_closure(f, mats, d):
+    """True if the unital algebra the d x d matrices over f generate has
+    dimension d^2 mod p, which proves it is all of End(f^d)."""
+    try:
+        p, omega = fp_for_field(f)
+        return closure_rank([mat_to_fp(g, p, omega) for g in mats], p, d) == d * d
+    except ValueError:  # a denominator is 0 mod p
+        return False

@@ -457,14 +457,12 @@ def classify_lambda(lam) -> LambdaReport:
     )
 
 
-def classify_sl2c(max_lambda, strict=False) -> ClassificationReport:
+def classify_sl2c(max_lambda) -> ClassificationReport:
     if max_lambda < 0:
         raise InvalidInput("max lambda must be >= 0")
     report = ClassificationReport(max_lambda=max_lambda)
     for lam in range(max_lambda + 1):
         report.rows.append(classify_lambda(lam))
-    if strict:
-        report.raise_if_failed()
     return report
 
 

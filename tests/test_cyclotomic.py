@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 
 from liecolour import field
-from liecolour.cyclotomic import num_from_json
+from liecolour.jsonio import num_from_json
 from liecolour.errors import InvalidInput
 
 

@@ -123,12 +123,16 @@ def test_spin_examples():
     V2 = make_V_lambda(2)
     full = spin(V2, [_unit(3, 0)])
     assert full.dim == 3
+    # the whole space in reduced echelon form is the identity
+    assert [list(r) for r in full.rows] == [_unit(3, i) for i in range(3)]
     zero = spin(V2, [[F4.zero] * 3])
     assert zero.dim == 0
     L = loop(make_sl2_graded(2, "E"), trivial_subgroup(GROUP))
     # v_0 (x) e_00 meets both irreducible summands: its spin is everything
     v00 = _unit(L.dim, L.index_of(0, (0, 0)))
-    assert spin(L.module, [v00]).dim == 6
+    full_loop = spin(L.module, [v00])
+    assert full_loop.dim == 6
+    assert [list(r) for r in full_loop.rows] == [_unit(6, i) for i in range(6)]
     # v_1 (x) e_01 lies in one summand: a proper fully graded copy of the source
     v101 = _unit(L.dim, L.index_of(1, (0, 1)))
     sub = spin(L.module, [v101])
@@ -261,3 +265,55 @@ def test_submodule_restriction_roundtrip():
     mod, rows = submodule_to_module(sub)
     assert mod.dim == sub.dim == len(rows)
     assert is_graded_irreducible(mod).irreducible
+
+
+def _bd_ungraded(*mats):
+    """Ungraded module of the block-model algebra (H, Q1, Q2, Z)."""
+    from liecolour.workbench import make_bd_model
+
+    alg = make_bd_model()[0]
+    dim = len(mats[0])
+    return GradedModule(alg, full_subgroup(alg.group), [alg.group.zero()] * dim, list(mats))
+
+
+def test_decompose_stalls_on_a_non_split_extension():
+    from liecolour.errors import NotCompletelyReducible
+
+    zero = [[F4.zero] * 2 for _ in range(2)]
+    nilpotent = [[F4.zero, F4.one], [F4.zero, F4.zero]]
+    V = _bd_ungraded(zero, nilpotent, zero, zero)
+    # span(e_0) is the only proper submodule: no complement exists
+    with pytest.raises(NotCompletelyReducible, match="stalled at dimension 1 of 2"):
+        decompose(V)
+
+
+def test_denominators_divisible_by_p_give_no_certificate_but_exact_verdicts():
+    from fractions import Fraction
+
+    from liecolour import modp
+    from liecolour.gmodule import _generator_matrices, _intertwiner_system
+
+    p = modp.prime_for(4)
+    assert p == 1048589
+
+    def scalar(q):
+        return [[F4.from_rational(q)]]
+
+    def one_dim(sign):
+        # [Q1, Q1] = [Q2, Q2] = H holds as 2 (1/p)^2 = 2/p^2; Z acts as 0
+        q1 = scalar(Fraction(sign, p))
+        return _bd_ungraded(scalar(Fraction(2, p * p)), q1, scalar(Fraction(1, p)), scalar(0))
+
+    V, partner = one_dim(1), one_dim(-1)
+    # exactly, the closure is all of End(V) and the intertwiner system has
+    # zero nullity; mod p neither can be certified, since p divides a
+    # denominator
+    assert not modp.certifies_full_closure(F4, _generator_matrices(V), 1)
+    variables, rows = _intertwiner_system(V, partner)
+    assert not modp.certifies_zero_nullity(F4, rows, len(variables))
+    verdict = is_graded_irreducible(V)
+    assert verdict.irreducible and verdict.closure_dim == 1
+    double = direct_sum(V, V)
+    assert not is_graded_irreducible(double).irreducible
+    assert len(decompose(double)) == 2
+    assert intertwiners(V, partner) == []

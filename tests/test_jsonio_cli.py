@@ -4,6 +4,7 @@ import pytest
 
 from liecolour import jsonio
 from liecolour.cli import main
+from liecolour.grading import Multiplier
 from liecolour.workbench import (
     make_bd_model,
     make_sl2_discoloured,
@@ -52,7 +53,7 @@ def test_module_action_is_flat_row_major():
 
 def test_multiplier_roundtrip():
     sig = discolouring_sigma()
-    back = jsonio.multiplier_from_json(json.loads(jsonio.dump(sig.to_json())))
+    back = jsonio.bimultiplicative_from_json(Multiplier, json.loads(jsonio.dump(sig.to_json())))
     assert back == sig
 
 
@@ -91,6 +92,51 @@ def test_cli_verify_rejects_inexact_coefficient(tmp_path, coeff):
     blob["action"][0][0]["coeffs"][0] = coeff
     path = _write(tmp_path, "inexact.json", blob)
     assert main(["verify", path]) == 2
+
+
+def _set(path, value):
+    def mutate(blob):
+        *outer, last = path
+        for key in outer:
+            blob = blob[key]
+        blob[last] = value
+
+    return mutate
+
+
+MALFORMED_INTEGERS = {
+    "scalar-m-not-a-number": _set(("action", 0, 0, "m"), "abc"),
+    "epsilon-m-not-a-number": _set(("algebra", "epsilon", "m"), "abc"),
+    "group-order-not-a-number": _set(("algebra", "group", "orders"), ["abc", 2]),
+    "group-order-huge": _set(("algebra", "group", "orders"), [2, 2**40]),
+    "scalar-m-huge": _set(("action", 0, 0, "m"), 30030),
+    "epsilon-m-bool": _set(("algebra", "epsilon", "m"), True),
+    "exponent-float": _set(("algebra", "epsilon", "exponents", 0, 0), 2.0),
+    "basis-degree-not-a-number": _set(("algebra", "basis", 0, "degree"), ["x", 0]),
+    "bracket-index-not-a-number": _set(("algebra", "brackets", 0, "i"), "0x1"),
+    "module-degree-not-a-number": _set(("degrees", 0), ["1.5", 0]),
+    "h-generator-not-a-number": _set(("H",), [["one", 0]]),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED_INTEGERS))
+def test_cli_verify_rejects_malformed_integer_field(tmp_path, case):
+    # every integer field is a JSON integer or a decimal string, m lies in
+    # 1..1024 and the group order is at most 256; anything else is invalid
+    # input (exit 2), not a traceback, a MemoryError or a hang
+    blob = jsonio.module_to_json(make_sl2_graded(2, "E"))
+    MALFORMED_INTEGERS[case](blob)
+    path = _write(tmp_path, "malformed.json", blob)
+    assert main(["verify", path]) == 2
+
+
+def test_cli_verify_accepts_decimal_integer_strings(tmp_path):
+    blob = jsonio.module_to_json(make_sl2_graded(2, "E"))
+    blob["algebra"]["epsilon"]["m"] = "4"
+    blob["algebra"]["group"]["orders"] = ["2", "+2"]
+    blob["degrees"] = [[str(x) for x in d] for d in blob["degrees"]]
+    path = _write(tmp_path, "strings.json", blob)
+    assert main(["verify", path]) == 0
 
 
 def test_cli_verify_mathematically_broken_algebra(tmp_path):
