@@ -35,6 +35,7 @@ from .errors import (
     AlgebraValidationError,
     ClassificationMismatch,
     InconclusiveIrreducibility,
+    InconclusiveIsomorphism,
     InvalidCommutationFactor,
     InvalidInput,
     InvalidMultiplier,

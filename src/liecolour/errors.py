@@ -65,6 +65,11 @@ class InconclusiveIrreducibility(LieColourError):
     """
 
 
+class InconclusiveIsomorphism(LieColourError):
+    """Hom(V, W) is nonzero, but no invertible element was found in it, so
+    neither answer is certified."""
+
+
 class NotCompletelyReducible(LieColourError):
     pass
 

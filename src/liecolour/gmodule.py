@@ -1,8 +1,9 @@
 """Graded and ungraded modules of a colour algebra, as exact matrices.
 
-A module stores one action matrix per algebra basis element together with a
-grading subgroup H <= Gamma: per-vector degrees live in Gamma/H, H = {0} is
-the fully graded case and H = Gamma encodes an ungraded module.
+A module stores one action matrix per algebra basis element, as sparse rows
+(see linalg), together with a grading subgroup H <= Gamma: per-vector
+degrees live in Gamma/H, H = {0} is the fully graded case and H = Gamma
+encodes an ungraded module.
 
 Irreducibility uses the Burnside criterion over the augmented operator set
 (action matrices plus diagonal grading operators for characters of
@@ -23,6 +24,7 @@ rows, span invariance) and build their output without revalidating it.
 
 from __future__ import annotations
 
+import random
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
@@ -34,13 +36,14 @@ from .abelian import Character, quotient
 from .colouralg import discolour as discolour_algebra
 from .errors import (
     InconclusiveIrreducibility,
+    InconclusiveIsomorphism,
     InvalidInput,
     InvalidSubmodule,
     ModuleValidationError,
     NotCompletelyReducible,
 )
 from .grading import multiplier_inverse
-from .linalg import RowBasis, identity, mat_mul, mat_scale, mat_sub, mat_vec, vec_is_zero
+from .linalg import RowBasis, identity, mat_mul, mat_scale, mat_sub, mat_vec
 
 
 class GradedModule:
@@ -56,14 +59,29 @@ class GradedModule:
         self.degrees = tuple(self.quo.rep(d) for d in degrees)
         if len(matrices) != algebra.dim():
             raise InvalidInput("need one action matrix per algebra basis element")
-        fixed = []
-        for m in matrices:
-            if len(m) != self.dim or any(len(r) != self.dim for r in m):
-                raise InvalidInput("action matrix has wrong shape")
-            fixed.append(tuple(tuple(algebra._scalar(x) for x in r) for r in m))
-        self.action = tuple(fixed)
+        if any(len(m) != self.dim for m in matrices):
+            raise InvalidInput("action matrix has wrong shape")
+        self.action = tuple([self._sparse_row(r) for r in m] for m in matrices)
         if validate:
             self.validate()
+
+    def _sparse_row(self, row):
+        """A row given densely (a sequence of dim scalars) or sparsely (a
+        dict column -> scalar), as a sparse row without zeros."""
+        if isinstance(row, dict):
+            entries = row.items()
+        elif len(row) == self.dim:
+            entries = enumerate(row)
+        else:
+            raise InvalidInput("action matrix has wrong shape")
+        out = {}
+        for c, x in entries:
+            if type(c) is not int or not 0 <= c < self.dim:
+                raise InvalidInput(f"column {c!r} is outside 0..{self.dim - 1}")
+            x = self.algebra._scalar(x)
+            if not x.is_zero():
+                out[c] = x
+        return out
 
     # -- basic views ----------------------------------------------------------
 
@@ -86,26 +104,28 @@ class GradedModule:
         return [len(sec[rep]) for rep in self.quo.coset_reps]
 
     def matrix(self, i):
-        return [list(r) for r in self.action[i]]
+        """Dense copy of the action matrix of basis element i (display, tests)."""
+        return [linalg.dense(self.field, r, self.dim) for r in self.action[i]]
 
     # -- validation -----------------------------------------------------------
 
     def validate(self):
-        alg, f = self.algebra, self.field
+        alg = self.algebra
+        act = self.action
         eps = alg.epsilon
         n = alg.dim()
         for i in range(n):
             a = alg.degree(i)
             for j in range(i, n):
                 b = alg.degree(j)
-                lhs = linalg.zeros(f, self.dim, self.dim)
+                lhs = linalg.zeros(self.dim)
                 for k, c in alg.bracket_basis(i, j).items():
-                    lhs = linalg.mat_add(lhs, mat_scale(self.matrix(k), c))
+                    lhs = linalg.mat_add(lhs, mat_scale(act[k], c))
                 rhs = mat_sub(
-                    mat_mul(self.matrix(i), self.matrix(j), f),
-                    mat_scale(mat_mul(self.matrix(j), self.matrix(i), f), eps.eval(a, b)),
+                    mat_mul(act[i], act[j]),
+                    mat_scale(mat_mul(act[j], act[i]), eps.eval(a, b)),
                 )
-                if not linalg.mat_eq(lhs, rhs):
+                if lhs != rhs:
                     raise ModuleValidationError(
                         "representation",
                         (i, j),
@@ -114,11 +134,8 @@ class GradedModule:
         if not self.is_ungraded():
             for k in range(n):
                 shift = self.quo.rep(alg.degree(k))
-                mat = self.action[k]
-                for r in range(self.dim):
-                    for c in range(self.dim):
-                        if mat[r][c].is_zero():
-                            continue
+                for r, row in enumerate(act[k]):
+                    for c in row:
                         if self.degrees[r] != self.quo.add(self.degrees[c], shift):
                             raise ModuleValidationError(
                                 "homogeneity",
@@ -135,7 +152,7 @@ class GradedModule:
             self.algebra == other.algebra
             and self.hsub == other.hsub
             and self.degrees == other.degrees
-            and all(linalg.mat_eq(a, b) for a, b in zip(self.action, other.action))
+            and self.action == other.action
         )
 
     def __repr__(self):
@@ -149,7 +166,8 @@ def make_module(algebra, hsub, degrees, matrices) -> GradedModule:
 
 @dataclass
 class Submodule:
-    """An invariant subspace, stored as reduced row-echelon basis rows."""
+    """An invariant subspace, stored as sparse basis rows (reduced
+    row-echelon unless given otherwise)."""
 
     parent: GradedModule
     rows: tuple
@@ -161,26 +179,24 @@ class Submodule:
 
     def validate(self):
         V = self.parent
-        f = V.field
-        basis = linalg.row_span(f, self.rows, V.dim)
+        basis = linalg.row_span(V.field, self.rows, V.dim)
         if basis.rank != len(self.rows):
             raise InvalidSubmodule("basis rows are dependent")
         for mat in V.action:
             for r in self.rows:
-                img = mat_vec(mat, list(r), f)
-                if not vec_is_zero(basis.reduce(img)):
+                if basis.reduce(mat_vec(mat, r)):
                     raise InvalidSubmodule("span is not invariant under the action")
         if self.homogeneous and not V.is_ungraded():
             for r in self.rows:
-                sectors = {V.degrees[i] for i, x in enumerate(r) if not x.is_zero()}
-                if len(sectors) > 1:
+                if len({V.degrees[i] for i in r}) > 1:
                     raise InvalidSubmodule("basis row mixes sectors")
 
     def to_json(self):
+        V = self.parent
         return {
             "dim": self.dim,
             "homogeneous": self.homogeneous,
-            "rows": [[x.to_json() for x in r] for r in self.rows],
+            "rows": [[x.to_json() for x in linalg.dense(V.field, r, V.dim)] for r in self.rows],
         }
 
 
@@ -205,11 +221,7 @@ def coarsen(module, hsub_new) -> GradedModule:
     if not module.hsub.is_subset_of(hsub_new):
         raise InvalidInput("can only coarsen along a larger subgroup")
     return GradedModule(
-        module.algebra,
-        hsub_new,
-        [d for d in module.degrees],
-        [module.matrix(k) for k in range(module.algebra.dim())],
-        validate=False,
+        module.algebra, hsub_new, list(module.degrees), module.action, validate=False
     )
 
 
@@ -219,8 +231,8 @@ def twist(module, character) -> GradedModule:
         raise InvalidInput("character on a different group")
     f = module.field
     mats = [
-        mat_scale(module.matrix(k), character.eval(module.algebra.degree(k), f))
-        for k in range(module.algebra.dim())
+        mat_scale(mat, character.eval(module.algebra.degree(k), f))
+        for k, mat in enumerate(module.action)
     ]
     return GradedModule(
         module.algebra, module.hsub, list(module.degrees), mats, validate=False
@@ -232,24 +244,16 @@ def parity_shift(module, h) -> GradedModule:
     g = module.algebra.group
     h = g.reduce(h)
     degrees = [g.add(d, h) for d in module.degrees]
-    return GradedModule(
-        module.algebra,
-        module.hsub,
-        degrees,
-        [module.matrix(k) for k in range(module.algebra.dim())],
-        validate=False,
-    )
+    return GradedModule(module.algebra, module.hsub, degrees, module.action, validate=False)
 
 
 def direct_sum(a, b) -> GradedModule:
     if a.algebra != b.algebra or a.hsub != b.hsub:
         raise InvalidInput("direct sum needs matching algebra and grading")
-    f = a.field
-    mats = []
-    for k in range(a.algebra.dim()):
-        top = [list(r) + [f.zero] * b.dim for r in a.action[k]]
-        bot = [[f.zero] * a.dim + list(r) for r in b.action[k]]
-        mats.append(top + bot)
+    mats = [
+        ma + [{a.dim + c: x for c, x in r.items()} for r in mb]
+        for ma, mb in zip(a.action, b.action)
+    ]
     return GradedModule(
         a.algebra, a.hsub, list(a.degrees) + list(b.degrees), mats, validate=False
     )
@@ -262,22 +266,17 @@ def discolour_module(module, sigma) -> GradedModule:
     well-definedness requires sigma(., h) = 1 for h in the grading subgroup.
     """
     g = module.algebra.group
-    f = module.field
-    one = f.one
+    one = module.field.one
     for gen in g.generators():
         for h in module.hsub.elements:
             if sigma.eval(gen, h) != one:
                 raise InvalidInput("multiplier is not constant on grading cosets")
     target = discolour_algebra(module.algebra, sigma)
     mats = []
-    for k in range(module.algebra.dim()):
+    for k, mat in enumerate(module.action):
         alpha = module.algebra.degree(k)
-        mat = module.matrix(k)
-        for c in range(module.dim):
-            s = sigma.eval(alpha, module.degrees[c])
-            for r in range(module.dim):
-                mat[r][c] = mat[r][c] * s
-        mats.append(mat)
+        s = [sigma.eval(alpha, d) for d in module.degrees]
+        mats.append([{c: x * s[c] for c, x in row.items()} for row in mat])
     return GradedModule(target, module.hsub, list(module.degrees), mats, validate=False)
 
 
@@ -291,43 +290,35 @@ def recolour_module(module, sigma) -> GradedModule:
 
 def _homogeneous_parts(module, vec):
     parts = {}
-    for i, x in enumerate(vec):
-        if x.is_zero():
-            continue
-        parts.setdefault(module.degrees[i], [module.field.zero] * module.dim)
-        parts[module.degrees[i]][i] = x
+    for i, x in vec.items():
+        parts.setdefault(module.degrees[i], {})[i] = x
     return list(parts.values())
 
 
 def spin(module, vectors) -> Submodule:
-    """Smallest submodule containing the vectors.
+    """Smallest submodule containing the (sparse) vectors.
 
     If the module is graded and every input is homogeneous, images are
     re-split into homogeneous components so the result is a graded
     submodule.
     """
-    f = module.field
     graded = not module.is_ungraded()
-    vecs = [list(v) for v in vectors if not vec_is_zero(list(v))]
-    split = graded and all(
-        len({module.degrees[i] for i, x in enumerate(v) if not x.is_zero()}) == 1 for v in vecs
-    )
+    vecs = [v for v in vectors if v]
+    split = graded and all(len({module.degrees[i] for i in v}) == 1 for v in vecs)
 
     def pieces(v):
         return _homogeneous_parts(module, v) if split else [v]
 
     def images(v):
         for mat in module.action:
-            img = mat_vec(mat, v, f)
-            if not vec_is_zero(img):
+            img = mat_vec(mat, v)
+            if img:
                 yield from pieces(img)
 
-    basis = RowBasis(f, module.dim).close([p for v in vecs for p in pieces(v)], images)
-    return Submodule(
-        parent=module,
-        rows=tuple(tuple(r) for r in basis.rows),
-        homogeneous=split or not graded,
+    basis = RowBasis(module.field, module.dim).close(
+        [p for v in vecs for p in pieces(v)], images
     )
+    return Submodule(parent=module, rows=tuple(basis.rows), homogeneous=split or not graded)
 
 
 def submodule_to_module(sub):
@@ -341,30 +332,30 @@ def submodule_to_module(sub):
     """
     V = sub.parent
     f = V.field
-    rows = [list(r) for r in sub.rows]
+    rows = list(sub.rows)
+    n = len(rows)
     basis = linalg.row_span(f, rows, V.dim)
-    if basis.rank != len(rows):
+    if basis.rank != n:
         raise InvalidSubmodule("basis rows are dependent")
-    at_pivots = [[r[p] for p in basis.pivots] for r in rows]
+    at_pivots = [{k: r[p] for k, p in enumerate(basis.pivots) if p in r} for r in rows]
     to_rows = None
-    if not linalg.mat_eq(at_pivots, identity(f, len(rows))):
-        to_rows = linalg.transpose(linalg.invert(f, at_pivots))
+    if at_pivots != identity(f, n):
+        to_rows = linalg.transpose(linalg.invert(f, at_pivots), n)
     degrees = []
     for r in rows:
-        sectors = {V.degrees[i] for i, x in enumerate(r) if not x.is_zero()}
+        sectors = {V.degrees[i] for i in r}
         if len(sectors) != 1 and not V.is_ungraded():
             raise InvalidSubmodule("restriction needs homogeneous basis rows")
         degrees.append(sectors.pop() if sectors else V.quo.zero())
     mats = []
-    for k in range(V.algebra.dim()):
+    for mat in V.action:
         cols = []
         for r in rows:
-            img = mat_vec(V.action[k], r, f)
-            resid, coords = basis.reduce(img, coords=True)
-            if not vec_is_zero(resid):
+            resid, coords = basis.reduce(mat_vec(mat, r), coords=True)
+            if resid:
                 raise InvalidSubmodule("span is not invariant under the action")
-            cols.append(coords if to_rows is None else mat_vec(to_rows, coords, f))
-        mats.append(linalg.transpose(cols))
+            cols.append(coords if to_rows is None else mat_vec(to_rows, coords))
+        mats.append(linalg.transpose(cols, n))
     module = GradedModule(V.algebra, V.hsub, degrees, mats, validate=False)
     return module, rows
 
@@ -374,8 +365,7 @@ def submodule_to_module(sub):
 # ---------------------------------------------------------------------------
 
 def _intertwiner_system(V, W):
-    """Constraint rows and variable layout for degree-0 maps M: V -> W."""
-    f = V.field
+    """Nonzero constraint rows and variable layout for degree-0 maps M: V -> W."""
     graded = not V.is_ungraded()
     variables = []
     for r in range(W.dim):
@@ -384,23 +374,16 @@ def _intertwiner_system(V, W):
                 variables.append((r, c))
     index = {rc: t for t, rc in enumerate(variables)}
     rows = []
-    for k in range(V.algebra.dim()):
-        A, B = V.action[k], W.action[k]
+    for A, B in zip(V.action, W.action):
+        cols_a = linalg.transpose(A, V.dim)
         for r in range(W.dim):
             for c in range(V.dim):
-                row = [f.zero] * len(variables)
-                touched = False
-                for t in range(V.dim):
-                    a = A[t][c]
-                    if not a.is_zero() and (r, t) in index:
-                        row[index[(r, t)]] = row[index[(r, t)]] + a
-                        touched = True
-                for t in range(W.dim):
-                    b = B[r][t]
-                    if not b.is_zero() and (t, c) in index:
-                        row[index[(t, c)]] = row[index[(t, c)]] - b
-                        touched = True
-                if touched:
+                # (M A - B M)[r][c]; only M[r][c] can occur in both sums
+                row = linalg.vec_add(
+                    {index[(r, t)]: a for t, a in cols_a[c].items() if (r, t) in index},
+                    {index[(t, c)]: -b for t, b in B[r].items() if (t, c) in index},
+                )
+                if row:
                     rows.append(row)
     return variables, rows
 
@@ -417,12 +400,12 @@ def intertwiners(V, W):
     f = V.field
     if modp.certifies_zero_nullity(f, rows, len(variables)):
         return []
-    null = linalg.nullspace(f, rows, len(variables))
     out = []
-    for sol in null:
-        mat = linalg.zeros(f, W.dim, V.dim)
-        for t, (r, c) in enumerate(variables):
-            mat[r][c] = sol[t]
+    for sol in linalg.nullspace(f, rows, len(variables)):
+        mat = linalg.zeros(W.dim)
+        for t, x in sol.items():
+            r, c = variables[t]
+            mat[r][c] = x
         out.append(mat)
     return out
 
@@ -432,8 +415,21 @@ def commutant(V):
     return intertwiners(V, V)
 
 
+# Random combinations tried before an isomorphism test gives up.
+_COMBINATIONS = 4
+
+
 def is_isomorphic(V, W) -> bool:
-    """Graded isomorphism test (ungraded isomorphism when H = Gamma)."""
+    """Graded isomorphism test (ungraded isomorphism when H = Gamma).
+
+    True is certified by an invertible degree-0 intertwiner, False by
+    different (sector) dimensions or Hom(V, W) = 0.  Otherwise, when no
+    basis map is invertible, seeded combinations sum c_k M_k with c_k in
+    1..100 dim V are tried: det is a nonzero polynomial of degree dim V in
+    the c_k if an isomorphism exists, so by Schwartz-Zippel each is singular
+    with probability at most 1/100.  If none is invertible there is no
+    certificate either way, and InconclusiveIsomorphism is raised.
+    """
     if V.algebra != W.algebra:
         raise InvalidInput("modules over different algebras")
     if V.hsub != W.hsub:
@@ -448,25 +444,18 @@ def is_isomorphic(V, W) -> bool:
     if not maps:
         return False
     f = V.field
-    for m in maps:
-        if linalg.is_invertible(f, m):
-            return True
-    if is_graded_irreducible(V).irreducible or is_graded_irreducible(W).irreducible:
-        # Schur: a nonzero map to/from an irreducible of equal dimension is
-        # invertible, and maps is nonempty here.
+    if any(linalg.is_invertible(f, m) for m in maps):
         return True
-    # polynomial identity trick on the moment curve t -> sum t^k M_k
-    d = V.dim
-    npoints = (len(maps) - 1) * d + 1
-    for t in range(npoints):
-        acc = linalg.zeros(f, d, d)
-        tt = Fraction(1)
+    rng = random.Random(0)
+    for _ in range(_COMBINATIONS):
+        acc = linalg.zeros(V.dim)
         for m in maps:
-            acc = linalg.mat_add(acc, mat_scale(m, f.from_rational(tt)))
-            tt *= t
+            acc = linalg.mat_add(acc, mat_scale(m, f.from_rational(rng.randint(1, 100 * V.dim))))
         if linalg.is_invertible(f, acc):
             return True
-    return False
+    raise InconclusiveIsomorphism(
+        f"Hom has dimension {len(maps)} but no invertible element was found"
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -487,27 +476,25 @@ def _grading_operators(module):
         if not any(exps):
             continue
         ch = Character(g, exps)
-        mat = linalg.zeros(f, module.dim, module.dim)
-        for i, d in enumerate(module.degrees):
-            mat[i][i] = ch.eval(d, f)
-        ops.append(mat)
+        ops.append([{i: ch.eval(d, f)} for i, d in enumerate(module.degrees)])
     return ops
 
 
 def _generator_matrices(module):
-    return [module.matrix(k) for k in range(module.algebra.dim())] + _grading_operators(
-        module
-    )
+    return list(module.action) + _grading_operators(module)
 
 
 def _closure_rank_exact(f, mats, d):
     """Dimension of the unital algebra the d x d matrices generate, exactly."""
 
     def products(w):
-        wm = [w[i * d : (i + 1) * d] for i in range(d)]
-        return ([x for row in mat_mul(wm, g, f) for x in row] for g in mats)
+        wm = linalg.zeros(d)
+        for t, x in w.items():
+            wm[t // d][t % d] = x
+        for g in mats:
+            yield {i * d + j: x for i, row in enumerate(mat_mul(wm, g)) for j, x in row.items()}
 
-    eye = [x for row in identity(f, d) for x in row]
+    eye = {i * d + i: f.one for i in range(d)}
     return RowBasis(f, d * d).close([eye], products).rank
 
 
@@ -596,13 +583,11 @@ def _commutant_kernel_vectors(module):
     out = []
     eye = identity(f, d)
     for M in commutant(module):
-        diag0 = M[0][0]
-        if linalg.mat_eq(M, mat_scale(eye, diag0)):
+        if M == mat_scale(eye, M[0].get(0, f.zero)):
             continue
         mu = linalg.min_poly(f, M)
         for c in _field_roots(f, mu):
-            shifted = mat_sub(M, mat_scale(eye, c))
-            kernel = linalg.nullspace(f, [list(r) for r in shifted], d)
+            kernel = linalg.nullspace(f, mat_sub(M, mat_scale(eye, c)), d)
             if 0 < len(kernel) < d:
                 out.extend(kernel)
     return out
@@ -611,11 +596,8 @@ def _commutant_kernel_vectors(module):
 def _candidate_vectors(module):
     """Vectors to spin in search of submodules: the unit vectors, then the
     commutant kernel vectors, which are computed only if reached."""
-    f = module.field
     for i in range(module.dim):
-        v = [f.zero] * module.dim
-        v[i] = f.one
-        yield v
+        yield {i: module.field.one}
     yield from _commutant_kernel_vectors(module)
 
 
@@ -668,14 +650,9 @@ def shrink_to_irreducible(sub) -> Submodule:
         verdict = is_graded_irreducible(restricted)
         if verdict.irreducible:
             return sub
-        cols = linalg.transpose(rows)
-        lifted = [mat_vec(cols, list(w), f) for w in verdict.witness.rows]
+        lifted = [linalg.vec_mat(w, rows) for w in verdict.witness.rows]
         basis = linalg.row_span(f, lifted, module.dim)
-        sub = Submodule(
-            parent=module,
-            rows=tuple(tuple(r) for r in basis.rows),
-            homogeneous=sub.homogeneous,
-        )
+        sub = Submodule(parent=module, rows=tuple(basis.rows), homogeneous=sub.homogeneous)
 
 
 def decompose(module):
@@ -700,7 +677,7 @@ def decompose(module):
             continue
         sub = shrink_to_irreducible(spin(module, [v]))
         probe = accum.copy()
-        added = [probe.add(list(r)) for r in sub.rows]
+        added = [probe.add(r) for r in sub.rows]
         if all(added):
             summands.append(sub)
             accum = probe
@@ -723,11 +700,16 @@ def graded_quotient(module, sub) -> GradedModule:
     basis = linalg.row_span(f, sub.rows, d)
     pivots = set(basis.pivots)
     comp = [i for i in range(d) if i not in pivots]
+    # a residual vanishes at every pivot, so its entries sit on comp
+    position = {i: k for k, i in enumerate(comp)}
     degrees = [module.degrees[i] for i in comp]
     mats = []
-    for k in range(module.algebra.dim()):
-        resids = [basis.reduce([row[c] for row in module.action[k]]) for c in comp]
-        mats.append(linalg.transpose([[r[i] for i in comp] for r in resids]))
+    for mat in module.action:
+        cols = linalg.transpose(mat, d)
+        resids = [basis.reduce(cols[c]) for c in comp]
+        mats.append(
+            linalg.transpose([{position[i]: x for i, x in r.items()} for r in resids], len(comp))
+        )
     return GradedModule(module.algebra, module.hsub, degrees, mats, validate=False)
 
 
@@ -736,8 +718,6 @@ def submodule_from_rows(module, rows, homogeneous=None) -> Submodule:
     basis = linalg.row_span(f, rows, module.dim)
     if homogeneous is None:
         homogeneous = not module.is_ungraded()
-    sub = Submodule(
-        parent=module, rows=tuple(tuple(r) for r in basis.rows), homogeneous=homogeneous
-    )
+    sub = Submodule(parent=module, rows=tuple(basis.rows), homogeneous=homogeneous)
     sub.validate()
     return sub

@@ -13,8 +13,11 @@ Schemas (field names are fixed):
                 "degrees": [[...], ...], "action": [flat row-major scalars]}
 
 Scalars round-trip bit-exactly: rationals are emitted as reduced strings.
-Integer fields are JSON integers or decimal strings (one strict reader);
-m lies in 1..1024 and a group has at most 256 elements.
+A coefficient is a JSON integer or a string "p", "p/q" or a plain decimal
+such as "-1.25" (no exponent).  Integer fields are JSON integers or
+decimal strings (one strict reader); m lies in 1..1024 and a group has at
+most 256 elements.  Every array and object is checked for its type where
+it is read, so a value of the wrong shape is InvalidInput.
 """
 
 from __future__ import annotations
@@ -35,6 +38,16 @@ from .grading import CommutationFactor
 MAX_M = 1024  # building field(m) costs O(m)
 MAX_GROUP_ORDER = 256  # groups are enumerated element by element
 _DECIMAL = re.compile(r"[+-]?[0-9]{1,18}")  # fits in 64 bits
+# "p", "p/q" or a plain decimal: an exponent would be expanded in full
+_RATIONAL = re.compile(r"[+-]?(?:[0-9]+(?:/[0-9]+|\.[0-9]*)?|\.[0-9]+)")
+
+
+def _typed(value, kind, what):
+    """value if it is a JSON array (kind list) or object (kind dict)."""
+    if not isinstance(value, kind):
+        noun = "an array" if kind is list else "an object"
+        raise InvalidInput(f"{what} must be {noun}, not {type(value).__name__}")
+    return value
 
 
 def _read_int(value, what):
@@ -48,41 +61,42 @@ def _read_int(value, what):
 
 
 def _ints(values, what):
-    return tuple(_read_int(v, what) for v in values)
+    return tuple(_read_int(v, what) for v in _typed(values, list, what))
 
 
 def _field(obj):
-    m = _read_int(obj["m"], "m")
+    m = _read_int(obj["m"], "m")  # obj is checked by the caller
     if not 1 <= m <= MAX_M:
         raise InvalidInput(f"m = {m} is outside 1..{MAX_M}")
     return field(m)
 
 
 def _group_from_json(obj):
-    orders = _ints(obj["orders"], "group orders")
+    orders = _ints(_typed(obj, dict, "group")["orders"], "group orders")
     if math.prod(orders) > MAX_GROUP_ORDER:
         raise InvalidInput(f"group order is above {MAX_GROUP_ORDER}: {orders}")
     return AbelianGroup(orders)
 
 
 def num_from_json(obj):
-    """Scalar from JSON; coefficients must be integers or numeric strings
+    """Scalar from JSON; coefficients must be integers or rational strings
     (such as "-5/2" or "1.5"), never floats, which are not exact."""
-    f = _field(obj)
+    f = _field(_typed(obj, dict, "scalar"))
     coeffs = []
-    for c in obj["coeffs"]:
-        if type(c) is not int and not isinstance(c, str):
-            raise InvalidInput(f"coefficient {c!r} is neither an integer nor a string")
+    for c in _typed(obj["coeffs"], list, "coeffs"):
+        if type(c) is not int and not (isinstance(c, str) and _RATIONAL.fullmatch(c)):
+            raise InvalidInput(f"coefficient {str(c)[:40]!r} is not an integer, p/q or a decimal")
         try:
             coeffs.append(Fraction(c))
         except (ValueError, ZeroDivisionError):
-            raise InvalidInput(f"coefficient {c!r} is not a rational number") from None
+            raise InvalidInput(f"coefficient {c[:40]!r} is not a rational number") from None
     return f.num(coeffs)
 
 
 def bimultiplicative_from_json(cls, obj):
     """A CommutationFactor or Multiplier (the class `cls`) from JSON."""
-    exponents = [_ints(r, "exponents") for r in obj["exponents"]]
+    _typed(obj, dict, cls.__name__)
+    exponents = [_ints(r, "exponents") for r in _typed(obj["exponents"], list, "exponents")]
     return cls(_group_from_json(obj["group"]), _field(obj), exponents)
 
 
@@ -91,14 +105,19 @@ def algebra_to_json(alg):
 
 
 def algebra_from_json(obj):
-    group = _group_from_json(obj["group"])
+    group = _group_from_json(_typed(obj, dict, "algebra")["group"])
     eps = bimultiplicative_from_json(CommutationFactor, obj["epsilon"])
-    basis = [(b["name"], _ints(b["degree"], "degree")) for b in obj["basis"]]
+    basis = []
+    for b in _typed(obj["basis"], list, "basis"):
+        b = _typed(b, dict, "basis entry")
+        basis.append((b["name"], _ints(b["degree"], "degree")))
     constants = {}
-    for entry in obj["brackets"]:
+    for entry in _typed(obj["brackets"], list, "brackets"):
+        entry = _typed(entry, dict, "bracket")
         i, j = _read_int(entry["i"], "bracket i"), _read_int(entry["j"], "bracket j")
+        coeffs = _typed(entry["coeffs"], dict, "bracket coeffs")
         constants[(i, j)] = {
-            _read_int(k, "bracket k"): num_from_json(v) for k, v in entry["coeffs"].items()
+            _read_int(k, "bracket k"): num_from_json(v) for k, v in coeffs.items()
         }
     return ColourAlgebra(group, eps, basis, constants)
 
@@ -106,8 +125,7 @@ def algebra_from_json(obj):
 def module_to_json(module, algebra_ref=None):
     action = []
     for k in range(module.algebra.dim()):
-        flat = [x.to_json() for row in module.action[k] for x in row]
-        action.append(flat)
+        action.append([x.to_json() for row in module.matrix(k) for x in row])
     return {
         "algebra": algebra_ref if algebra_ref is not None else algebra_to_json(module.algebra),
         "H": [list(g) for g in module.hsub.generators],
@@ -122,12 +140,13 @@ def module_from_json(obj, base_dir="."):
         with open(os.path.join(base_dir, ref)) as fh:
             ref = json.load(fh)
     alg = algebra_from_json(ref)
-    hsub = subgroup_from_generators(alg.group, [_ints(g, "H") for g in obj["H"]])
-    degrees = [_ints(d, "degrees") for d in obj["degrees"]]
+    gens = [_ints(g, "H") for g in _typed(obj["H"], list, "H")]
+    hsub = subgroup_from_generators(alg.group, gens)
+    degrees = [_ints(d, "degrees") for d in _typed(obj["degrees"], list, "degrees")]
     dim = len(degrees)
     mats = []
-    for flat in obj["action"]:
-        if len(flat) != dim * dim:
+    for flat in _typed(obj["action"], list, "action"):
+        if len(_typed(flat, list, "action matrix")) != dim * dim:
             raise InvalidInput("action array has wrong length")
         nums = [num_from_json(x) for x in flat]
         mats.append([nums[r * dim : (r + 1) * dim] for r in range(dim)])

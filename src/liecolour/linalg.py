@@ -1,89 +1,113 @@
-"""Exact dense linear algebra over a cyclotomic field.
+"""Exact sparse linear algebra over a cyclotomic field.
 
-Matrices are plain lists of lists of CycloNum; dimensions here never exceed
-a few dozen, so the point is exactness and determinism, not speed.  The
-incremental RowBasis keeps a reduced row echelon basis and is the one
-elimination engine: behind nullspaces, quotients, restrictions, inversion
-and minimal polynomials, and (`RowBasis.close`) every closure.
+A vector is a dict {column: CycloNum} that never stores a zero, so `==` is
+equality and `not v` is the zero test; a matrix is a list of such rows.
+Action matrices carry about three nonzeros per row, and every loop here
+runs over stored entries only; the only zero checks are where a sum is
+formed.  `sparse` and `dense` are the two conversions, used where matrices
+enter and leave the program (user input, display, JSON).  The incremental
+RowBasis keeps a reduced row echelon basis and is the one elimination
+engine: behind nullspaces, quotients, restrictions, inversion and minimal
+polynomials, and (`RowBasis.close`) every closure.
 """
 
 from __future__ import annotations
 
+from bisect import bisect
+
 from .errors import InvalidInput
 
 
-def zeros(f, rows, cols):
-    z = f.zero
-    return [[z] * cols for _ in range(rows)]
+def sparse(seq):
+    return {j: x for j, x in enumerate(seq) if not x.is_zero()}
+
+
+def dense(f, row, ncols):
+    out = [f.zero] * ncols
+    for j, x in row.items():
+        out[j] = x
+    return out
+
+
+def zeros(n):
+    return [{} for _ in range(n)]
 
 
 def identity(f, n):
-    m = zeros(f, n, n)
-    for i in range(n):
-        m[i][i] = f.one
-    return m
+    return [{i: f.one} for i in range(n)]
+
+
+def _add_at(y, j, t):
+    """y[j] += t (t nonzero), dropping the entry if the sum cancels."""
+    s = y.get(j)
+    if s is None:
+        y[j] = t
+    elif (s := s + t).is_zero():
+        del y[j]
+    else:
+        y[j] = s
+
+
+def axpy(y, c, x):
+    """y += c x in place (c nonzero); returns y."""
+    for j, xj in x.items():
+        _add_at(y, j, c * xj)
+    return y
+
+
+def vec_add(u, v):
+    out = dict(u)
+    for j, y in v.items():
+        _add_at(out, j, y)
+    return out
 
 
 def mat_add(a, b):
-    return [[x + y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
+    return [vec_add(ra, rb) for ra, rb in zip(a, b)]
 
 
 def mat_sub(a, b):
-    return [[x - y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
+    return [vec_add(ra, {j: -y for j, y in rb.items()}) for ra, rb in zip(a, b)]
 
 
 def mat_scale(a, s):
-    return [[x * s for x in row] for row in a]
+    if s.is_zero():
+        return zeros(len(a))
+    return [{j: x * s for j, x in row.items()} for row in a]
 
 
-def mat_mul(a, b, f):
-    n, k = len(a), len(b)
-    cols = len(b[0]) if b else 0
-    out = zeros(f, n, cols)
-    for i in range(n):
-        arow = a[i]
-        orow = out[i]
-        for t in range(k):
-            x = arow[t]
-            if x.is_zero():
-                continue
-            brow = b[t]
-            for j in range(cols):
-                y = brow[j]
-                if not y.is_zero():
-                    orow[j] = orow[j] + x * y
+def vec_mat(v, a):
+    """The row vector v times the matrix a."""
+    out = {}
+    for t, x in v.items():
+        axpy(out, x, a[t])
     return out
 
 
-def mat_vec(a, v, f):
-    out = [f.zero] * len(a)
+def mat_mul(a, b):
+    return [vec_mat(row, b) for row in a]
+
+
+def mat_vec(a, v):
+    """The matrix a times the column vector v."""
+    out = {}
     for i, row in enumerate(a):
-        acc = f.zero
-        for x, y in zip(row, v):
-            if not x.is_zero() and not y.is_zero():
-                acc = acc + x * y
-        out[i] = acc
+        acc = None
+        for j, x in row.items():
+            y = v.get(j)
+            if y is not None:
+                acc = x * y if acc is None else acc + x * y
+        if acc is not None and not acc.is_zero():
+            out[i] = acc
     return out
 
 
-def mat_eq(a, b):
-    if len(a) != len(b):
-        return False
-    for ra, rb in zip(a, b):
-        if len(ra) != len(rb):
-            return False
-        for x, y in zip(ra, rb):
-            if x != y:
-                return False
-    return True
-
-
-def transpose(a):
-    return [list(col) for col in zip(*a)]
-
-
-def vec_is_zero(v):
-    return all(x.is_zero() for x in v)
+def transpose(a, ncols):
+    out = zeros(ncols)
+    for i, row in enumerate(a):
+        for j, x in row.items():
+            out[j][i] = x
+    return out
 
 
 class RowBasis:
@@ -92,52 +116,51 @@ class RowBasis:
     def __init__(self, f, ncols):
         self.field = f
         self.ncols = ncols
-        self.rows = []
+        self.rows = []  # in pivot order
         self.pivots = []
+        self._row_at = {}  # pivot -> row
 
     @property
     def rank(self):
         return len(self.rows)
 
     def reduce(self, vec, coords=False):
-        """Residual of vec modulo the span; optionally the combination used."""
-        v = list(vec)
-        cs = [self.field.zero] * len(self.rows) if coords else None
-        for idx, (row, p) in enumerate(zip(self.rows, self.pivots)):
-            c = v[p]
-            if c.is_zero():
-                continue
-            for j in range(p, self.ncols):
-                if not row[j].is_zero():
-                    v[j] = v[j] - c * row[j]
-            if coords:
-                cs[idx] = c
-        return (v, cs) if coords else v
+        """Residual of vec modulo the span; optionally the combination used,
+        as {index into rows: coefficient}.  A basis row is zero at every
+        other pivot, so the coefficient of each row is vec's own entry at
+        that row's pivot."""
+        v = dict(vec)
+        used = {}
+        for p, c in vec.items():
+            row = self._row_at.get(p)
+            if row is not None:
+                axpy(v, -c, row)
+                used[p] = c
+        if not coords:
+            return v
+        return v, {k: used[p] for k, p in enumerate(self.pivots) if p in used}
 
     def add(self, vec):
         """Insert vec; returns True if it enlarged the span."""
         v = self.reduce(vec)
-        pivot = next((j for j in range(self.ncols) if not v[j].is_zero()), None)
-        if pivot is None:
+        if not v:
             return False
+        pivot = min(v)
         inv = v[pivot].inverse()
-        v = [x * inv for x in v]
+        v = {j: x * inv for j, x in v.items()}
         # keep the basis fully reduced
         for row in self.rows:
-            c = row[pivot]
-            if not c.is_zero():
-                for j in range(pivot, self.ncols):
-                    if not v[j].is_zero():
-                        row[j] = row[j] - c * v[j]
-        at = next(
-            (k for k, p in enumerate(self.pivots) if p > pivot), len(self.pivots)
-        )
+            c = row.get(pivot)
+            if c is not None:
+                axpy(row, -c, v)
+        at = bisect(self.pivots, pivot)
         self.rows.insert(at, v)
         self.pivots.insert(at, pivot)
+        self._row_at[pivot] = v
         return True
 
     def contains(self, vec):
-        return vec_is_zero(self.reduce(vec))
+        return not self.reduce(vec)
 
     def close(self, vectors, images):
         """Grow to the smallest span containing the vectors and closed under
@@ -154,8 +177,9 @@ class RowBasis:
 
     def copy(self):
         other = RowBasis(self.field, self.ncols)
-        other.rows = [list(r) for r in self.rows]
+        other.rows = [dict(r) for r in self.rows]
         other.pivots = list(self.pivots)
+        other._row_at = dict(zip(other.pivots, other.rows))
         return other
 
 
@@ -173,30 +197,30 @@ def nullspace(f, rows, ncols):
     deterministic.
     """
     basis = row_span(f, rows, ncols)
-    pivset = set(basis.pivots)
-    free = [j for j in range(ncols) if j not in pivset]
     out = []
-    for fcol in free:
-        v = [f.zero] * ncols
-        v[fcol] = f.one
+    for fcol in range(ncols):
+        if fcol in basis._row_at:
+            continue
+        v = {fcol: f.one}
         for row, p in zip(basis.rows, basis.pivots):
-            c = row[fcol]
-            if not c.is_zero():
+            c = row.get(fcol)
+            if c is not None:
                 v[p] = -c
         out.append(v)
     return out
 
 
 def invert(f, a):
-    """Matrix inverse, or None if singular: the reduced echelon form of
-    [A | I] is [I | A^-1] exactly when every pivot lies in the A block."""
+    """Inverse of the n x n matrix given by n rows, or None if singular: the
+    reduced echelon form of [A | I] is [I | A^-1] exactly when every pivot
+    lies in the A block."""
     n = len(a)
-    if any(len(r) != n for r in a):
+    if any(j >= n for r in a for j in r):
         raise InvalidInput("inverse of a non-square matrix")
-    basis = row_span(f, [list(r) + e for r, e in zip(a, identity(f, n))], 2 * n)
+    basis = row_span(f, [{**r, n + i: f.one} for i, r in enumerate(a)], 2 * n)
     if basis.pivots != list(range(n)):
         return None
-    return [row[n:] for row in basis.rows]
+    return [{j - n: x for j, x in row.items() if j >= n} for row in basis.rows]
 
 
 def is_invertible(f, a):
@@ -216,10 +240,9 @@ def min_poly(f, mat):
     basis = RowBasis(f, nn + n + 1)
     power = identity(f, n)
     for k in range(n + 1):
-        tag = [f.zero] * (n + 1)
-        tag[k] = f.one
-        resid = basis.reduce([x for row in power for x in row] + tag)
-        if vec_is_zero(resid[:nn]):
-            return resid[nn : nn + k + 1]
+        flat = {i * n + j: x for i, row in enumerate(power) for j, x in row.items()}
+        resid = basis.reduce({**flat, nn + k: f.one})
+        if min(resid) >= nn:
+            return [resid.get(nn + t, f.zero) for t in range(k + 1)]
         basis.add(resid)
-        power = mat_mul(power, mat, f)
+        power = mat_mul(power, mat)

@@ -12,10 +12,10 @@ Gamma lifts an ungraded irreducible all the way to a Gamma-graded one.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field as dc_field
 from typing import Optional
 
+from . import linalg
 from .abelian import _prime_factors, jordan_holder, quotient, twist_reps
 from .errors import InconclusiveIrreducibility, InvalidInput, InvalidSubgroupStep
 from .gmodule import (
@@ -60,7 +60,6 @@ def loop(module, refiner, sector_order=None) -> LoopModule:
         raise InvalidSubgroupStep(
             f"index {step} of the refining subgroup is not prime"
         )
-    f = module.field
     quo_fine = quotient(g, refiner)
     reps = list(quo_fine.coset_reps) if sector_order is None else [
         quo_fine.rep(r) for r in sector_order
@@ -75,19 +74,15 @@ def loop(module, refiner, sector_order=None) -> LoopModule:
         for i in sectors[coarse.rep(rep)]:
             bookkeeping.append((i, rep))
             degrees.append(rep)
-    dim = len(bookkeeping)
     position = {bk: t for t, bk in enumerate(bookkeeping)}
     mats = []
-    for k in range(module.algebra.dim()):
-        alpha = module.algebra.degree(k)
-        src = module.action[k]
-        mat = [[f.zero] * dim for _ in range(dim)]
-        for col, (i, rep) in enumerate(bookkeeping):
-            target_rep = quo_fine.add(rep, alpha)
-            for j in range(module.dim):
-                c = src[j][i]
-                if not c.is_zero():
-                    mat[position[(j, target_rep)]][col] = c
+    for k, src in enumerate(module.action):
+        minus_alpha = g.neg(module.algebra.degree(k))
+        mat = []
+        for j, rep in bookkeeping:
+            # row (j, rep) is row j of the source, read at the labels rep - alpha
+            at = quo_fine.add(rep, minus_alpha)
+            mat.append({position[(i, at)]: x for i, x in src[j].items()})
         mats.append(mat)
     looped = GradedModule(module.algebra, refiner, degrees, mats, validate=False)
     return LoopModule(
@@ -99,9 +94,8 @@ def shift_intertwiner(loopmod, h):
     """The e-label relabelling showing loop^{+h} = loop for h in H."""
     f = loopmod.module.field
     g = loopmod.module.algebra.group
-    dim = loopmod.dim
     quo = loopmod.module.quo
-    mat = [[f.zero] * dim for _ in range(dim)]
+    mat = linalg.zeros(loopmod.dim)
     for col, (i, rep) in enumerate(loopmod.bookkeeping):
         mat[loopmod.index_of(i, quo.add(rep, g.reduce(h)))][col] = f.one
     return mat
@@ -129,16 +123,8 @@ def _forget_labels(loopmod, rows):
     """Apply v (x) e_c -> v to submodule rows; columns of the result express
     the submodule basis inside the source module."""
     V = loopmod.source
-    f = V.field
-    cols = []
-    for row in rows:
-        v = [f.zero] * V.dim
-        for t, x in enumerate(row):
-            if not x.is_zero():
-                i, _ = loopmod.bookkeeping[t]
-                v[i] = v[i] + x
-        cols.append(v)
-    return [[cols[c][r] for c in range(len(cols))] for r in range(V.dim)]
+    forget = [{i: V.field.one} for i, _ in loopmod.bookkeeping]
+    return linalg.transpose(linalg.mat_mul(rows, forget), V.dim)
 
 
 def bijection_F(module, refiner) -> BijectionOutcome:
@@ -166,9 +152,7 @@ def bijection_F(module, refiner) -> BijectionOutcome:
     # the forgetful map restricted to an irreducible proper submodule is an
     # isomorphism onto the source, so the embedding matrix must be square
     # and invertible; this is asserted rather than assumed
-    from .linalg import is_invertible
-
-    if not is_invertible(module.field, embedding):
+    if not linalg.is_invertible(module.field, embedding):
         raise InconclusiveIrreducibility("loop bookkeeping did not invert")
     return BijectionOutcome(
         gradable=True,
@@ -251,15 +235,6 @@ def twist_orbit(module):
     return out
 
 
-def _module_sort_key(m):
-    return (
-        m.sector_dims(),
-        json.dumps(
-            [[x.to_json()["coeffs"] for x in row] for mat in m.action for row in mat]
-        ),
-    )
-
-
 def iso_classes_of_module(module):
     """Parity shifts over Gamma (mod the grading kernel), up to isomorphism."""
     g = module.algebra.group
@@ -273,7 +248,9 @@ def iso_classes_of_module(module):
         cand = parity_shift(module, rep)
         if not any(is_isomorphic(cand, c) for c in classes):
             classes.append(cand)
-    classes.sort(key=_module_sort_key)
+    # the candidates share their action matrices, so sector dimensions are
+    # the whole sort key (the sort is stable)
+    classes.sort(key=lambda m: m.sector_dims())
     return classes
 
 

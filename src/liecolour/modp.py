@@ -84,10 +84,13 @@ def scalar_to_fp(x, p, omega):
     return acc
 
 
-def mat_to_fp(mat, p, omega):
-    return np.array(
-        [[scalar_to_fp(x, p, omega) for x in row] for row in mat], dtype=np.int64
-    )
+def mat_to_fp(mat, p, omega, ncols):
+    """F_p image of a matrix of sparse rows, as an int64 array."""
+    out = np.zeros((len(mat), ncols), dtype=np.int64)
+    for i, row in enumerate(mat):
+        for j, x in row.items():
+            out[i, j] = scalar_to_fp(x, p, omega)
+    return out
 
 
 def fp_for_field(f):
@@ -166,7 +169,7 @@ def certifies_zero_nullity(f, rows, ncols):
     their exact nullspace is zero."""
     try:
         p, omega = fp_for_field(f)
-        return bool(rows) and fp_rank(mat_to_fp(rows, p, omega), p) == ncols
+        return bool(rows) and fp_rank(mat_to_fp(rows, p, omega, ncols), p) == ncols
     except ValueError:  # a denominator is 0 mod p
         return False
 
@@ -176,6 +179,6 @@ def certifies_full_closure(f, mats, d):
     dimension d^2 mod p, which proves it is all of End(f^d)."""
     try:
         p, omega = fp_for_field(f)
-        return closure_rank([mat_to_fp(g, p, omega) for g in mats], p, d) == d * d
+        return closure_rank([mat_to_fp(g, p, omega, d) for g in mats], p, d) == d * d
     except ValueError:  # a denominator is 0 mod p
         return False

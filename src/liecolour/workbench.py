@@ -89,9 +89,7 @@ def make_V_lambda(lam) -> GradedModule:
     f = FIELD
     i2 = _imag() * Fraction(1, 2)
     n = lam + 1
-    a1 = linalg.zeros(f, n, n)
-    a2 = linalg.zeros(f, n, n)
-    a3 = linalg.zeros(f, n, n)
+    a1, a2, a3 = linalg.zeros(n), linalg.zeros(n), linalg.zeros(n)
     for j in range(n):
         if j >= 1:
             up = lam - j + 1
@@ -122,23 +120,17 @@ def _even_odd_degrees(lam, flip=False):
 def _plus_basis(lam):
     """Columns of the symmetrized basis v_j +- v_{lam-j} used by the fine
     gradings and the deterministic degrees that go with them."""
-    f = FIELD
-    n = lam + 1
+    one = FIELD.one
     cols, degs = [], []
     for j in range(lam // 2 + 1):
-        plus = [f.zero] * n
-        plus[j] = plus[j] + 1
-        plus[lam - j] = plus[lam - j] + 1
-        cols.append(plus)
-        degs.append((0, 0) if j % 2 == 0 else (0, 1))
-        if j != lam - j:
-            minus = [f.zero] * n
-            minus[j] = minus[j] + 1
-            minus[lam - j] = minus[lam - j] - 1
-            cols.append(minus)
-            degs.append((1, 1) if j % 2 == 0 else (1, 0))
-    basis = [[cols[c][r] for c in range(n)] for r in range(n)]
-    return basis, degs
+        even = j % 2 == 0
+        if j == lam - j:
+            cols.append({j: one + one})
+            degs.append((0, 0) if even else (0, 1))
+        else:
+            cols += [{j: one, lam - j: one}, {j: one, lam - j: -one}]
+            degs += [(0, 0) if even else (0, 1), (1, 1) if even else (1, 0)]
+    return linalg.transpose(cols, lam + 1), degs
 
 
 _SHIFTS = {"E+": (0, 0), "E-": (1, 1), "O+": (0, 1), "O-": (1, 0)}
@@ -165,18 +157,13 @@ def _graded_variant(lam, variant):
     V = make_V_lambda(lam)
     if variant in ("E", "O"):
         degrees = _even_odd_degrees(lam, flip=(variant == "O"))
-        return GradedModule(
-            V.algebra, h2_subgroup(), degrees, [V.matrix(k) for k in range(3)]
-        )
+        return GradedModule(V.algebra, h2_subgroup(), degrees, V.action)
     if variant in _SHIFTS:
         if lam % 2:
             raise InvalidVariant(f"{variant} needs even highest weight")
         basis, degs = _plus_basis(lam)
         inv = linalg.invert(FIELD, basis)
-        mats = [
-            linalg.mat_mul(inv, linalg.mat_mul(V.matrix(k), basis, FIELD), FIELD)
-            for k in range(3)
-        ]
+        mats = [linalg.mat_mul(inv, linalg.mat_mul(a, basis)) for a in V.action]
         eplus = GradedModule(V.algebra, trivial_subgroup(GROUP), degs, mats)
         shift = _SHIFTS[variant]
         return eplus if shift == (0, 0) else parity_shift(eplus, shift)
@@ -215,18 +202,16 @@ def _make_u_family(lam, variant):
     except (IndexError, KeyError):
         raise InvalidVariant(f"unknown variant {variant!r}") from None
     lm, rc = _recoloured_loop_e(lam)
-    f = FIELD
     i = _imag()
-    dim = rc.dim
     rows = []
     for j in range((lam - 1) // 2 + 1):
         sign = 1 if j % 2 == 0 else -1
-        v = [f.zero] * dim
-        v[_loop_index(lm, 0, j)] = f.one
-        v[_loop_index(lm, 1, j)] = i * (zeta * sign)
-        v[_loop_index(lm, 0, lam - j)] = f.from_rational(xi)
-        v[_loop_index(lm, 1, lam - j)] = i * (-zeta * xi * sign)
-        rows.append(v)
+        rows.append({
+            _loop_index(lm, 0, j): FIELD.one,
+            _loop_index(lm, 1, j): i * (zeta * sign),
+            _loop_index(lm, 0, lam - j): FIELD.from_rational(xi),
+            _loop_index(lm, 1, lam - j): i * (-zeta * xi * sign),
+        })
     ungraded = coarsen(rc, full_subgroup(GROUP))
     # restricted on the given rows, so the catalog formulas match coordinates
     return submodule_to_module(Submodule(ungraded, rows, False))[0]
@@ -279,10 +264,10 @@ def make_bd_model():
     f = FIELD
     i = _imag()
     # matrix seed first: Z is forced to be the Q2 Q1 commutator
-    q1 = [[f.zero, f.one], [f.one, f.zero]]
-    q2 = [[f.zero, -i], [i, f.zero]]
-    h = [[f.from_rational(2), f.zero], [f.zero, f.from_rational(2)]]
-    z = linalg.mat_sub(linalg.mat_mul(q2, q1, f), linalg.mat_mul(q1, q2, f))
+    q1 = [{1: f.one}, {0: f.one}]
+    q2 = [{1: -i}, {0: i}]
+    h = linalg.mat_scale(linalg.identity(f, 2), f.from_rational(2))
+    z = linalg.mat_sub(linalg.mat_mul(q2, q1), linalg.mat_mul(q1, q2))
     constants = {
         (1, 1): {0: 1},
         (2, 2): {0: 1},

@@ -14,6 +14,7 @@ from liecolour import (
     intertwiners,
     is_graded_irreducible,
     is_isomorphic,
+    linalg,
     parity_shift,
     spin,
     submodule_from_rows,
@@ -21,7 +22,7 @@ from liecolour import (
     trivial_subgroup,
     twist,
 )
-from liecolour.errors import InvalidSubmodule, ModuleValidationError
+from liecolour.errors import InconclusiveIsomorphism, InvalidSubmodule, ModuleValidationError
 from liecolour.gmodule import GradedModule
 from liecolour.loopfunctor import loop
 from liecolour.workbench import (
@@ -35,9 +36,7 @@ F4 = field(4)
 
 
 def _unit(dim, i):
-    v = [F4.zero] * dim
-    v[i] = F4.one
-    return v
+    return {i: F4.one}
 
 
 def test_make_module_validates_catalog_members():
@@ -124,15 +123,15 @@ def test_spin_examples():
     full = spin(V2, [_unit(3, 0)])
     assert full.dim == 3
     # the whole space in reduced echelon form is the identity
-    assert [list(r) for r in full.rows] == [_unit(3, i) for i in range(3)]
-    zero = spin(V2, [[F4.zero] * 3])
+    assert list(full.rows) == [_unit(3, i) for i in range(3)]
+    zero = spin(V2, [{}])
     assert zero.dim == 0
     L = loop(make_sl2_graded(2, "E"), trivial_subgroup(GROUP))
     # v_0 (x) e_00 meets both irreducible summands: its spin is everything
     v00 = _unit(L.dim, L.index_of(0, (0, 0)))
     full_loop = spin(L.module, [v00])
     assert full_loop.dim == 6
-    assert [list(r) for r in full_loop.rows] == [_unit(6, i) for i in range(6)]
+    assert list(full_loop.rows) == [_unit(6, i) for i in range(6)]
     # v_1 (x) e_01 lies in one summand: a proper fully graded copy of the source
     v101 = _unit(L.dim, L.index_of(1, (0, 1)))
     sub = spin(L.module, [v101])
@@ -144,7 +143,7 @@ def test_spin_splits_homogeneous_inputs():
     L = loop(make_sl2_graded(2, "E"), trivial_subgroup(GROUP))
     sub = spin(L.module, [_unit(L.dim, L.index_of(1, (0, 1)))])
     for row in sub.rows:
-        sectors = {L.module.degrees[i] for i, x in enumerate(row) if not x.is_zero()}
+        sectors = {L.module.degrees[i] for i in row}
         assert len(sectors) == 1
 
 
@@ -211,7 +210,7 @@ def test_graded_quotient_examples():
     assert q.dim == 3
     assert is_isomorphic(q, other)
     # V / 0 = V and V / V = 0
-    zero_sub = spin(L.module, [[F4.zero] * 6])
+    zero_sub = spin(L.module, [{}])
     assert graded_quotient(L.module, zero_sub) == L.module
     full_sub = submodule_from_rows(
         L.module, [_unit(6, i) for i in range(6)]
@@ -223,7 +222,7 @@ def test_graded_quotient_rejects_non_invariant_span():
     V2 = make_V_lambda(2)
     from liecolour.gmodule import Submodule
 
-    bad = Submodule(parent=V2, rows=(tuple(_unit(3, 0)),), homogeneous=True)
+    bad = Submodule(parent=V2, rows=(_unit(3, 0),), homogeneous=True)
     with pytest.raises(InvalidSubmodule):
         graded_quotient(V2, bad)
 
@@ -317,3 +316,31 @@ def test_denominators_divisible_by_p_give_no_certificate_but_exact_verdicts():
     assert not is_graded_irreducible(double).irreducible
     assert len(decompose(double)) == 2
     assert intertwiners(V, partner) == []
+
+
+ISO_SUMMANDS = {
+    "V0": lambda: make_V_lambda(0),
+    "V1": lambda: make_V_lambda(1),
+    "V2": lambda: make_V_lambda(2),
+    "E+2": lambda: make_sl2_graded(2, "E+"),
+    "U++3": lambda: make_sl2_graded(3, "U++"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(ISO_SUMMANDS))
+def test_sums_of_equal_summands_are_isomorphic(name):
+    # no intertwiner basis map of U (+) U is invertible (they are E_ij (x) 1
+    # in some basis), so the answer rests on a random combination
+    U = ISO_SUMMANDS[name]()
+    UU = direct_sum(U, U)
+    assert not any(linalg.is_invertible(U.field, m) for m in intertwiners(UU, UU))
+    assert is_isomorphic(UU, UU)
+    assert is_isomorphic(direct_sum(UU, U), direct_sum(U, UU))
+
+
+def test_isomorphism_without_a_certificate_is_inconclusive():
+    # Hom(U++ (+) U++, U++ (+) U+-) holds the maps into the common summand,
+    # none of them invertible; no certified "not isomorphic" exists yet
+    a, b = make_sl2_graded(3, "U++"), make_sl2_graded(3, "U+-")
+    with pytest.raises(InconclusiveIsomorphism):
+        is_isomorphic(direct_sum(a, a), direct_sum(a, b))

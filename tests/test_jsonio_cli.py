@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from liecolour import jsonio
+from liecolour import direct_sum, jsonio
 from liecolour.cli import main
 from liecolour.grading import Multiplier
 from liecolour.workbench import (
@@ -130,6 +130,46 @@ def test_cli_verify_rejects_malformed_integer_field(tmp_path, case):
     assert main(["verify", path]) == 2
 
 
+WRONG_SHAPES = {
+    "group-orders-scalar": _set(("algebra", "group", "orders"), 5),
+    "scalar-as-string": _set(("action", 0, 0), "1"),
+    "action-scalar": _set(("action",), 7),
+    "action-matrix-scalar": _set(("action", 0), 7),
+    "coeffs-scalar": _set(("action", 0, 0, "coeffs"), "0"),
+    "basis-entry-scalar": _set(("algebra", "basis", 0), "a1"),
+    "brackets-object": _set(("algebra", "brackets"), {}),
+    "degrees-scalar": _set(("degrees",), 3),
+}
+
+
+@pytest.mark.parametrize("case", sorted(WRONG_SHAPES))
+def test_cli_verify_rejects_wrong_shape(tmp_path, case):
+    # arrays and objects are type-checked where they are read: invalid
+    # input (exit 2), not a TypeError traceback (exit 1)
+    blob = jsonio.module_to_json(make_sl2_graded(2, "E"))
+    WRONG_SHAPES[case](blob)
+    path = _write(tmp_path, "shape.json", blob)
+    assert main(["verify", path]) == 2
+
+
+@pytest.mark.parametrize("coeff", ["1e2000000", "1E5", "1_000", " 1", "inf", "0x10"])
+def test_cli_verify_rejects_coefficient_syntax(tmp_path, coeff):
+    # only integers, p/q and plain decimals: an exponent would be expanded
+    # in full (about 5 s for 1e2000000), so it is rejected before Fraction
+    blob = jsonio.module_to_json(make_sl2_graded(2, "E"))
+    blob["action"][0][0]["coeffs"][0] = coeff
+    path = _write(tmp_path, "syntax.json", blob)
+    assert main(["verify", path]) == 2
+
+
+@pytest.mark.parametrize("coeff", ["0", "-0", "0/7", "+0.0", "0.", ".0", 0])
+def test_cli_verify_accepts_rational_coefficient_syntax(tmp_path, coeff):
+    blob = jsonio.module_to_json(make_sl2_graded(2, "E"))
+    blob["action"][0][0]["coeffs"][0] = coeff
+    path = _write(tmp_path, "syntax.json", blob)
+    assert main(["verify", path]) == 0
+
+
 def test_cli_verify_accepts_decimal_integer_strings(tmp_path):
     blob = jsonio.module_to_json(make_sl2_graded(2, "E"))
     blob["algebra"]["epsilon"]["m"] = "4"
@@ -174,6 +214,22 @@ def test_cli_isomorphic(tmp_path):
     b = _write(tmp_path, "b.json", jsonio.module_to_json(make_sl2_graded(2, "E-")))
     assert main(["isomorphic", a, a]) == 0
     assert main(["isomorphic", a, b]) == 1
+
+
+def test_cli_isomorphic_on_a_direct_sum_of_equal_summands(tmp_path, capsys):
+    U = make_sl2_graded(3, "U++")
+    blob = jsonio.module_to_json(direct_sum(U, U))
+    a, b = _write(tmp_path, "uu_a.json", blob), _write(tmp_path, "uu_b.json", blob)
+    assert main(["--json", "isomorphic", a, b]) == 0
+    assert json.loads(capsys.readouterr().out) == {"isomorphic": True}
+
+
+def test_cli_isomorphic_inconclusive_exits_1_without_output(tmp_path, capsys):
+    a, b = make_sl2_graded(3, "U++"), make_sl2_graded(3, "U+-")
+    pa = _write(tmp_path, "aa.json", jsonio.module_to_json(direct_sum(a, a)))
+    pb = _write(tmp_path, "ab.json", jsonio.module_to_json(direct_sum(a, b)))
+    assert main(["--json", "isomorphic", pa, pb]) == 1
+    assert capsys.readouterr().out == ""
 
 
 def test_cli_lift(tmp_path, capsys):

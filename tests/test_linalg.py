@@ -1,9 +1,9 @@
 """Differential tests of the exact linear algebra against sympy.
 
 Seeded random matrices over Q(i) and Q(zeta_3), singular ones included,
-are fed both to `liecolour.linalg` and to sympy's DomainMatrix over the
-matching algebraic field; rank, nullspace, inverse and minimal polynomial
-must agree.
+are fed both to `liecolour.linalg` (as sparse rows) and to sympy's
+DomainMatrix over the matching algebraic field; rank, nullspace, inverse
+and minimal polynomial must agree.
 """
 
 import random
@@ -33,7 +33,12 @@ def _to_sympy(K, zeta, x):
 
 
 def _domain_matrix(K, zeta, rows, ncols):
-    return DomainMatrix([[_to_sympy(K, zeta, x) for x in r] for r in rows], (len(rows), ncols), K)
+    """The sparse rows as a DomainMatrix with ncols columns."""
+    dense = [[K.zero] * ncols for _ in rows]
+    for i, r in enumerate(rows):
+        for j, x in r.items():
+            dense[i][j] = _to_sympy(K, zeta, x)
+    return DomainMatrix(dense, (len(rows), ncols), K)
 
 
 def _random_matrix(f, rng, nrows, ncols):
@@ -46,7 +51,7 @@ def _random_matrix(f, rng, nrows, ncols):
         i, j, k = (rng.randrange(nrows) for _ in range(3))
         a, b = entry(), entry()
         rows[i] = [a * x + b * y for x, y in zip(rows[j], rows[k])]
-    return rows
+    return [linalg.sparse(r) for r in rows]
 
 
 def _matrices(name):
@@ -58,34 +63,35 @@ def _matrices(name):
     for _ in range(CASES_PER_FIELD):
         n = rng.randint(1, 5)
         ncols = n if rng.random() < 0.6 else rng.randint(1, 5)
-        yield f, K, zeta, _random_matrix(f, rng, n, ncols)
+        yield f, K, zeta, _random_matrix(f, rng, n, ncols), ncols
     # minimal polynomials of lower degree than the characteristic one
     c = f.zeta(1) + f.from_rational(Fraction(1, 2))
     B = _random_matrix(f, rng, 2, 2)
-    block = [r + [f.zero] * 2 for r in B] + [[f.zero] * 2 + r for r in B]
-    jordan = [[c if i == j else f.one if j == i + 1 else f.zero for j in range(3)] for i in range(3)]
-    for square in (linalg.zeros(f, 3, 3), linalg.mat_scale(linalg.identity(f, 3), c), block, jordan):
-        yield f, K, zeta, square
+    block = B + [{j + 2: x for j, x in r.items()} for r in B]
+    jordan = [{i: c, i + 1: f.one} for i in range(2)] + [{2: c}]
+    for square in (linalg.zeros(3), linalg.mat_scale(linalg.identity(f, 3), c), block, jordan):
+        yield f, K, zeta, square, len(square)
 
 
 @pytest.mark.parametrize("name", sorted(FIELDS))
 def test_rank_and_nullspace_match_sympy(name):
-    for f, K, zeta, rows in _matrices(name):
-        ncols = len(rows[0])
+    for f, K, zeta, rows, ncols in _matrices(name):
         rank = _domain_matrix(K, zeta, rows, ncols).rank()
         assert linalg.row_span(f, rows, ncols).rank == rank
         null = linalg.nullspace(f, rows, ncols)
         assert len(null) == ncols - rank
         for v in null:
-            assert linalg.vec_is_zero(linalg.mat_vec(rows, v, f))
+            assert not linalg.mat_vec(rows, v)
 
 
 @pytest.mark.parametrize("name", sorted(FIELDS))
 def test_invert_matches_sympy(name):
-    singular = regular = 0
-    for f, K, zeta, rows in _matrices(name):
+    # n sparse rows are an n x n matrix: an entry past column n raises, and
+    # a matrix generated with fewer columns is one with zero columns
+    singular = regular = narrow = 0
+    for f, K, zeta, rows, ncols in _matrices(name):
         n = len(rows)
-        if len(rows[0]) != n:
+        if any(j >= n for r in rows for j in r):
             with pytest.raises(InvalidInput):
                 linalg.invert(f, rows)
             continue
@@ -94,32 +100,33 @@ def test_invert_matches_sympy(name):
         if dm.det() == K.zero:
             assert inv is None
             singular += 1
+            narrow += ncols < n
         else:
             assert _domain_matrix(K, zeta, inv, n) == dm.inv()
             regular += 1
-    assert singular and regular  # both branches are exercised
+    assert singular and regular and narrow  # every branch is exercised
 
 
 @pytest.mark.parametrize("name", sorted(FIELDS))
 def test_min_poly_matches_sympy(name):
     x = sympy.Symbol("x")
     degrees = []
-    for f, K, zeta, rows in _matrices(name):
+    for f, K, zeta, rows, ncols in _matrices(name):
         n = len(rows)
-        if len(rows[0]) != n:
+        if ncols != n:
             continue
         mu = linalg.min_poly(f, rows)
         deg = len(mu) - 1
         assert mu[-1] == f.one
         # mu(A) = 0, and I, A, ..., A^(deg-1) are independent
-        acc = linalg.zeros(f, n, n)
+        acc = linalg.zeros(n)
         power = linalg.identity(f, n)
         powers = []
         for c in mu:
             acc = linalg.mat_add(acc, linalg.mat_scale(power, c))
-            powers.append([y for r in power for y in r])
-            power = linalg.mat_mul(power, rows, f)
-        assert all(linalg.vec_is_zero(r) for r in acc)
+            powers.append({i * n + j: y for i, r in enumerate(power) for j, y in r.items()})
+            power = linalg.mat_mul(power, rows)
+        assert acc == linalg.zeros(n)
         assert _domain_matrix(K, zeta, powers[:deg], n * n).rank() == deg
         # mu divides the characteristic polynomial
         charpoly = sympy.Poly(_domain_matrix(K, zeta, rows, n).charpoly(), x, domain=K)

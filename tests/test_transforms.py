@@ -111,7 +111,7 @@ def test_restriction_on_reverse_order_rows():
     echelon, reverse = _reverse_order_restriction()
     mod, rows = submodule_to_module(reverse)
     mod.validate()
-    assert rows == [list(r) for r in reverse.rows]
+    assert rows == list(reverse.rows)
     base, _ = submodule_to_module(echelon)
     assert is_isomorphic(mod, base)
     # coordinate k on the reversed rows is coordinate d-1-k on the echelon rows
@@ -119,7 +119,7 @@ def test_restriction_on_reverse_order_rows():
     for k in range(3):
         for r in range(d):
             for c in range(d):
-                assert mod.action[k][r][c] == base.action[k][d - 1 - r][d - 1 - c]
+                assert mod.matrix(k)[r][c] == base.matrix(k)[d - 1 - r][d - 1 - c]
     assert mod.degrees == tuple(reversed(base.degrees))
 
 

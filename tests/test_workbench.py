@@ -96,9 +96,9 @@ def test_recoloured_eplus_sign_pattern():
 def _u_expected_matrices(lam, zeta, xi):
     """Fresh evaluation of the closed-form U-family action."""
     n = (lam - 1) // 2 + 1
-    a1 = linalg.zeros(F4, n, n)
-    a2 = linalg.zeros(F4, n, n)
-    a3 = linalg.zeros(F4, n, n)
+    a1 = linalg.zeros(n)
+    a2 = linalg.zeros(n)
+    a3 = linalg.zeros(n)
     top = (lam - 1) // 2
     for j in range(n):
         sign = (-1) ** j
@@ -126,9 +126,9 @@ def test_u_family_action_matches_closed_form(lam, zeta, xi):
     name = "U" + ("+" if zeta > 0 else "-") + ("+" if xi > 0 else "-")
     mod = make_sl2_graded(lam, name)
     a1, a2, a3 = _u_expected_matrices(lam, zeta, xi)
-    assert linalg.mat_eq(mod.matrix(0), a1)
-    assert linalg.mat_eq(mod.matrix(1), a2)
-    assert linalg.mat_eq(mod.matrix(2), a3)
+    assert mod.action[0] == a1
+    assert mod.action[1] == a2
+    assert mod.action[2] == a3
 
 
 def test_u_family_boundary_spot_check():
@@ -160,7 +160,7 @@ def test_ungraded_eplus_in_diagonalizing_basis():
         u = [F4.zero] * (lam + 1)
         u[j] = u[j] + 1 + I * ((-1) ** j)
         u[lam - j] = u[lam - j] + 1 - I * ((-1) ** j)
-        rows.append(linalg.mat_vec(inv, u, F4))
+        rows.append(linalg.mat_vec(inv, linalg.sparse(u)))
     # restricted on the given (non-echelon) rows u_j, not an echelon basis
     mod, _ = submodule_to_module(Submodule(flat, rows, False))
     for j in range(lam + 1):
@@ -176,11 +176,10 @@ def test_ungraded_eplus_in_diagonalizing_basis():
 
 def test_bd_model():
     alg, seed, lm = make_bd_model()
-    f = F4
     # the seed squares of the charges give the central element twice over
-    q1 = seed.matrix(1)
-    sq = linalg.mat_add(linalg.mat_mul(q1, q1, f), linalg.mat_mul(q1, q1, f))
-    assert linalg.mat_eq(sq, seed.matrix(0))
+    q1 = seed.action[1]
+    sq = linalg.mat_add(linalg.mat_mul(q1, q1), linalg.mat_mul(q1, q1))
+    assert sq == seed.action[0]
     assert lm.module.dim == 4
     # sector order (00, 01, 11, 10): H, Q1 block-diagonal; Q2, Z anti
     order = [(0, 0), (0, 1), (1, 1), (1, 0)]
