@@ -59,6 +59,7 @@ from .gmodule import (
     intertwiners,
     is_graded_irreducible,
     is_isomorphic,
+    iso_labels,
     make_module,
     parity_shift,
     recolour_module,

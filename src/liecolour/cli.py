@@ -44,13 +44,11 @@ EXIT_INVALID = 2
 
 
 def _parse_elements(text):
-    out = []
-    for chunk in text.split(","):
-        chunk = chunk.strip()
-        if not chunk:
-            continue
-        out.append(tuple(int(x) for x in chunk.split(":")))
-    return out
+    return [
+        tuple(jsonio.read_int(x.strip(), "group element") for x in chunk.split(":"))
+        for chunk in text.split(",")
+        if chunk.strip()
+    ]
 
 
 def _emit(args, payload, text):
@@ -149,7 +147,9 @@ def cmd_lift(args):
     kind, module = jsonio.load_file(args.module)
     if kind != "module":
         raise InvalidInput("lift expects a module file")
-    orders = [int(x) for x in args.group.split(",") if x.strip()]
+    orders = [
+        jsonio.read_int(x.strip(), "group order") for x in args.group.split(",") if x.strip()
+    ]
     group = AbelianGroup(orders)
     report = loopfunctor.iterate_lift(module, group)
     print(jsonio.dump(report.to_json()))

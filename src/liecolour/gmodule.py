@@ -458,6 +458,26 @@ def is_isomorphic(V, W) -> bool:
     )
 
 
+def iso_labels(modules):
+    """Isomorphism partition: label i is the index of the first module
+    isomorphic to modules[i].  Each module is tested once, by is_isomorphic,
+    against the first member of each class found so far, so a shared label
+    is certified by invertible intertwiners through that member and a new
+    one by an exact False against each.  Modules over different algebras or
+    gradings are never in one class."""
+    labels, firsts = [], []
+    for i, m in enumerate(modules):
+        for j in firsts:
+            n = modules[j]
+            if n.algebra == m.algebra and n.hsub == m.hsub and is_isomorphic(m, n):
+                labels.append(j)
+                break
+        else:
+            firsts.append(i)
+            labels.append(i)
+    return labels
+
+
 # ---------------------------------------------------------------------------
 # irreducibility
 # ---------------------------------------------------------------------------

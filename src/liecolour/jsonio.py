@@ -50,7 +50,7 @@ def _typed(value, kind, what):
     return value
 
 
-def _read_int(value, what):
+def read_int(value, what):
     """An integer field: a JSON integer (not a bool) or a decimal-integer
     string; InvalidInput otherwise."""
     if isinstance(value, str) and _DECIMAL.fullmatch(value):
@@ -61,11 +61,11 @@ def _read_int(value, what):
 
 
 def _ints(values, what):
-    return tuple(_read_int(v, what) for v in _typed(values, list, what))
+    return tuple(read_int(v, what) for v in _typed(values, list, what))
 
 
 def _field(obj):
-    m = _read_int(obj["m"], "m")  # obj is checked by the caller
+    m = read_int(obj["m"], "m")  # obj is checked by the caller
     if not 1 <= m <= MAX_M:
         raise InvalidInput(f"m = {m} is outside 1..{MAX_M}")
     return field(m)
@@ -114,10 +114,10 @@ def algebra_from_json(obj):
     constants = {}
     for entry in _typed(obj["brackets"], list, "brackets"):
         entry = _typed(entry, dict, "bracket")
-        i, j = _read_int(entry["i"], "bracket i"), _read_int(entry["j"], "bracket j")
+        i, j = read_int(entry["i"], "bracket i"), read_int(entry["j"], "bracket j")
         coeffs = _typed(entry["coeffs"], dict, "bracket coeffs")
         constants[(i, j)] = {
-            _read_int(k, "bracket k"): num_from_json(v) for k, v in coeffs.items()
+            read_int(k, "bracket k"): num_from_json(v) for k, v in coeffs.items()
         }
     return ColourAlgebra(group, eps, basis, constants)
 

@@ -21,7 +21,7 @@ from .errors import InconclusiveIrreducibility, InvalidInput, InvalidSubgroupSte
 from .gmodule import (
     GradedModule,
     is_graded_irreducible,
-    is_isomorphic,
+    iso_labels,
     parity_shift,
     shrink_to_irreducible,
     submodule_to_module,
@@ -225,29 +225,20 @@ def iterate_lift(module, group=None) -> LiftReport:
     return report
 
 
+def _first_of_each_class(modules):
+    labels = iso_labels(modules)
+    return [m for i, m in enumerate(modules) if labels[i] == i]
+
+
 def twist_orbit(module):
     """Twists of the module by coset representatives of H-perp, deduplicated."""
-    out = []
-    for ch in twist_reps(module.algebra.group, module.hsub):
-        cand = twist(module, ch)
-        if not any(is_isomorphic(cand, seen) for seen in out):
-            out.append(cand)
-    return out
+    g = module.algebra.group
+    return _first_of_each_class([twist(module, ch) for ch in twist_reps(g, module.hsub)])
 
 
 def iso_classes_of_module(module):
     """Parity shifts over Gamma (mod the grading kernel), up to isomorphism."""
-    g = module.algebra.group
-    seen_reps = set()
-    classes = []
-    for h in g.elements():
-        rep = module.quo.rep(h)
-        if rep in seen_reps:
-            continue
-        seen_reps.add(rep)
-        cand = parity_shift(module, rep)
-        if not any(is_isomorphic(cand, c) for c in classes):
-            classes.append(cand)
+    classes = _first_of_each_class([parity_shift(module, rep) for rep in module.quo.coset_reps])
     # the candidates share their action matrices, so sector dimensions are
     # the whole sort key (the sort is stable)
     classes.sort(key=lambda m: m.sector_dims())

@@ -15,6 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
 from functools import lru_cache
+from itertools import combinations
 
 from . import colouralg, linalg
 from .abelian import (
@@ -31,7 +32,7 @@ from .gmodule import (
     Submodule,
     coarsen,
     is_graded_irreducible,
-    is_isomorphic,
+    iso_labels,
     parity_shift,
     recolour_module,
     submodule_to_module,
@@ -334,32 +335,13 @@ class ClassificationReport:
             )
 
 
-def _coverage_notes(classes, catalog, tag=""):
-    """Mutual isomorphism coverage between computed classes and the catalog.
-
-    Returns the notes and the class x catalog table they are read from:
-    table[idx][name] is whether class idx is isomorphic to catalog[name].
-    """
-    table = [{name: is_isomorphic(c, mod) for name, mod in catalog.items()} for c in classes]
-    notes = [
-        f"{tag}catalog module {name} not reproduced by the lift"
-        for name in catalog
-        if not any(row[name] for row in table)
-    ]
-    notes += [
-        f"{tag}lift class {idx} matches no catalog module"
-        for idx, row in enumerate(table)
-        if not any(row.values())
-    ]
-    return notes, table
+_U_FAMILIES = ("U++", "U+-", "U-+", "U--")
 
 
 def classify_lambda(lam) -> LambdaReport:
     notes = []
     info = []
-    V = make_V_lambda(lam)
-    report = iterate_lift(V)
-    classes = report.classes
+    classes = iterate_lift(make_V_lambda(lam)).classes
     even = lam % 2 == 0
     # odd lam: loopE and loopO are character twists of each other, hence
     # isomorphic (v -> chi(deg v) v), so one graded class remains
@@ -370,60 +352,63 @@ def classify_lambda(lam) -> LambdaReport:
     for c in classes:
         if c.dim != want_dim:
             notes.append(f"graded class dim {c.dim} != {want_dim}")
+    # one isomorphism partition of the lift classes, the graded catalog, the
+    # U families and the twists of U++; every check below reads its labels
+    names = ("E+", "E-", "O+", "O-") if even else ("loopE", "loopO")
+    catalog = {v: _graded_variant(lam, v) for v in names}
+    fams = {} if even else {v: _make_u_family(lam, v) for v in _U_FAMILIES}
+    twists = [twist(fams["U++"], ch) for ch in dual_characters(GROUP)] if fams else []
+    labels = iter(iso_labels([*classes, *catalog.values(), *fams.values(), *twists]))
+    lifted = [next(labels) for _ in classes]
+    found = {name: next(labels) for name in catalog}
+    fam = {v: next(labels) for v in fams}
+    twisted = [next(labels) for _ in twists]
     # the final classes must cover the catalog up to isomorphism and
     # vice versa
-    if even:
-        catalog = {v: _graded_variant(lam, v) for v in ("E+", "E-", "O+", "O-")}
-    else:
-        catalog = {v: _graded_variant(lam, v) for v in ("loopE", "loopO")}
-    coverage, table = _coverage_notes(classes, catalog)
-    notes += coverage
-    if not even and len(classes) == 1:
-        # one class isomorphic to both catalog loops makes them isomorphic,
-        # to exactly one of them makes them not; the note's leading words
-        # are matched verbatim by perfbench
-        matches = table[0]
-        if all(matches.values()):
+    for name, k in found.items():
+        if k not in lifted:
+            notes.append(f"catalog module {name} not reproduced by the lift")
+    for idx, k in enumerate(lifted):
+        if k not in found.values():
+            notes.append(f"lift class {idx} matches no catalog module")
+    if not even:
+        # the note's leading words are matched verbatim by perfbench
+        if found["loopE"] == found["loopO"]:
             info.append(
                 "loopE and loopO are isomorphic (twists of one fully graded"
                 " module, so the odd case carries a single graded class)"
             )
-        elif any(matches.values()):
+        else:
             notes.append("loopE and loopO are not isomorphic")
-    # recoloured side: carry classes over colour sl2 and re-check
+    # recoloured side: recolouring scales each sector's columns by a constant,
+    # which commutes with every degree-0 map, so Hom and the partition above
+    # are unchanged; only irreducibility over colour sl2 is re-checked
     sig = discolouring_sigma()
-    rc_classes = [recolour_module(c, sig) for c in classes]
-    rc_catalog = {name: recolour_module(mod, sig) for name, mod in catalog.items()}
-    notes += _coverage_notes(rc_classes, rc_catalog, tag="recoloured: ")[0]
-    for c in rc_classes:
-        if not is_graded_irreducible(c).irreducible:
+    for c in classes:
+        if not is_graded_irreducible(recolour_module(c, sig)).irreducible:
             notes.append("recoloured class is not graded irreducible")
     # ungraded classification
     if even:
-        u = coarsen(rc_catalog["E+"], full_subgroup(GROUP))
+        u = coarsen(recolour_module(catalog["E+"], sig), full_subgroup(GROUP))
         if not is_graded_irreducible(u).irreducible:
             notes.append("recoloured E+ is not ungraded irreducible")
         if u.dim != lam + 1:
             notes.append("ungraded dimension mismatch")
         ungraded_classes = 1
     else:
-        fams = ["U++", "U+-", "U-+", "U--"]
-        mods = {v: _make_u_family(lam, v) for v in fams}
-        for v, m in mods.items():
+        for v, m in fams.items():
             if m.dim != (lam + 1) // 2:
                 notes.append(f"{v} has dim {m.dim} != {(lam + 1) // 2}")
             if not is_graded_irreducible(m).irreducible:
                 notes.append(f"{v} is not ungraded irreducible")
-        for a in range(4):
-            for b in range(a + 1, 4):
-                if is_isomorphic(mods[fams[a]], mods[fams[b]]):
-                    notes.append(f"{fams[a]} and {fams[b]} are isomorphic")
+        for a, b in combinations(_U_FAMILIES, 2):
+            if fam[a] == fam[b]:
+                notes.append(f"{a} and {b} are isomorphic")
         # one twist orbit: every character twist of U++ is one of the four,
         # and all four appear
         hit = set()
-        for ch in dual_characters(GROUP):
-            t = twist(mods["U++"], ch)
-            matches = [v for v in fams if is_isomorphic(t, mods[v])]
+        for ch, k in zip(dual_characters(GROUP), twisted):
+            matches = [v for v in fams if fam[v] == k]
             if len(matches) != 1:
                 notes.append(f"twist by {ch.exponents} matches {matches}")
             else:
@@ -435,7 +420,8 @@ def classify_lambda(lam) -> LambdaReport:
         lam=lam,
         graded_classes=len(classes),
         graded_dims=[c.dim for c in classes],
-        equivalence_classes=1,
+        # the lift's orbit plus each catalog class the lift misses
+        equivalence_classes=1 + len(set(found.values()).difference(lifted)),
         ungraded_classes=ungraded_classes,
         passed=not notes,
         notes=notes + [f"note: {msg}" for msg in info],
@@ -466,7 +452,7 @@ def catalog_modules(max_lambda=6):
             for v in ("loopE", "loopO"):
                 out[f"{v}{lam}"] = _graded_variant(lam, v)
                 out[f"{v}{lam}c"] = make_sl2_graded(lam, v, recoloured=True)
-            for v in ("U++", "U+-", "U-+", "U--"):
+            for v in _U_FAMILIES:
                 out[f"{v}{lam}"] = _make_u_family(lam, v)
     alg, seed, lm = make_bd_model()
     out["bd_seed"] = seed

@@ -14,11 +14,13 @@ from liecolour import (
     intertwiners,
     is_graded_irreducible,
     is_isomorphic,
+    iso_labels,
     linalg,
     parity_shift,
     spin,
     submodule_from_rows,
     submodule_to_module,
+    dual_characters,
     trivial_subgroup,
     twist,
 )
@@ -27,6 +29,7 @@ from liecolour.gmodule import GradedModule
 from liecolour.loopfunctor import loop
 from liecolour.workbench import (
     GROUP,
+    catalog_modules,
     h2_subgroup,
     make_sl2_graded,
     make_V_lambda,
@@ -344,3 +347,42 @@ def test_isomorphism_without_a_certificate_is_inconclusive():
     a, b = make_sl2_graded(3, "U++"), make_sl2_graded(3, "U+-")
     with pytest.raises(InconclusiveIsomorphism):
         is_isomorphic(direct_sum(a, a), direct_sum(a, b))
+
+
+def _shifts_and_twists(module):
+    return [parity_shift(module, h) for h in GROUP.elements()] + [
+        twist(module, ch) for ch in dual_characters(GROUP)
+    ]
+
+
+def _u_sums():
+    fams = [make_sl2_graded(3, v) for v in ("U++", "U+-", "U-+", "U--")]
+    sums = [direct_sum(u, u) for u in fams]
+    return sums + [twist(sums[0], ch) for ch in dual_characters(GROUP)]
+
+
+def _related(a, b):
+    return a.algebra == b.algebra and a.hsub == b.hsub and is_isomorphic(a, b)
+
+
+def _label_battery(name):
+    cat = catalog_modules(3)
+    if name == "U(+)U sums":
+        return _u_sums()
+    if name == "mixed":
+        return _shifts_and_twists(cat["E2"]) + _shifts_and_twists(cat["E+2"]) + _u_sums()
+    return _shifts_and_twists(cat[name])
+
+
+@pytest.mark.parametrize(
+    "name", ["V2", "E2", "E+2", "O-2c", "loopE1", "loopO3", "U+-3", "U(+)U sums", "mixed"]
+)
+def test_iso_labels_induce_the_pairwise_relation(name):
+    # the full pairwise table is the oracle; modules over different algebras
+    # or gradings are never related
+    mods = _label_battery(name)
+    labels = iso_labels(mods)
+    for i, a in enumerate(mods):
+        assert labels[i] <= i and labels[labels[i]] == labels[i]
+        for j, b in enumerate(mods):
+            assert (labels[i] == labels[j]) == _related(a, b), (i, j)

@@ -1,11 +1,17 @@
+import copy
 import json
+import os
+import tempfile
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from liecolour import direct_sum, jsonio
+from liecolour import direct_sum, dual_characters, jsonio, parity_shift, twist
 from liecolour.cli import main
 from liecolour.grading import Multiplier
 from liecolour.workbench import (
+    GROUP,
+    catalog_modules,
     make_bd_model,
     make_sl2_discoloured,
     make_sl2_graded,
@@ -263,3 +269,75 @@ def test_cli_refine_by_parsing(tmp_path, capsys):
     assert main(["loop", v1, "--refine-by", "1:1"]) == 0
     blob = json.loads(capsys.readouterr().out)
     assert len(blob["degrees"]) == 4
+
+
+@pytest.mark.parametrize(
+    "command, flag, value",
+    [
+        ("loop", "--refine-by", "a:b"),
+        ("loop", "--refine-by", "1:1.5"),
+        ("loop", "--refine-by", "1:"),
+        ("lift", "--group", "2,x"),
+        ("lift", "--group", "2,2.0"),
+        ("lift", "--group", "0x2,2"),
+    ],
+)
+def test_cli_rejects_malformed_group_flags(tmp_path, command, flag, value):
+    # group flags follow the JSON integer rule: exit 2, not a traceback
+    v1 = _write(tmp_path, "v1.json", jsonio.module_to_json(make_V_lambda(1)))
+    assert main([command, v1, flag, value]) == 2
+
+
+# -- properties -----------------------------------------------------------------
+
+CATALOG = catalog_modules(3)
+
+
+@settings(derandomize=True, max_examples=40, deadline=None)
+@given(
+    st.sampled_from(sorted(CATALOG)),
+    st.sampled_from(GROUP.elements()),
+    st.sampled_from(dual_characters(GROUP)),
+)
+def test_module_json_roundtrip_property(name, h, ch):
+    mod = twist(parity_shift(CATALOG[name], h), ch)
+    text = jsonio.dump(jsonio.module_to_json(mod))
+    back = jsonio.module_from_json(json.loads(text))
+    assert back == mod
+    assert jsonio.dump(jsonio.module_to_json(back)) == text
+
+
+def _leaf_paths(blob, path=()):
+    if isinstance(blob, (dict, list)):
+        items = blob.items() if isinstance(blob, dict) else enumerate(blob)
+        for key, value in items:
+            yield from _leaf_paths(value, path + (key,))
+    else:
+        yield path
+
+
+LEAF_FILE = jsonio.module_to_json(make_sl2_graded(1, "E"))
+JSON_LEAVES = (
+    st.none()
+    | st.booleans()
+    | st.integers()
+    | st.floats()
+    | st.text(max_size=6)
+    | st.sampled_from(["0", "-1", "1/2", "1/0", "2.5", "1e9", "0x1", "", "seed.json"])
+    | st.lists(st.integers(-3, 3), max_size=3)
+    | st.dictionaries(st.text(max_size=2), st.integers(-2, 2), max_size=2)
+)
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(st.sampled_from(list(_leaf_paths(LEAF_FILE))), JSON_LEAVES)
+def test_cli_verify_exit_code_on_a_replaced_leaf(path, value):
+    # whatever one leaf of a valid module file becomes, verify answers with
+    # an exit code of the contract and never raises
+    blob = copy.deepcopy(LEAF_FILE)
+    _set(path, value)(blob)
+    with tempfile.TemporaryDirectory() as tmp:
+        target = os.path.join(tmp, "module.json")
+        with open(target, "w") as fh:
+            json.dump(blob, fh)
+        assert main(["verify", target]) in (0, 1, 2)

@@ -16,6 +16,7 @@ from liecolour import (
     dual_characters,
     full_subgroup,
     graded_quotient,
+    intertwiners,
     is_graded_irreducible,
     is_isomorphic,
     loop,
@@ -128,3 +129,21 @@ def test_restriction_rejects_dependent_rows():
     doubled = Submodule(echelon.parent, echelon.rows + echelon.rows[:1], True)
     with pytest.raises(InvalidSubmodule):
         submodule_to_module(doubled)
+
+
+def test_recolouring_leaves_hom_unchanged(catalog):
+    # recolouring scales the columns of rho(x_a) in sector d by sigma(a, d),
+    # a constant per sector, which every degree-0 map commutes with; so one
+    # isomorphism partition serves both sides of the classification
+    sig = discolouring_sigma()
+    mods = [m for m in catalog.values() if m.hsub.order() == 1]
+    pairs = 0
+    for i, a in enumerate(mods):
+        for b in mods[i:]:
+            if (a.algebra, a.hsub) != (b.algebra, b.hsub):
+                continue
+            ra, rb = recolour_module(a, sig), recolour_module(b, sig)
+            assert intertwiners(ra, rb) == intertwiners(a, b)
+            assert is_isomorphic(ra, rb) == is_isomorphic(a, b)
+            pairs += 1
+    assert pairs > 100

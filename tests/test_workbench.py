@@ -11,6 +11,7 @@ from liecolour import (
     linalg,
     submodule_to_module,
 )
+from liecolour import workbench
 from liecolour.errors import InvalidVariant
 from liecolour.workbench import (
     GROUP,
@@ -212,6 +213,7 @@ def test_classify_even_rows_pass():
     assert row.graded_classes == 4
     assert row.graded_dims == [3, 3, 3, 3]
     assert row.ungraded_classes == 1
+    assert row.equivalence_classes == 1
 
 
 def test_classify_odd_row_reports_defect():
@@ -219,6 +221,7 @@ def test_classify_odd_row_reports_defect():
     assert row.graded_classes == 1
     assert row.graded_dims == [4]
     assert row.passed
+    assert row.equivalence_classes == 1
     assert any(n.startswith("note: loopE and loopO are isomorphic") for n in row.notes)
 
 
@@ -229,3 +232,15 @@ def test_classification_report_json():
     assert blob["rows"][0]["pass"] is True
     assert blob["rows"][1]["pass"] is True
     rep.raise_if_failed()
+
+
+def test_classify_counts_a_catalog_class_the_lift_misses(monkeypatch):
+    # every catalog variant becomes the 1-dim E+0, which no lift class of
+    # V2 reproduces: the lift's orbit plus that class make two
+    stray = workbench._graded_variant(0, "E+")
+    monkeypatch.setattr(workbench, "_graded_variant", lambda lam, variant: stray)
+    row = classify_lambda(2)
+    assert not row.passed
+    assert row.equivalence_classes == 2
+    assert "catalog module E+ not reproduced by the lift" in row.notes
+    assert "lift class 0 matches no catalog module" in row.notes
