@@ -1,10 +1,12 @@
 """Exact arithmetic in cyclotomic fields Q(zeta_m).
 
-Every scalar in this package is a CycloNum: a vector of rationals in the
-power basis {zeta^i : 0 <= i < phi(m)}, reduced modulo the m-th cyclotomic
-polynomial.  Reduction gives a unique normal form, so equality is a plain
-coefficient comparison and all verdicts downstream (irreducibility,
-isomorphism, classification) are exact.
+Every scalar in this package is a CycloNum: a tuple of integer numerators
+in the power basis {zeta^i : 0 <= i < phi(m)} over one positive integer
+denominator, reduced modulo the m-th cyclotomic polynomial and kept in
+lowest terms (the numerators and the denominator have gcd 1, and zero is
+0/1).  This normal form is unique, so equality is a plain tuple comparison
+and all verdicts downstream (irreducibility, isomorphism, classification)
+are exact.  `coeffs` reads the same element as a tuple of Fractions.
 
 Fields are interned: field(m) always returns the same object, and numbers
 from different fields refuse to mix.
@@ -15,13 +17,10 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from functools import lru_cache
+from math import gcd
+from operator import add, sub
 
 from .errors import InvalidInput
-
-Rat = Fraction
-
-_ZERO = Fraction(0)
-_ONE = Fraction(1)
 
 
 # ---------------------------------------------------------------------------
@@ -76,34 +75,41 @@ class CycloField:
         self.m = m
         self.poly = _cyclotomic_poly(m)
         self.degree = len(self.poly) - 1
-        # x^k for k in [degree, 2*degree - 2], reduced to the power basis
+        # x^k for k in [degree, 2*degree - 2], reduced to the power basis;
+        # integer rows, since Phi_m is monic
         deg = self.degree
-        top = [Fraction(-c) for c in self.poly[:deg]]
-        rows = [tuple(top)]
+        top = tuple(-c for c in self.poly[:deg])
+        rows = [top]
         for _ in range(deg - 2):
             prev = rows[-1]
-            row = [_ZERO] + list(prev[: deg - 1])
+            row = (0,) + prev[: deg - 1]
             lead = prev[deg - 1]
             if lead:
-                for i in range(deg):
-                    row[i] += lead * top[i]
-            rows.append(tuple(row))
+                row = tuple(r + lead * t for r, t in zip(row, top))
+            rows.append(row)
         self._reduction = tuple(rows)
-        self.zero = CycloNum(self, (_ZERO,) * deg)
-        self.one = CycloNum(self, (_ONE,) + (_ZERO,) * (deg - 1))
+        self.zero = CycloNum(self, (0,) * deg, 1)
+        self.one = CycloNum(self, (1,) + (0,) * (deg - 1), 1)
         self._zeta_pow = None
 
     def num(self, coeffs):
-        coeffs = tuple(Fraction(c) for c in coeffs)
+        coeffs = [Fraction(c) for c in coeffs]
         if len(coeffs) != self.degree:
             raise InvalidInput(
                 f"expected {self.degree} coefficients, got {len(coeffs)}"
             )
-        return CycloNum(self, coeffs)
+        # the lcm of reduced denominators leaves the numerators coprime to it
+        den = math.lcm(*(c.denominator for c in coeffs))
+        return CycloNum(
+            self, tuple(c.numerator * (den // c.denominator) for c in coeffs), den
+        )
 
     def from_rational(self, r):
+        pad = (0,) * (self.degree - 1)
+        if type(r) is int:
+            return CycloNum(self, (r,) + pad, 1)
         r = Fraction(r)
-        return CycloNum(self, (r,) + (_ZERO,) * (self.degree - 1))
+        return CycloNum(self, (r.numerator,) + pad, r.denominator)
 
     def zeta(self, k=1):
         """zeta_m^k as a reduced field element."""
@@ -111,13 +117,11 @@ class CycloField:
             # power basis elements first, then shift-reduce up to m
             pows = []
             cur = self.one
-            gen_coeffs = [_ZERO] * self.degree
             if self.degree == 1:
                 # Q(zeta_1) = Q(zeta_2) = Q: zeta is +-1
                 gen = self.from_rational(1 if self.m == 1 else -1)
             else:
-                gen_coeffs[1] = _ONE
-                gen = CycloNum(self, tuple(gen_coeffs))
+                gen = CycloNum(self, (0, 1) + (0,) * (self.degree - 2), 1)
             for _ in range(self.m):
                 pows.append(cur)
                 cur = cur * gen
@@ -149,27 +153,53 @@ def field(m):
     return CycloField(m)
 
 
+def _reduced(f, nums, den):
+    """The CycloNum nums/den (den > 0) in lowest terms."""
+    if den != 1:
+        g = gcd(den, *nums)
+        if g != 1:
+            nums = tuple([n // g for n in nums])
+            den //= g
+    return CycloNum(f, nums, den)
+
+
+def _cancel(u, v, a, b, shift):
+    """a*u - b*x^shift*v for integer coefficient lists, trimmed."""
+    out = [a * c for c in u]
+    out += [0] * (len(v) + shift - len(out))
+    for i, c in enumerate(v, shift):
+        out[i] -= b * c
+    return _poly_trim(out)
+
+
 class CycloNum:
-    """An element of Q(zeta_m) in reduced power-basis coordinates."""
+    """An element of Q(zeta_m): power-basis numerators `nums` over `den`."""
 
-    __slots__ = ("field", "coeffs")
+    __slots__ = ("field", "nums", "den")
 
-    def __init__(self, f, coeffs):
+    def __init__(self, f, nums, den):
         self.field = f
-        self.coeffs = coeffs
+        self.nums = nums
+        self.den = den
+
+    @property
+    def coeffs(self):
+        """The power-basis coordinates as Fractions."""
+        den = self.den
+        return tuple(Fraction(n, den) for n in self.nums)
 
     # -- predicates ---------------------------------------------------------
 
     def is_zero(self):
-        return not any(self.coeffs)
+        return not any(self.nums)
 
     def is_rational(self):
-        return not any(self.coeffs[1:])
+        return not any(self.nums[1:])
 
     def rational_value(self):
         if not self.is_rational():
             raise InvalidInput(f"{self!r} is not rational")
-        return self.coeffs[0]
+        return Fraction(self.nums[0], self.den)
 
     # -- ring operations ----------------------------------------------------
 
@@ -182,23 +212,28 @@ class CycloNum:
             return self.field.from_rational(other)
         return NotImplemented
 
-    def __add__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return CycloNum(
-            self.field, tuple(a + b for a, b in zip(self.coeffs, other.coeffs))
+    def _combine(self, other, op):
+        """self op other for op in (add, sub), over the common denominator."""
+        if type(other) is not CycloNum or other.field is not self.field:
+            other = self._coerce(other)
+            if other is NotImplemented:
+                return NotImplemented
+        da, db = self.den, other.den
+        if da == db:
+            return _reduced(self.field, tuple(map(op, self.nums, other.nums)), da)
+        return _reduced(
+            self.field,
+            tuple([op(a * db, b * da) for a, b in zip(self.nums, other.nums)]),
+            da * db,
         )
+
+    def __add__(self, other):
+        return self._combine(other, add)
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return CycloNum(
-            self.field, tuple(a - b for a, b in zip(self.coeffs, other.coeffs))
-        )
+        return self._combine(other, sub)
 
     def __rsub__(self, other):
         other = self._coerce(other)
@@ -207,44 +242,38 @@ class CycloNum:
         return other - self
 
     def __neg__(self):
-        return CycloNum(self.field, tuple(-a for a in self.coeffs))
+        return CycloNum(self.field, tuple([-n for n in self.nums]), self.den)
 
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            if other == 0:
-                return self.field.zero
-            r = Fraction(other)
-            return CycloNum(self.field, tuple(a * r for a in self.coeffs))
-        if not isinstance(other, CycloNum):
-            return NotImplemented
-        if other.field is not self.field:
-            raise InvalidInput("mixed cyclotomic fields")
         f = self.field
-        deg = f.degree
-        ca, cb = self.coeffs, other.coeffs
-        if deg == 1:
-            return CycloNum(f, (ca[0] * cb[0],))
+        if type(other) is not CycloNum or other.field is not f:
+            if isinstance(other, (int, Fraction)) and not other:
+                return f.zero
+            other = self._coerce(other)
+            if other is NotImplemented:
+                return NotImplemented
+        na, nb = self.nums, other.nums
+        den = self.den * other.den
         # rational fast path: most scalars in practice are plain rationals
-        if not any(ca[1:]):
-            return CycloNum(f, tuple(ca[0] * b for b in cb)) if ca[0] else f.zero
-        if not any(cb[1:]):
-            return CycloNum(f, tuple(a * cb[0] for a in ca)) if cb[0] else f.zero
-        conv = [_ZERO] * (2 * deg - 1)
-        for i, a in enumerate(ca):
+        if not any(nb[1:]):
+            b = nb[0]
+            return _reduced(f, tuple([a * b for a in na]), den) if b else f.zero
+        if not any(na[1:]):
+            a = na[0]
+            return _reduced(f, tuple([a * b for b in nb]), den) if a else f.zero
+        deg = f.degree
+        conv = [0] * (2 * deg - 1)
+        for i, a in enumerate(na):
             if a:
-                for j, b in enumerate(cb):
-                    if b:
-                        conv[i + j] += a * b
+                for j, b in enumerate(nb, i):
+                    conv[j] += a * b
         out = conv[:deg]
-        red = f._reduction
-        for k in range(deg, 2 * deg - 1):
-            c = conv[k]
+        for c, row in zip(conv[deg:], f._reduction):
             if c:
-                row = red[k - deg]
-                for i in range(deg):
-                    if row[i]:
-                        out[i] += c * row[i]
-        return CycloNum(f, tuple(out))
+                for i, r in enumerate(row):
+                    if r:
+                        out[i] += c * r
+        return _reduced(f, tuple(out), den)
 
     __rmul__ = __mul__
 
@@ -252,26 +281,38 @@ class CycloNum:
         """Multiplicative inverse via the extended Euclidean algorithm."""
         if self.is_zero():
             raise ZeroDivisionError("inverse of zero cyclotomic number")
-        if self.is_rational():
-            return self.field.from_rational(1 / self.coeffs[0])
         f = self.field
-        mod = [Fraction(c) for c in f.poly]
-        a = _poly_trim(list(self.coeffs))
-        # extended gcd of a and Phi_m over Q; gcd is a nonzero constant
-        r0, r1 = mod, a
-        s0, s1 = [], [_ONE]
-        while True:
-            q, r = _rat_poly_divmod(r0, r1)
-            if not r:
-                break
-            s = _rat_poly_sub(s0, _rat_poly_mul(q, s1))
-            r0, r1, s0, s1 = r1, r, s1, s
-        if len(r1) != 1:
-            raise ArithmeticError("cyclotomic polynomial not coprime to element")
-        inv_lead = 1 / r1[0]
-        coeffs = [c * inv_lead for c in s1]
-        coeffs = (coeffs + [_ZERO] * f.degree)[: f.degree]
-        return CycloNum(f, tuple(coeffs))
+        nums, den = self.nums, self.den
+        if self.is_rational():
+            n = nums[0]
+            if n < 0:
+                n, den = -n, -den
+            return CycloNum(f, (den,) + nums[1:], n)
+        # extended gcd of the numerator polynomial a and Phi_m over Q, on
+        # integer rows (r, s) with r = s*a mod Phi_m up to a rational factor:
+        # each step cancels the leading term of r0 against r1 and divides the
+        # row by its content, so the entries stay small integers
+        r0, s0 = list(f.poly), []
+        r1, s1 = _poly_trim(list(nums)), [1]
+        while len(r1) > 1:
+            while len(r0) >= len(r1):
+                shift = len(r0) - len(r1)
+                l0, l1 = r0[-1], r1[-1]
+                r0 = _cancel(r0, r1, l1, l0, shift)
+                s0 = _cancel(s0, s1, l1, l0, shift)
+                g = gcd(*r0, *s0)
+                if g != 1:
+                    r0 = [c // g for c in r0]
+                    s0 = [c // g for c in s0]
+            if not r0:
+                raise ArithmeticError("cyclotomic polynomial not coprime to element")
+            r0, s0, r1, s1 = r1, s1, r0, s0
+        # a^-1 = s1 / c, so (a / den)^-1 = den * s1 / c
+        c = r1[0]
+        if c < 0:
+            c, den = -c, -den
+        s1 += [0] * (f.degree - len(s1))
+        return _reduced(f, tuple([den * s for s in s1]), c)
 
     def __truediv__(self, other):
         other = self._coerce(other)
@@ -299,14 +340,22 @@ class CycloNum:
     # -- comparisons / hashing ----------------------------------------------
 
     def __eq__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = self.field.from_rational(other)
-        if not isinstance(other, CycloNum):
+        if isinstance(other, CycloNum):
+            return (
+                self.field is other.field
+                and self.nums == other.nums
+                and self.den == other.den
+            )
+        if isinstance(other, int):
+            num, den = other, 1
+        elif isinstance(other, Fraction):
+            num, den = other.numerator, other.denominator
+        else:
             return NotImplemented
-        return self.field is other.field and self.coeffs == other.coeffs
+        return self.den == den and self.nums[0] == num and not any(self.nums[1:])
 
     def __hash__(self):
-        return hash((self.field.m, self.coeffs))
+        return hash((self.field.m, self.nums, self.den))
 
     def __repr__(self):
         if self.is_zero():
@@ -330,43 +379,6 @@ class CycloNum:
 
     def to_json(self):
         return {"m": self.field.m, "coeffs": [str(c) for c in self.coeffs]}
-
-
-# ---------------------------------------------------------------------------
-# rational polynomial helpers used by inverse()
-# ---------------------------------------------------------------------------
-
-def _rat_poly_divmod(num, den):
-    num = list(num)
-    q = [_ZERO] * max(len(num) - len(den) + 1, 0)
-    inv_lead = 1 / den[-1]
-    while len(num) >= len(den):
-        coef = num[-1] * inv_lead
-        shift = len(num) - len(den)
-        q[shift] = coef
-        for i, d in enumerate(den):
-            num[shift + i] -= coef * d
-        num.pop()
-        _poly_trim(num)
-        if not num:
-            break
-    return q, num
-
-
-def _rat_poly_mul(a, b):
-    out = [_ZERO] * (len(a) + len(b) - 1) if a and b else []
-    for i, x in enumerate(a):
-        if x:
-            for j, y in enumerate(b):
-                out[i + j] += x * y
-    return _poly_trim(out)
-
-
-def _rat_poly_sub(a, b):
-    out = list(a) + [_ZERO] * (len(b) - len(a))
-    for i, y in enumerate(b):
-        out[i] -= y
-    return _poly_trim(out)
 
 
 def char_eval(character, gamma, f):

@@ -73,15 +73,16 @@ def order_m_root(m, p):
 
 
 def scalar_to_fp(x, p, omega):
-    """Image of a CycloNum under zeta -> omega in F_p."""
+    """Image of a CycloNum under zeta -> omega in F_p: the numerators'
+    image times den^-1.  Raises ValueError when p divides the denominator."""
     acc, w = 0, 1
-    for c in x.coeffs:
-        if c:
-            num = c.numerator % p
-            den = pow(c.denominator % p, -1, p)
-            acc = (acc + num * den % p * w) % p
+    for n in x.nums:
+        if n:
+            acc += n * w
         w = w * omega % p
-    return acc
+    if x.den != 1:
+        acc *= pow(x.den % p, -1, p)
+    return acc % p
 
 
 def mat_to_fp(mat, p, omega, ncols):

@@ -1,7 +1,9 @@
+import math
 import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from liecolour import field
 from liecolour.jsonio import num_from_json
@@ -173,3 +175,103 @@ def test_characters_are_multiplicative():
     for a in g.elements():
         for b in g.elements():
             assert ch.eval(g.add(a, b), f) == ch.eval(a, f) * ch.eval(b, f)
+
+
+# -- the integer normal form: numerators over one denominator ---------------
+
+PROPERTY_MS = [1, 2, 3, 4, 5, 8, 12]
+COEFF = st.one_of(
+    st.just(Fraction(0)),
+    st.integers(-9, 9).map(Fraction),
+    st.fractions(min_value=-30, max_value=30, max_denominator=24),
+)
+
+
+def _draw_coeffs(data, f, label):
+    # rationals (every coordinate but the first zero) hit the fast paths
+    rational = data.draw(st.booleans(), label=f"{label} rational")
+    size = 1 if rational else f.degree
+    head = data.draw(st.lists(COEFF, min_size=size, max_size=size), label=label)
+    return head + [Fraction(0)] * (f.degree - size)
+
+
+def _oracle_mul(f, a, b):
+    """Fraction convolution of two coordinate vectors, reduced mod Phi_m."""
+    deg = f.degree
+    conv = [Fraction(0)] * (2 * deg - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            conv[i + j] += x * y
+    for k in range(2 * deg - 2, deg - 1, -1):
+        c, conv[k] = conv[k], Fraction(0)
+        for i in range(deg):
+            conv[k - deg + i] -= c * f.poly[i]
+    return tuple(conv[:deg])
+
+
+def _assert_normal(x):
+    deg = x.field.degree
+    assert len(x.nums) == deg and all(type(n) is int for n in x.nums)
+    assert type(x.den) is int and x.den > 0
+    assert math.gcd(*x.nums, x.den) == 1
+    if not any(x.nums):
+        assert (x.nums, x.den) == ((0,) * deg, 1)
+
+
+@settings(derandomize=True, max_examples=80, deadline=None)
+@given(st.sampled_from(PROPERTY_MS), st.data())
+def test_every_operation_keeps_the_normal_form(m, data):
+    f = field(m)
+    a = f.num(_draw_coeffs(data, f, "a"))
+    b = f.num(_draw_coeffs(data, f, "b"))
+    results = [a, b, a + b, a - b, b - a, -a, a * b, a * 2, Fraction(1, 3) * a,
+               a + 1, 1 - a, a * 0, a ** 3, f.zeta(data.draw(st.integers(0, m - 1))) * a]
+    if not a.is_zero():
+        results += [a.inverse(), b / a, 5 / a]
+    for x in results:
+        _assert_normal(x)
+
+
+@settings(derandomize=True, max_examples=80, deadline=None)
+@given(st.sampled_from(PROPERTY_MS), st.data())
+def test_equality_is_coefficient_equality_and_hash_follows(m, data):
+    f = field(m)
+    a = f.num(_draw_coeffs(data, f, "a"))
+    c = f.num(_draw_coeffs(data, f, "c"))
+    candidates = [f.num(_draw_coeffs(data, f, "b")), (a + c) - c, a * f.one, -(-a)]
+    for b in candidates:
+        assert (a == b) == (a.coeffs == b.coeffs)
+        if a == b:
+            assert hash(a) == hash(b)
+    r = a.coeffs[0]
+    zeros = (Fraction(0),) * (f.degree - 1)
+    for q in (r, Fraction(r.numerator, r.denominator + 1), data.draw(COEFF, label="q")):
+        assert (a == q) == (a.coeffs == (q,) + zeros)
+        if q.denominator == 1:
+            assert (a == int(q)) == (a == q)
+
+
+@settings(derandomize=True, max_examples=80, deadline=None)
+@given(st.sampled_from(PROPERTY_MS), st.data())
+def test_arithmetic_agrees_with_a_fraction_oracle(m, data):
+    f = field(m)
+    ca, cb = _draw_coeffs(data, f, "a"), _draw_coeffs(data, f, "b")
+    a, b = f.num(ca), f.num(cb)
+    assert (a + b) - b == a
+    assert (a * b).coeffs == _oracle_mul(f, ca, cb)
+    assert (a + b).coeffs == tuple(x + y for x, y in zip(ca, cb))
+    if not a.is_zero():
+        assert a * a.inverse() == 1
+        assert (a.inverse() * b) * a == b
+
+
+@settings(derandomize=True, max_examples=80, deadline=None)
+@given(st.sampled_from(PROPERTY_MS), st.data())
+def test_json_form_is_the_fraction_strings(m, data):
+    f = field(m)
+    coeffs = _draw_coeffs(data, f, "a")
+    x = f.num(coeffs)
+    assert x.to_json() == {"m": m, "coeffs": [str(c) for c in coeffs]}
+    assert x.coeffs == tuple(coeffs)
+    back = num_from_json(x.to_json())
+    assert (back.nums, back.den) == (x.nums, x.den)
