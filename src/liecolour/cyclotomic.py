@@ -355,6 +355,9 @@ class CycloNum:
         return self.den == den and self.nums[0] == num and not any(self.nums[1:])
 
     def __hash__(self):
+        if not any(self.nums[1:]):
+            # equal to this Fraction (or int), so it must hash the same
+            return hash(Fraction(self.nums[0], self.den))
         return hash((self.field.m, self.nums, self.den))
 
     def __repr__(self):

@@ -11,6 +11,12 @@ Gamma/H): the module is absolutely irreducible iff the unital algebra these
 generate is all of End(V).  The closure dimension is computed mod p first;
 a full-rank answer mod p certifies the exact answer, anything else falls
 back to exact witness search and, as a last resort, an exact closure.
+The mod-p closure runs one sector block at a time: the grading operators
+span the sector projections P_s, so the algebra is the direct sum of the
+P_s A P_t, and each is spanned by words in the action matrices alone.
+This module owns the degrees, so it cuts each rho(x_k) into its blocks
+from sector t into sector t + deg x_k (_sector_blocks) and hands those to
+modp; the exact last resort still closes the whole augmented set.
 
 Validation happens once, where a module enters the program: the
 GradedModule constructor (user code and the catalog formulas) and JSON
@@ -504,6 +510,37 @@ def _generator_matrices(module):
     return list(module.action) + _grading_operators(module)
 
 
+def _sector_blocks(module):
+    """The action cut into sector blocks, as modp.closure_rank takes it.
+
+    Returns (sizes, blocks): sizes lists the dimensions of the non-empty
+    sectors, and each (s, t, B) in blocks is the part of one rho(x_k) from
+    sector t into sector s = t + deg x_k, as sparse rows renumbered to
+    positions inside the sectors.  Zero blocks are left out.  An ungraded
+    module is a single sector, and its blocks are the action matrices.
+    """
+    if module.is_ungraded():
+        return [module.dim], [(0, 0, mat) for mat in module.action]
+    sectors = {rep: idx for rep, idx in module.sector_indices().items() if idx}
+    number = {rep: n for n, rep in enumerate(sectors)}
+    position = {}
+    for idx in sectors.values():
+        position.update((i, k) for k, i in enumerate(idx))
+    quo = module.quo
+    blocks = []
+    for k, mat in enumerate(module.action):
+        shift = quo.rep(module.algebra.degree(k))
+        for t in sectors:
+            s = quo.add(t, shift)
+            if s not in sectors:
+                continue
+            # by homogeneity a row of sector s has its entries in sector t
+            block = [{position[c]: x for c, x in mat[i].items()} for i in sectors[s]]
+            if any(block):
+                blocks.append((number[s], number[t], block))
+    return [len(idx) for idx in sectors.values()], blocks
+
+
 def _closure_rank_exact(f, mats, d):
     """Dimension of the unital algebra the d x d matrices generate, exactly."""
 
@@ -640,15 +677,14 @@ def is_graded_irreducible(module) -> IrreducibilityVerdict:
     if d == 0:
         raise InvalidInput("irreducibility of the zero module is undefined")
     f = module.field
-    gens = _generator_matrices(module)
-    if modp.certifies_full_closure(f, gens, d):
+    if modp.certifies_full_closure(f, _sector_blocks(module), d):
         return IrreducibilityVerdict(True, closure_dim=d * d)
     witness = _proper_graded_submodule(module)
     if witness is not None:
         witness.validate()
         return IrreducibilityVerdict(False, witness=witness)
     # exact authority: the mod-p rank may have dropped on an unlucky prime
-    rank_exact = _closure_rank_exact(f, gens, d)
+    rank_exact = _closure_rank_exact(f, _generator_matrices(module), d)
     if rank_exact == d * d:
         return IrreducibilityVerdict(True, closure_dim=d * d)
     raise InconclusiveIrreducibility(

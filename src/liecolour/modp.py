@@ -11,6 +11,18 @@ one-sided guarantee is used as a sound fast path:
 
 These two are the interface.  False means "no certificate" (the rank
 dropped, or a denominator is 0 mod p), never the opposite verdict.
+
+The closure is computed one sector block at a time.  The Burnside algebra
+A of a graded module is generated by the action matrices and the diagonal
+grading operators T_chi.  The T_chi span the sector projections P_s, over Q
+and mod p alike, because |Gamma/H| <= 256 < p.  So A is the direct sum of
+the blocks P_s A P_t, and P_s A P_t is spanned by the words in the action
+matrices alone, restricted to V_t and landing in V_s.  Each rho(x_k) maps
+V_t into V_{t + deg x_k}, so closure_rank takes the action cut into such
+blocks (gmodule builds them), closes the identity of each sector V_t under
+left multiplication, and adds up the block ranks: the same algebra, and
+the same dimension, as the closure of the d^2-long words under all the
+generators.  An ungraded module is one block.
 """
 
 from __future__ import annotations
@@ -129,30 +141,42 @@ class _FpEchelon:
         return v
 
 
-def closure_rank(mats, p, dim):
-    """Dimension over F_p of the unital algebra generated by the matrices.
+def closure_rank(sectors, p, dim):
+    """Dimension over F_p of the unital algebra generated by a graded action
+    and its sector projections (why blocks suffice: see the module docstring).
 
-    Words are explored by right multiplication from a growing echelon basis;
-    at termination the computed span is closed under every generator, hence
-    equals the span of all words.
+    `sectors` is (sizes, blocks): sizes[t] is the dimension of the t-th
+    non-empty sector and each block (s, t, g) is an F_p array, the part of
+    one action matrix from sector t into sector s.  For each source sector
+    t the identity of V_t is closed under left multiplication by the
+    blocks, with one echelon per target sector s, and the block ranks are
+    summed.  At termination each block span is closed under every g, hence
+    equals the span of all words applied to V_t.  `dim`, the sum of the
+    sizes, is not needed for the rank; callers and the perfbench tracer
+    compare the result with dim^2.
     """
-    ech = _FpEchelon(dim * dim, p)
-    gens = [g % p for g in mats]
-    eye = np.eye(dim, dtype=np.int64)
-    work = [ech.add(eye.reshape(-1))]
-    while work:
-        w = work.pop()
-        if w is None:
-            continue
-        wm = w.reshape(dim, dim)
-        for g in gens:
-            cand = wm @ g % p
-            added = ech.add(cand.reshape(-1))
-            if added is not None:
-                work.append(added)
-                if ech.rank == dim * dim:
-                    return ech.rank
-    return ech.rank
+    sizes, blocks = sectors
+    out_of = {}
+    for s, t, g in blocks:
+        out_of.setdefault(t, []).append((s, g % p))
+    total = 0
+    for t, n in enumerate(sizes):
+        echs = {t: _FpEchelon(n * n, p)}
+        work = [(t, echs[t].add(np.eye(n, dtype=np.int64).reshape(-1)))]
+        while work:
+            u, w = work.pop()
+            wm = w.reshape(sizes[u], n)
+            for s, g in out_of.get(u, ()):
+                ech = echs.get(s)
+                if ech is None:
+                    ech = echs[s] = _FpEchelon(sizes[s] * n, p)
+                elif ech.rank == ech.ncols:
+                    continue
+                added = ech.add((g @ wm % p).reshape(-1))
+                if added is not None:
+                    work.append((s, added))
+        total += sum(ech.rank for ech in echs.values())
+    return total
 
 
 def fp_rank(rows, p):
@@ -175,11 +199,15 @@ def certifies_zero_nullity(f, rows, ncols):
         return False
 
 
-def certifies_full_closure(f, mats, d):
-    """True if the unital algebra the d x d matrices over f generate has
-    dimension d^2 mod p, which proves it is all of End(f^d)."""
+def certifies_full_closure(f, sectors, d):
+    """True if the unital algebra that a graded action over f and its sector
+    projections generate has dimension d^2 mod p, which proves it is all of
+    End(f^d).  `sectors` is (sizes, blocks) as closure_rank takes it, with
+    exact sparse blocks."""
+    sizes, blocks = sectors
     try:
         p, omega = fp_for_field(f)
-        return closure_rank([mat_to_fp(g, p, omega, d) for g in mats], p, d) == d * d
+        fp = [(s, t, mat_to_fp(g, p, omega, sizes[t])) for s, t, g in blocks]
     except ValueError:  # a denominator is 0 mod p
         return False
+    return closure_rank((sizes, fp), p, d) == d * d

@@ -249,6 +249,13 @@ def test_equality_is_coefficient_equality_and_hash_follows(m, data):
         assert (a == q) == (a.coeffs == (q,) + zeros)
         if q.denominator == 1:
             assert (a == int(q)) == (a == q)
+        # a == b implies hash(a) == hash(b) against int and Fraction too
+        plain = (q, int(q)) if q.denominator == 1 else (q,)
+        for x in (a, f.from_rational(q)):
+            for y in plain:
+                if x == y:
+                    assert hash(x) == hash(y)
+        assert f.from_rational(q) == q and {q: "q"}.get(f.from_rational(q)) == "q"
 
 
 @settings(derandomize=True, max_examples=80, deadline=None)

@@ -293,7 +293,7 @@ def test_denominators_divisible_by_p_give_no_certificate_but_exact_verdicts():
     from fractions import Fraction
 
     from liecolour import modp
-    from liecolour.gmodule import _generator_matrices, _intertwiner_system
+    from liecolour.gmodule import _intertwiner_system, _sector_blocks
 
     p = modp.prime_for(4)
     assert p == 1048589
@@ -310,7 +310,9 @@ def test_denominators_divisible_by_p_give_no_certificate_but_exact_verdicts():
     # exactly, the closure is all of End(V) and the intertwiner system has
     # zero nullity; mod p neither can be certified, since p divides a
     # denominator
-    assert not modp.certifies_full_closure(F4, _generator_matrices(V), 1)
+    with pytest.raises(ValueError):  # Q2 acts as 1/p
+        modp.scalar_to_fp(V.action[2][0][0], *modp.fp_for_field(F4))
+    assert not modp.certifies_full_closure(F4, _sector_blocks(V), 1)
     variables, rows = _intertwiner_system(V, partner)
     assert not modp.certifies_zero_nullity(F4, rows, len(variables))
     verdict = is_graded_irreducible(V)

@@ -3,7 +3,16 @@ from fractions import Fraction
 
 import pytest
 
-from liecolour import field, modp
+from liecolour import direct_sum, field, modp, parity_shift, trivial_subgroup
+from liecolour.colouralg import ColourAlgebra
+from liecolour.gmodule import (
+    GradedModule,
+    _closure_rank_exact,
+    _generator_matrices,
+    _sector_blocks,
+)
+from liecolour.loopfunctor import loop
+from liecolour.workbench import GROUP, catalog_modules, sl2c_factor
 
 
 def _fp_by_coefficient(x, p, omega):
@@ -47,3 +56,34 @@ def test_scalar_to_fp_refuses_a_denominator_divisible_by_p(m):
               f.num([Fraction(1, 2)] + [Fraction(1, 2 * p)] * (f.degree - 1))):
         with pytest.raises(ValueError):
             modp.scalar_to_fp(x, p, omega)
+
+
+def _block_closure_rank(module):
+    p, omega = modp.fp_for_field(module.field)
+    sizes, blocks = _sector_blocks(module)
+    fp = [(s, t, modp.mat_to_fp(g, p, omega, sizes[t])) for s, t, g in blocks]
+    return modp.closure_rank((sizes, fp), p, module.dim)
+
+
+def test_block_closure_rank_equals_the_exact_closure():
+    modules = catalog_modules(4)
+    modules["loopE2"] = loop(modules["E2"], trivial_subgroup(GROUP)).module
+    # reducible: closures below d^2, ungraded and graded
+    modules["V1+V2"] = direct_sum(modules["V1"], modules["V2"])
+    modules["E+2+O-2"] = direct_sum(modules["E+2"], modules["O-2"])
+    # one vector in Z2 x Z2: three empty sectors
+    modules["E+0 shifted"] = parity_shift(modules["E+0"], (1, 0))
+    # a degree-0 generator that is no bracket, so its block from a sector
+    # into itself is needed
+    abelian = ColourAlgebra(GROUP, sl2c_factor(), [("x", (0, 0))], {})
+    modules["diag(1, 2)"] = GradedModule(
+        abelian, trivial_subgroup(GROUP), [(0, 0)] * 2, [[{0: 1}, {1: 2}]]
+    )
+    ranks = {}
+    for name, m in modules.items():
+        exact = _closure_rank_exact(m.field, _generator_matrices(m), m.dim)
+        ranks[name] = (_block_closure_rank(m), exact)
+    assert {name: r for name, r in ranks.items() if r[0] != r[1]} == {}
+    assert len(ranks) == 62
+    below = [name for name, (_, exact) in ranks.items() if exact < modules[name].dim ** 2]
+    assert {"loopE2", "V1+V2", "E+2+O-2", "diag(1, 2)"} <= set(below)
