@@ -395,7 +395,15 @@ def _intertwiner_system(V, W):
 
 
 def intertwiners(V, W):
-    """Basis of degree-0 maps M with M rho_V(x) = rho_W(x) M, as matrices."""
+    """Basis of degree-0 maps M with M rho_V(x) = rho_W(x) M, as matrices.
+
+    The basis is the one linalg.nullspace gives for the constraint system,
+    whichever path produced it: modp.certified_nullspace when it has a
+    certificate (Hom = 0 by full column rank mod p, or a basis solved mod p
+    and checked exactly), otherwise linalg.nullspace itself (an empty
+    system, a denominator divisible by p, pivots that differ between
+    embeddings, no lift that passes the exact check).
+    """
     if V.algebra != W.algebra:
         raise InvalidInput("modules over different algebras")
     if V.hsub != W.hsub:
@@ -404,10 +412,11 @@ def intertwiners(V, W):
     if not variables:
         return []
     f = V.field
-    if modp.certifies_zero_nullity(f, rows, len(variables)):
-        return []
+    basis = modp.certified_nullspace(f, rows, len(variables))
+    if basis is None:
+        basis = linalg.nullspace(f, rows, len(variables))
     out = []
-    for sol in linalg.nullspace(f, rows, len(variables)):
+    for sol in basis:
         mat = linalg.zeros(W.dim)
         for t, x in sol.items():
             r, c = variables[t]

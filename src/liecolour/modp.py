@@ -1,16 +1,40 @@
-"""Mod-p acceleration for rank computations.
+"""Mod-p acceleration for rank and nullspace computations.
 
 Reducing Q(zeta_m) -> F_p along zeta -> omega (omega of multiplicative
 order m, which exists whenever p = 1 mod m) can only lower ranks.  That
-one-sided guarantee is used as a sound fast path:
+one-sided guarantee is used as a sound fast path, with three certificates:
 
 * `certifies_full_closure`: a full closure rank mod p certifies that the
   matrices generate the whole matrix algebra over the exact field;
-* `certifies_zero_nullity`: full column rank mod p certifies that an exact
-  nullspace is zero.
+* `certified_nullspace` with no free column mod p: full column rank mod p
+  certifies that an exact nullspace is zero;
+* `certified_nullspace` otherwise: a nullspace basis solved mod p, lifted
+  to Q(zeta_m) and checked exactly against every constraint row.
 
-These two are the interface.  False means "no certificate" (the rank
-dropped, or a denominator is 0 mod p), never the opposite verdict.
+These are the interface.  False or None means "no certificate" (the rank
+dropped, a denominator is 0 mod p, the lift failed), never the opposite
+verdict; the caller then computes exactly.
+
+The nullspace is solved by one whole-array Gauss-Jordan elimination
+(`fp_rref`) under each embedding zeta -> omega^k, gcd(k, m) = 1, which must
+all give the same pivot columns.  The phi(m) images of each reduced entry
+determine its power-basis coordinates mod p (a Vandermonde solve), and
+rational reconstruction (Wang 1981; Monagan, ISSAC 2004) lifts them to Q,
+adding primes p = 1 (mod m) with CRT, up to _MAX_PRIMES, while a coordinate
+does not reconstruct or a candidate fails the exact check.  A candidate
+returned is therefore exact, and the basis is complete and the very basis
+`linalg.nullspace` returns:
+
+* the rank mod p is at most the exact rank, so the exact nullity is at
+  most the number of free columns mod p;
+* each candidate is 1 at its own free column and 0 at the other free
+  columns, so the candidates are independent and, being exact solutions
+  as many as the free columns, span the exact nullspace;
+* each candidate's last nonzero entry is its own free column (an entry of
+  the reduced form is 0 left of its row's pivot), so the free columns are
+  the last-nonzero positions of the exact nullspace, which are the exact
+  free columns; a nullspace vector is fixed by its free coordinates, so
+  each candidate equals the exact basis vector of its free column.
 
 The closure is computed one sector block at a time.  The Burnside algebra
 A of a graded module is generated by the action matrices and the diagonal
@@ -27,10 +51,13 @@ generators.  An ungraded module is one block.
 
 from __future__ import annotations
 
+from fractions import Fraction
 from functools import lru_cache
+from math import gcd, isqrt
 
 import numpy as np
 
+from . import linalg
 from .abelian import _prime_factors
 from .errors import InvalidInput
 
@@ -61,10 +88,13 @@ def _is_prime(n):
 
 
 @lru_cache(maxsize=None)
-def prime_for(m):
-    """Smallest prime p > 2^20 with p = 1 (mod m)."""
-    base = 1 << 20
-    p = base + 1 + ((-base) % m)
+def prime_for(m, i=0):
+    """The (i+1)-th smallest prime p > 2^20 with p = 1 (mod m)."""
+    if i:
+        p = prime_for(m, i - 1) + m
+    else:
+        base = 1 << 20
+        p = base + 1 + ((-base) % m)
     while not _is_prime(p):
         p += m
     return p
@@ -179,24 +209,140 @@ def closure_rank(sectors, p, dim):
     return total
 
 
+def fp_rref(a, p):
+    """Reduce the int64 array `a` in place to its reduced row echelon form
+    over F_p, by one whole-array Gauss-Jordan elimination, and return the
+    pivot columns.  Row i of the result has its pivot 1 at column
+    pivots[i]; the rows from len(pivots) on are zero."""
+    a %= p
+    nrows, ncols = a.shape
+    pivots = []
+    for c in range(ncols):
+        r = len(pivots)
+        if r == nrows:
+            break
+        nz = np.flatnonzero(a[r:, c])
+        if nz.size == 0:
+            continue
+        i = r + int(nz[0])
+        if i != r:
+            a[[r, i], c:] = a[[i, r], c:]
+        a[r, c:] = a[r, c:] * pow(int(a[r, c]), -1, p) % p
+        # row r is 0 left of column c, so no row changes there
+        col = a[:, c].copy()
+        col[r] = 0
+        hit = np.flatnonzero(col)
+        if hit.size:
+            a[hit, c:] = (a[hit, c:] - np.outer(col[hit], a[r, c:])) % p
+        pivots.append(c)
+    return pivots
+
+
 def fp_rank(rows, p):
-    """Rank over F_p of a stack of integer rows (numpy 2-D array)."""
-    if len(rows) == 0:
-        return 0
-    ech = _FpEchelon(rows.shape[1], p)
-    for r in rows:
-        ech.add(r)
-    return ech.rank
+    """Rank over F_p of a stack of integer rows (an int64 numpy 2-D array,
+    which is left reduced in place, as fp_rref leaves it)."""
+    return len(fp_rref(rows, p))
 
 
-def certifies_zero_nullity(f, rows, ncols):
-    """True if the rows over f have rank ncols mod p, which proves that
-    their exact nullspace is zero."""
-    try:
-        p, omega = fp_for_field(f)
-        return bool(rows) and fp_rank(mat_to_fp(rows, p, omega, ncols), p) == ncols
-    except ValueError:  # a denominator is 0 mod p
-        return False
+# Primes p = 1 (mod m) that a nullspace lift may combine by CRT.
+_MAX_PRIMES = 4
+
+
+def _rational(u, modulus):
+    """The fraction a/b = u (mod modulus) with |a|, b <= sqrt(modulus/2),
+    or None (Wang's rational reconstruction; such a fraction is unique)."""
+    bound = isqrt(modulus // 2)
+    if u <= bound:
+        return u
+    if modulus - u <= bound:
+        return u - modulus
+    r0, r1, t0, t1 = modulus, u, 0, 1
+    while r1 > bound:
+        q = r0 // r1
+        r0, r1 = r1, r0 - q * r1
+        t0, t1 = t1, t0 - q * t1
+    if abs(t1) > bound or gcd(r1, t1) != 1:
+        return None
+    return Fraction(r1, t1)
+
+
+def _power_coordinates(images, p, omega, units):
+    """Power-basis coordinates mod p of elements given by their images under
+    zeta -> omega^k for k in units: images[t] holds the images under
+    units[t], and the result has the same shape, coordinate t first."""
+    n = len(units)
+    vandermonde = np.array(
+        [[pow(omega, k * i, p) for i in range(n)] for k in units], dtype=np.int64
+    )
+    stacked = np.stack(images)
+    system = np.hstack([vandermonde, stacked.reshape(n, -1)])
+    fp_rref(system, p)  # the Vandermonde block is invertible: it becomes I
+    return system[:, n:].reshape(stacked.shape)
+
+
+def certified_nullspace(f, rows, ncols):
+    """Basis of {x : R x = 0} over f solved mod p and checked exactly (see
+    the module docstring), or None when there is no certificate.
+
+    The basis, when given, is the one linalg.nullspace(f, rows, ncols)
+    returns.  [] is certified by full column rank mod p.  None is returned
+    for an empty system (nothing to eliminate), a denominator divisible by
+    a prime used, pivot columns that differ between embeddings or primes,
+    or no candidate basis that reconstructs and passes the exact check
+    within _MAX_PRIMES primes.
+    """
+    if not rows:
+        return None
+    m = f.m
+    units = [k for k in range(1, m + 1) if gcd(k, m) == 1]
+    pivots = None
+    residues, modulus = None, 1
+    for i in range(_MAX_PRIMES):
+        p = prime_for(m, i)
+        omega = order_m_root(m, p)
+        images = []
+        for k in units:
+            try:
+                a = mat_to_fp(rows, p, pow(omega, k, p), ncols)
+            except ValueError:  # a denominator is 0 mod p
+                return None
+            if pivots is None:
+                rank = fp_rank(a, p)
+                if rank == ncols:
+                    return []
+                pivots = [int(np.flatnonzero(row)[0]) for row in a[:rank]]
+                free = sorted(set(range(ncols)).difference(pivots))
+            elif fp_rref(a, p) != pivots:
+                return None
+            images.append(a[:rank, free])
+            del a  # hold one embedding's array at a time
+        # the pivot variable of row r is -sum_j R[r, j] x_j
+        coords = -_power_coordinates(images, p, omega, units) % p
+        if residues is None:
+            residues = coords.astype(object)
+        else:
+            # CRT: keep residues mod modulus, lift to mod modulus * p
+            step = (coords - residues % p) * pow(modulus, -1, p) % p
+            residues = residues + modulus * step.astype(object)
+        modulus *= p
+        basis = _lift(f, residues, modulus, pivots, free)
+        # the exact check: every constraint row vanishes at every candidate
+        if basis is not None and not any(linalg.mat_vec(rows, x) for x in basis):
+            return basis
+    return None
+
+
+def _lift(f, residues, modulus, pivots, free):
+    """Candidate nullspace vectors from the coordinates mod `modulus` of
+    their pivot entries, residues[t, r, j] for coordinate t, pivot row r
+    and free column free[j]; None if a coordinate does not reconstruct."""
+    basis = [{col: f.one} for col in free]
+    for r, j in sorted(set(zip(*np.nonzero(residues)[1:]))):
+        coeffs = [_rational(int(u), modulus) for u in residues[:, r, j]]
+        if None in coeffs:
+            return None
+        basis[j][pivots[r]] = f.num(coeffs)
+    return basis
 
 
 def certifies_full_closure(f, sectors, d):

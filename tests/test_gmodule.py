@@ -314,7 +314,7 @@ def test_denominators_divisible_by_p_give_no_certificate_but_exact_verdicts():
         modp.scalar_to_fp(V.action[2][0][0], *modp.fp_for_field(F4))
     assert not modp.certifies_full_closure(F4, _sector_blocks(V), 1)
     variables, rows = _intertwiner_system(V, partner)
-    assert not modp.certifies_zero_nullity(F4, rows, len(variables))
+    assert modp.certified_nullspace(F4, rows, len(variables)) is None
     verdict = is_graded_irreducible(V)
     assert verdict.irreducible and verdict.closure_dim == 1
     double = direct_sum(V, V)

@@ -1,14 +1,28 @@
+import importlib.util
+import os
 import random
 from fractions import Fraction
+from math import isqrt
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from liecolour import direct_sum, field, modp, parity_shift, trivial_subgroup
+from liecolour import (
+    direct_sum,
+    field,
+    intertwiners,
+    jsonio,
+    linalg,
+    modp,
+    parity_shift,
+    trivial_subgroup,
+)
 from liecolour.colouralg import ColourAlgebra
 from liecolour.gmodule import (
     GradedModule,
     _closure_rank_exact,
     _generator_matrices,
+    _intertwiner_system,
     _sector_blocks,
 )
 from liecolour.loopfunctor import loop
@@ -87,3 +101,178 @@ def test_block_closure_rank_equals_the_exact_closure():
     assert len(ranks) == 62
     below = [name for name, (_, exact) in ranks.items() if exact < modules[name].dim ** 2]
     assert {"loopE2", "V1+V2", "E+2+O-2", "diag(1, 2)"} <= set(below)
+
+
+# ---------------------------------------------------------------------------
+# the intertwiner nullspace mod p against the exact one
+# ---------------------------------------------------------------------------
+
+def _exact_maps(V, W):
+    """The intertwiner basis that linalg.nullspace gives, as matrices."""
+    variables, rows = _intertwiner_system(V, W)
+    out = []
+    for sol in linalg.nullspace(V.field, rows, len(variables)):
+        mat = linalg.zeros(W.dim)
+        for t, x in sol.items():
+            r, c = variables[t]
+            mat[r][c] = x
+        out.append(mat)
+    return out
+
+
+def _certified(V, W):
+    """certified_nullspace on the intertwiner system of (V, W); None also
+    for an empty system."""
+    variables, rows = _intertwiner_system(V, W)
+    return modp.certified_nullspace(V.field, rows, len(variables))
+
+
+def _same_shape(V, W):
+    return V.algebra == W.algebra and V.hsub == W.hsub and V.dim == W.dim
+
+
+def test_intertwiners_equal_the_exact_nullspace_on_the_catalog():
+    modules = catalog_modules(4)
+    pairs = [(a, b) for a in modules for b in modules if _same_shape(modules[a], modules[b])]
+    assert len(pairs) == 171
+    differ = [(a, b) for a, b in pairs
+              if intertwiners(modules[a], modules[b]) != _exact_maps(modules[a], modules[b])]
+    assert differ == []
+    # every non-empty system was solved mod p, none fell back
+    fell_back = [(a, b) for a, b in pairs
+                 if _intertwiner_system(modules[a], modules[b])[1]
+                 and _certified(modules[a], modules[b]) is None]
+    assert fell_back == []
+
+
+def _perfbench_inputs():
+    path = os.path.join(os.path.dirname(__file__), os.pardir, "perfbench", "inputs.py")
+    spec = importlib.util.spec_from_file_location("perfbench_inputs", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_intertwiners_equal_the_exact_nullspace_on_dense_conjugates(tmp_path):
+    inputs = _perfbench_inputs()
+    inputs.write_inputs(2, str(tmp_path))
+
+    def load(stem):
+        return jsonio.load_file(str(tmp_path / f"{stem}.json"))[1]
+
+    checked = 0
+    for stem in inputs.DENSE:
+        plain, dense = load(stem), load(f"{stem}_dense")
+        for V, W in ((plain, dense), (dense, plain), (dense, dense)):
+            maps = intertwiners(V, W)
+            assert maps == _exact_maps(V, W), stem
+            assert maps and _certified(V, W) is not None, stem
+            checked += 1
+    assert checked == 24
+
+
+F4 = field(4)
+P4 = modp.prime_for(4)
+
+
+def _realising(rows, ncols):
+    """Modules V, W with intertwiner system `rows`: V a line on which a
+    degree-0 generator acts as 0, W = F^ncols on which it acts as -R, so
+    M: V -> W intertwines iff R m = 0 (the abelian algebra makes any action
+    a module)."""
+    abelian = ColourAlgebra(GROUP, sl2c_factor(), [("x", (0, 0))], {})
+    neg = [{j: -x for j, x in row.items()} for row in rows]
+    neg += [{} for _ in range(ncols - len(rows))]
+    V = GradedModule(abelian, trivial_subgroup(GROUP), [(0, 0)], [[{}]])
+    W = GradedModule(abelian, trivial_subgroup(GROUP), [(0, 0)] * ncols, [neg])
+    assert _intertwiner_system(V, W) == ([(r, 0) for r in range(ncols)], rows)
+    return V, W
+
+
+def _q(x):
+    return F4.from_rational(x)
+
+
+# systems with a one-dimensional exact nullspace that no certificate covers;
+# the flag says whether they get as far as lifting a candidate
+NO_CERTIFICATE = {
+    # p divides a denominator: the system has no image mod p
+    "denominator divisible by p": (lambda: [{0: _q(Fraction(1, P4)), 1: F4.one}], False),
+    # p -> 0: the rank drops mod p, the candidate fails the exact check and
+    # the next prime has other pivots
+    "rank drop": (lambda: [{0: _q(P4), 1: F4.one}], True),
+    # 10^13 exceeds the reconstruction bound of _MAX_PRIMES primes
+    "height beyond every prime": (lambda: [{0: F4.one, 1: _q(-10**13)}], True),
+    # zeta - w vanishes under zeta -> w but not under zeta -> w^3 = -w
+    "pivots differ between embeddings": (
+        lambda: [{0: F4.zeta() - modp.order_m_root(4, P4), 1: F4.one}], False),
+}
+
+
+@pytest.mark.parametrize("name", sorted(NO_CERTIFICATE))
+def test_each_fallback_returns_the_exact_basis(name, monkeypatch):
+    make, lifted = NO_CERTIFICATE[name]
+    rows = make()
+    V, W = _realising(rows, 2)
+    if not lifted:
+        def refuse(*args):
+            raise AssertionError("lifted a candidate")
+        monkeypatch.setattr(modp, "_lift", refuse)
+    assert modp.certified_nullspace(F4, rows, 2) is None
+    maps = intertwiners(V, W)
+    assert maps == _exact_maps(V, W) and len(maps) == 1
+
+
+def test_heights_beyond_one_prime_are_lifted_by_crt():
+    # the solution (1/1009, 1000003, 1) needs three primes: one prime
+    # reconstructs numerators and denominators up to 724 only
+    assert isqrt(P4 // 2) == 724
+    rows = [{0: F4.one, 2: _q(Fraction(-1, 1009))}, {1: F4.one, 2: _q(-1000003)}]
+    V, W = _realising(rows, 3)
+    exact = linalg.nullspace(F4, rows, 3)
+    assert exact == [{0: _q(Fraction(1, 1009)), 1: _q(1000003), 2: F4.one}]
+    assert modp.certified_nullspace(F4, rows, 3) == exact
+    assert intertwiners(V, W) == _exact_maps(V, W)
+
+
+def _entry(data, f, p, kind):
+    """A random element with small coordinates, or for one entry in four
+    of a "large" or "p" system, large or p-adically awkward ones."""
+    special = kind != "small" and data.draw(st.integers(0, 3), label="special") == 0
+    coeffs = []
+    for _ in range(f.degree):
+        if not special or data.draw(st.booleans(), label="plain"):
+            c = Fraction(data.draw(st.integers(-4, 4)), data.draw(st.integers(1, 3)))
+        elif kind == "large":
+            c = Fraction(data.draw(st.integers(-10**6, 10**6)), data.draw(st.integers(1, 10**3)))
+        else:
+            c = data.draw(st.sampled_from([Fraction(p), Fraction(-2 * p), Fraction(1, p)]))
+        coeffs.append(c)
+    return f.num(coeffs)
+
+
+@settings(derandomize=True, max_examples=80, deadline=None)
+@given(st.sampled_from([1, 3, 4, 5, 12]), st.data())
+def test_certified_nullspace_is_none_or_the_exact_basis(m, data):
+    f = field(m)
+    p = modp.prime_for(m)
+    kind = data.draw(st.sampled_from(["small", "large", "p"]), label="kind")
+    ncols = data.draw(st.integers(1, 6), label="ncols")
+    rows = []
+    for _ in range(data.draw(st.integers(1, 4), label="nrows")):
+        row = {}
+        for j in range(ncols):
+            if data.draw(st.booleans(), label="nonzero"):
+                x = _entry(data, f, p, kind)
+                if not x.is_zero():
+                    row[j] = x
+        if row:
+            rows.append(row)
+    # a dependent row makes the system rank-deficient
+    if rows and data.draw(st.booleans(), label="dependent"):
+        c = _entry(data, f, p, kind)
+        extra = linalg.axpy(dict(rows[0]), c, rows[-1]) if not c.is_zero() else dict(rows[0])
+        if extra:
+            rows.append(extra)
+    out = modp.certified_nullspace(f, rows, ncols)
+    assert out is None or out == linalg.nullspace(f, rows, ncols)
