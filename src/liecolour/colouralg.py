@@ -8,17 +8,17 @@ Construction verifies, exhaustively over basis pairs and triples:
 * the eps-Jacobi identity   eps(c,a)[[x,[[y,z]]]] + cyclic = 0
 
 Failures raise with the offending pair or triple, which is what the fuzz
-tests downstream lean on.
+tests downstream lean on.  discolour stores its result unchecked.
 """
 
 from __future__ import annotations
 
-from .errors import AlgebraValidationError, InvalidInput, InvalidMultiplier
+from .errors import AlgebraValidationError, InvalidInput
 from .grading import multiplier_inverse, parity_split, twisted_factor
 
 
 class ColourAlgebra:
-    __slots__ = ("group", "epsilon", "field", "basis", "constants", "_table")
+    __slots__ = ("group", "epsilon", "field", "basis", "_table")
 
     def __init__(self, group, epsilon, basis, constants):
         """`basis` is a list of (name, degree); `constants` maps (i, j) to
@@ -41,10 +41,20 @@ class ColourAlgebra:
                     row[int(k)] = c
             table[(i, j)] = row
         self._table = self._complete(table)
-        self.constants = {
-            ij: dict(row) for ij, row in self._table.items() if row
-        }
         self._validate()
+
+    @classmethod
+    def _derived(cls, group, epsilon, basis, table):
+        """A complete bracket table valid by construction, stored as given."""
+        self = cls.__new__(cls)
+        self.group, self.epsilon, self.field = group, epsilon, epsilon.field
+        self.basis, self._table = basis, table
+        return self
+
+    @property
+    def constants(self):
+        """The nonzero brackets, (i, j) -> {k: coefficient}."""
+        return {ij: dict(row) for ij, row in self._table.items() if row}
 
     # -- construction helpers -------------------------------------------------
 
@@ -214,20 +224,24 @@ def bracket(algebra, x, y):
 
 
 def discolour(algebra, sigma) -> ColourAlgebra:
-    """Deform all brackets by sigma and twist the commutation factor."""
+    """Deform all brackets by sigma and twist the commutation factor:
+    [[x,y]]_s = sigma(a,b) [[x,y]], eps_s(a,b) = sigma(a,b)/sigma(b,a) eps(a,b).
+
+    Valid by construction, so not revalidated (Scheunert 1979): sigma is a
+    bicharacter, so eps_s(a,b) eps_s(b,a) = eps(a,b) eps(b,a) = 1,
+    eps_s(a,a) = eps(a,a), order compatibility is inherited (twisted_factor
+    checks them), and the bracket keeps its grading, eps_s-antisymmetry and
+    eps_s-Jacobi: each eps_s-Jacobi term is the eps one times sigma(a,b)
+    sigma(b,c) sigma(c,a).
+    """
     if sigma.group != algebra.group or sigma.field is not algebra.field:
         raise InvalidInput("multiplier lives on different data")
     new_eps = twisted_factor(algebra.epsilon, sigma)
-    constants = {}
+    table = {}
     for (i, j), row in algebra._table.items():
-        if not row:
-            continue
-        s = sigma.eval(algebra.basis[i][1], algebra.basis[j][1])
-        constants[(i, j)] = {k: s * c for k, c in row.items()}
-    try:
-        return ColourAlgebra(algebra.group, new_eps, algebra.basis, constants)
-    except AlgebraValidationError as exc:
-        raise InvalidMultiplier(f"discoloured algebra is invalid: {exc}") from exc
+        s = sigma.eval(algebra.degree(i), algebra.degree(j))
+        table[(i, j)] = {k: s * c for k, c in row.items()}
+    return ColourAlgebra._derived(algebra.group, new_eps, algebra.basis, table)
 
 
 def recolour(algebra, sigma) -> ColourAlgebra:

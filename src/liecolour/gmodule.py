@@ -8,24 +8,19 @@ encodes an ungraded module.
 Irreducibility uses the Burnside criterion over the augmented operator set
 (action matrices plus diagonal grading operators for characters of
 Gamma/H): the module is absolutely irreducible iff the unital algebra these
-generate is all of End(V).  The closure dimension is computed mod p first;
-a full-rank answer mod p certifies the exact answer, anything else falls
-back to exact witness search and, as a last resort, an exact closure.
-The mod-p closure runs one sector block at a time: the grading operators
-span the sector projections P_s, so the algebra is the direct sum of the
-P_s A P_t, and each is spanned by words in the action matrices alone.
-This module owns the degrees, so it cuts each rho(x_k) into its blocks
-from sector t into sector t + deg x_k (_sector_blocks) and hands those to
-modp; the exact last resort still closes the whole augmented set.
+generate is all of End(V).  The closure dimension is computed mod p first,
+one sector block at a time (see modp); a full-rank answer mod p certifies
+the exact answer, anything else falls back to exact witness search and, as
+a last resort, an exact closure of the whole augmented set.
 
-Validation happens once, where a module enters the program: the
+Modules are validated where they enter the program, and only there: the
 GradedModule constructor (user code and the catalog formulas) and JSON
 loading both run the full representation and homogeneity check.  The
 transforms here and in loopfunctor (coarsen, twist, parity_shift,
 direct_sum, discolour/recolour, restriction, quotient, loop) map a valid
 module to a valid one by construction, so they check only what their own
 arguments can get wrong (subgroup inclusion, matching data, homogeneous
-rows, span invariance) and build their output without revalidating it.
+rows, span invariance) and store their output as given (_derived).
 """
 
 from __future__ import annotations
@@ -55,21 +50,31 @@ from .linalg import RowBasis, identity, mat_mul, mat_scale, mat_sub, mat_vec
 class GradedModule:
     __slots__ = ("algebra", "hsub", "quo", "dim", "degrees", "action")
 
-    def __init__(self, algebra, hsub, degrees, matrices, validate=True):
+    def __init__(self, algebra, hsub, degrees, matrices):
         if hsub.parent != algebra.group:
             raise InvalidInput("grading subgroup is not inside the algebra's group")
-        self.algebra = algebra
-        self.hsub = hsub
-        self.quo = quotient(algebra.group, hsub)
-        self.dim = len(degrees)
-        self.degrees = tuple(self.quo.rep(d) for d in degrees)
+        self._store(algebra, quotient(algebra.group, hsub), degrees, matrices)
         if len(matrices) != algebra.dim():
             raise InvalidInput("need one action matrix per algebra basis element")
         if any(len(m) != self.dim for m in matrices):
             raise InvalidInput("action matrix has wrong shape")
         self.action = tuple([self._sparse_row(r) for r in m] for m in matrices)
-        if validate:
-            self.validate()
+        self.validate()
+
+    @classmethod
+    def _derived(cls, algebra, quo, degrees, action):
+        """A transform's valid output, stored as given (sparse rows without
+        zeros); degrees are reduced through quo = Gamma/H."""
+        return cls.__new__(cls)._store(algebra, quo, degrees, action)
+
+    def _store(self, algebra, quo, degrees, action):
+        self.algebra = algebra
+        self.hsub = quo.subgroup
+        self.quo = quo
+        self.dim = len(degrees)
+        self.degrees = tuple(quo.rep(d) for d in degrees)
+        self.action = tuple(action)
+        return self
 
     def _sparse_row(self, row):
         """A row given densely (a sequence of dim scalars) or sparsely (a
@@ -226,9 +231,8 @@ def coarsen(module, hsub_new) -> GradedModule:
     """Push degrees forward along Gamma/H -> Gamma/H' for H <= H'."""
     if not module.hsub.is_subset_of(hsub_new):
         raise InvalidInput("can only coarsen along a larger subgroup")
-    return GradedModule(
-        module.algebra, hsub_new, list(module.degrees), module.action, validate=False
-    )
+    quo = quotient(module.algebra.group, hsub_new)
+    return GradedModule._derived(module.algebra, quo, module.degrees, module.action)
 
 
 def twist(module, character) -> GradedModule:
@@ -240,9 +244,7 @@ def twist(module, character) -> GradedModule:
         mat_scale(mat, character.eval(module.algebra.degree(k), f))
         for k, mat in enumerate(module.action)
     ]
-    return GradedModule(
-        module.algebra, module.hsub, list(module.degrees), mats, validate=False
-    )
+    return GradedModule._derived(module.algebra, module.quo, module.degrees, mats)
 
 
 def parity_shift(module, h) -> GradedModule:
@@ -250,7 +252,7 @@ def parity_shift(module, h) -> GradedModule:
     g = module.algebra.group
     h = g.reduce(h)
     degrees = [g.add(d, h) for d in module.degrees]
-    return GradedModule(module.algebra, module.hsub, degrees, module.action, validate=False)
+    return GradedModule._derived(module.algebra, module.quo, degrees, module.action)
 
 
 def direct_sum(a, b) -> GradedModule:
@@ -260,9 +262,7 @@ def direct_sum(a, b) -> GradedModule:
         ma + [{a.dim + c: x for c, x in r.items()} for r in mb]
         for ma, mb in zip(a.action, b.action)
     ]
-    return GradedModule(
-        a.algebra, a.hsub, list(a.degrees) + list(b.degrees), mats, validate=False
-    )
+    return GradedModule._derived(a.algebra, a.quo, a.degrees + b.degrees, mats)
 
 
 def discolour_module(module, sigma) -> GradedModule:
@@ -283,7 +283,7 @@ def discolour_module(module, sigma) -> GradedModule:
         alpha = module.algebra.degree(k)
         s = [sigma.eval(alpha, d) for d in module.degrees]
         mats.append([{c: x * s[c] for c, x in row.items()} for row in mat])
-    return GradedModule(target, module.hsub, list(module.degrees), mats, validate=False)
+    return GradedModule._derived(target, module.quo, module.degrees, mats)
 
 
 def recolour_module(module, sigma) -> GradedModule:
@@ -362,7 +362,7 @@ def submodule_to_module(sub):
                 raise InvalidSubmodule("span is not invariant under the action")
             cols.append(coords if to_rows is None else mat_vec(to_rows, coords))
         mats.append(linalg.transpose(cols, n))
-    module = GradedModule(V.algebra, V.hsub, degrees, mats, validate=False)
+    module = GradedModule._derived(V.algebra, V.quo, degrees, mats)
     return module, rows
 
 
@@ -519,37 +519,6 @@ def _generator_matrices(module):
     return list(module.action) + _grading_operators(module)
 
 
-def _sector_blocks(module):
-    """The action cut into sector blocks, as modp.closure_rank takes it.
-
-    Returns (sizes, blocks): sizes lists the dimensions of the non-empty
-    sectors, and each (s, t, B) in blocks is the part of one rho(x_k) from
-    sector t into sector s = t + deg x_k, as sparse rows renumbered to
-    positions inside the sectors.  Zero blocks are left out.  An ungraded
-    module is a single sector, and its blocks are the action matrices.
-    """
-    if module.is_ungraded():
-        return [module.dim], [(0, 0, mat) for mat in module.action]
-    sectors = {rep: idx for rep, idx in module.sector_indices().items() if idx}
-    number = {rep: n for n, rep in enumerate(sectors)}
-    position = {}
-    for idx in sectors.values():
-        position.update((i, k) for k, i in enumerate(idx))
-    quo = module.quo
-    blocks = []
-    for k, mat in enumerate(module.action):
-        shift = quo.rep(module.algebra.degree(k))
-        for t in sectors:
-            s = quo.add(t, shift)
-            if s not in sectors:
-                continue
-            # by homogeneity a row of sector s has its entries in sector t
-            block = [{position[c]: x for c, x in mat[i].items()} for i in sectors[s]]
-            if any(block):
-                blocks.append((number[s], number[t], block))
-    return [len(idx) for idx in sectors.values()], blocks
-
-
 def _closure_rank_exact(f, mats, d):
     """Dimension of the unital algebra the d x d matrices generate, exactly."""
 
@@ -686,7 +655,8 @@ def is_graded_irreducible(module) -> IrreducibilityVerdict:
     if d == 0:
         raise InvalidInput("irreducibility of the zero module is undefined")
     f = module.field
-    if modp.certifies_full_closure(f, _sector_blocks(module), d):
+    parts = [idx for idx in module.sector_indices().values() if idx]
+    if modp.certifies_full_closure(f, module.action, parts, d):
         return IrreducibilityVerdict(True, closure_dim=d * d)
     witness = _proper_graded_submodule(module)
     if witness is not None:
@@ -730,6 +700,9 @@ def decompose(module):
     overlaps the accumulated span, so when the module is completely
     reducible this terminates with a direct sum; otherwise
     NotCompletelyReducible is raised.
+
+    Only the first whole-module spin is shrunk: each is the identity rows,
+    so shrinking again repeats a summand already added or discarded.
     """
     f = module.field
     d = module.dim
@@ -737,10 +710,15 @@ def decompose(module):
         return []
     summands = []
     accum = RowBasis(f, d)
+    whole_shrunk = False
     for v in _candidate_vectors(module):
         if accum.contains(v):
             continue
-        sub = shrink_to_irreducible(spin(module, [v]))
+        spun = spin(module, [v])
+        if spun.dim == d and whole_shrunk:
+            continue
+        whole_shrunk |= spun.dim == d
+        sub = shrink_to_irreducible(spun)
         probe = accum.copy()
         added = [probe.add(r) for r in sub.rows]
         if all(added):
@@ -775,7 +753,7 @@ def graded_quotient(module, sub) -> GradedModule:
         mats.append(
             linalg.transpose([{position[i]: x for i, x in r.items()} for r in resids], len(comp))
         )
-    return GradedModule(module.algebra, module.hsub, degrees, mats, validate=False)
+    return GradedModule._derived(module.algebra, module.quo, degrees, mats)
 
 
 def submodule_from_rows(module, rows, homogeneous=None) -> Submodule:

@@ -84,7 +84,7 @@ def loop(module, refiner, sector_order=None) -> LoopModule:
             at = quo_fine.add(rep, minus_alpha)
             mat.append({position[(i, at)]: x for i, x in src[j].items()})
         mats.append(mat)
-    looped = GradedModule(module.algebra, refiner, degrees, mats, validate=False)
+    looped = GradedModule._derived(module.algebra, quo_fine, degrees, mats)
     return LoopModule(
         module=looped, source=module, refiner=refiner, bookkeeping=tuple(bookkeeping)
     )

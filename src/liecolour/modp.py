@@ -42,11 +42,10 @@ grading operators T_chi.  The T_chi span the sector projections P_s, over Q
 and mod p alike, because |Gamma/H| <= 256 < p.  So A is the direct sum of
 the blocks P_s A P_t, and P_s A P_t is spanned by the words in the action
 matrices alone, restricted to V_t and landing in V_s.  Each rho(x_k) maps
-V_t into V_{t + deg x_k}, so closure_rank takes the action cut into such
-blocks (gmodule builds them), closes the identity of each sector V_t under
-left multiplication, and adds up the block ranks: the same algebra, and
-the same dimension, as the closure of the d^2-long words under all the
-generators.  An ungraded module is one block.
+V_t into V_{t + deg x_k}, so closure_rank closes the identity of each
+sector V_t under left multiplication by such blocks and adds up the block
+ranks: the same algebra, and dimension, as the closure of the d^2-long
+words under all the generators.
 """
 
 from __future__ import annotations
@@ -171,24 +170,27 @@ class _FpEchelon:
         return v
 
 
-def closure_rank(sectors, p, dim):
+def closure_rank(mats, p, dim, parts):
     """Dimension over F_p of the unital algebra generated by a graded action
     and its sector projections (why blocks suffice: see the module docstring).
 
-    `sectors` is (sizes, blocks): sizes[t] is the dimension of the t-th
-    non-empty sector and each block (s, t, g) is an F_p array, the part of
-    one action matrix from sector t into sector s.  For each source sector
-    t the identity of V_t is closed under left multiplication by the
-    blocks, with one echelon per target sector s, and the block ranks are
-    summed.  At termination each block span is closed under every g, hence
-    equals the span of all words applied to V_t.  `dim`, the sum of the
-    sizes, is not needed for the rank; callers and the perfbench tracer
-    compare the result with dim^2.
+    `mats` are the dim x dim F_p action matrices and `parts` the basis
+    indices of each non-empty sector.  By homogeneity the columns of sector
+    t hit one sector s: the block V_t -> V_s.  Each V_t's identity is closed
+    under the blocks, one echelon per target s, and the ranks are summed;
+    each block span, closed under every block, is that of all words on V_t.
+    Callers and the perfbench tracer compare the result with dim^2.
     """
-    sizes, blocks = sectors
+    sizes = [len(idx) for idx in parts]
+    sector = {i: s for s, idx in enumerate(parts) for i in idx}
     out_of = {}
-    for s, t, g in blocks:
-        out_of.setdefault(t, []).append((s, g % p))
+    for t, idx in enumerate(parts):
+        for g in mats:
+            cut = g[:, idx] % p
+            nz = np.flatnonzero(cut)
+            if nz.size:
+                s = sector[int(nz[0]) // len(idx)]
+                out_of.setdefault(t, []).append((s, cut[parts[s]]))
     total = 0
     for t, n in enumerate(sizes):
         echs = {t: _FpEchelon(n * n, p)}
@@ -345,15 +347,14 @@ def _lift(f, residues, modulus, pivots, free):
     return basis
 
 
-def certifies_full_closure(f, sectors, d):
+def certifies_full_closure(f, mats, parts, d):
     """True if the unital algebra that a graded action over f and its sector
     projections generate has dimension d^2 mod p, which proves it is all of
-    End(f^d).  `sectors` is (sizes, blocks) as closure_rank takes it, with
-    exact sparse blocks."""
-    sizes, blocks = sectors
+    End(f^d).  `mats` are the exact sparse action matrices and `parts` the
+    basis indices of each non-empty sector, as closure_rank takes them."""
     try:
         p, omega = fp_for_field(f)
-        fp = [(s, t, mat_to_fp(g, p, omega, sizes[t])) for s, t, g in blocks]
+        fp = [mat_to_fp(g, p, omega, d) for g in mats]
     except ValueError:  # a denominator is 0 mod p
         return False
-    return closure_rank((sizes, fp), p, d) == d * d
+    return closure_rank(fp, p, d, parts) == d * d

@@ -1,7 +1,10 @@
 import pytest
 
+from itertools import product
+
 from liecolour import (
     CommutationFactor,
+    Multiplier,
     bracket,
     discolour,
     field,
@@ -12,8 +15,10 @@ from liecolour import (
 )
 from liecolour.colouralg import ColourAlgebra
 from liecolour.errors import AlgebraValidationError
+from liecolour.grading import twisted_factor
 from liecolour.workbench import (
     GROUP,
+    make_bd_model,
     make_sl2_discoloured,
     make_sl2c,
     discolouring_sigma,
@@ -163,6 +168,26 @@ def test_discolour_composes():
     via_product = discolour(alg, s1 * s2)
     stepwise = discolour(discolour(alg, s1), s2)
     assert via_product == stepwise
+
+
+@pytest.mark.parametrize(
+    "make", [make_sl2c, make_sl2_discoloured, lambda: make_bd_model()[0]],
+    ids=["sl2c", "sl2_discoloured", "bd_model"],
+)
+def test_discolour_equals_its_validated_rebuild(make):
+    # discolour stores its result unchecked; the validating constructor on
+    # the twisted factor and the sigma-scaled brackets must accept it and
+    # give the same algebra, for every multiplier with values +-1
+    alg = make()
+    deg = [d for _, d in alg.basis]
+    for exps in product((0, 2), repeat=4):
+        sigma = Multiplier(GROUP, F4, [exps[:2], exps[2:]])
+        scaled = {
+            (i, j): {k: sigma.eval(deg[i], deg[j]) * c for k, c in row.items()}
+            for (i, j), row in alg.constants.items()
+        }
+        rebuilt = ColourAlgebra(GROUP, twisted_factor(alg.epsilon, sigma), alg.basis, scaled)
+        assert discolour(alg, sigma) == rebuilt, exps
 
 
 def test_is_superalgebra_examples():

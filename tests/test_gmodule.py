@@ -1,5 +1,7 @@
 import random
+from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from liecolour import (
@@ -15,6 +17,7 @@ from liecolour import (
     is_graded_irreducible,
     is_isomorphic,
     iso_labels,
+    jordan_holder,
     linalg,
     parity_shift,
     spin,
@@ -24,8 +27,14 @@ from liecolour import (
     trivial_subgroup,
     twist,
 )
-from liecolour.errors import InconclusiveIsomorphism, InvalidSubmodule, ModuleValidationError
-from liecolour.gmodule import GradedModule
+from liecolour import gmodule
+from liecolour.errors import (
+    InconclusiveIsomorphism,
+    InvalidSubmodule,
+    ModuleValidationError,
+    NotCompletelyReducible,
+)
+from liecolour.gmodule import GradedModule, _field_roots
 from liecolour.loopfunctor import loop
 from liecolour.workbench import (
     GROUP,
@@ -289,11 +298,67 @@ def test_decompose_stalls_on_a_non_split_extension():
         decompose(V)
 
 
+def _greedy_decompose(module):
+    """decompose as it was before repeated whole-module spins were skipped:
+    every candidate outside the span is spun and shrunk (the reference)."""
+    d = module.dim
+    summands = []
+    accum = linalg.RowBasis(module.field, d)
+    for v in gmodule._candidate_vectors(module):
+        if accum.contains(v):
+            continue
+        sub = gmodule.shrink_to_irreducible(spin(module, [v]))
+        probe = accum.copy()
+        if all([probe.add(r) for r in sub.rows]):
+            summands.append(sub)
+            accum = probe
+            if accum.rank == d:
+                return summands
+    raise NotCompletelyReducible(f"direct sum stalled at dimension {accum.rank} of {d}")
+
+
+def test_decompose_matches_the_greedy_reference_with_fewer_shrinks(monkeypatch):
+    shrinks = []
+    shrink = gmodule.shrink_to_irreducible
+
+    def counted(sub):
+        shrinks.append(sub)
+        return shrink(sub)
+
+    monkeypatch.setattr(gmodule, "shrink_to_irreducible", counted)
+    step = jordan_holder(GROUP).chain[1]
+    modules = [loop(make_V_lambda(lam), step).module for lam in range(5)]
+    modules += [
+        loop(make_sl2_graded(lam, v), trivial_subgroup(GROUP)).module
+        for lam in (0, 2, 4) for v in "EO"
+    ]
+    cat = catalog_modules(2)
+    pairs = (("V1", "V2"), ("E+2", "O-2"), ("U++1", "U-+1"))
+    modules += [direct_sum(cat[a], cat[b]) for a, b in pairs]
+    zero = [[F4.zero] * 2 for _ in range(2)]
+    modules.append(_bd_ungraded(zero, [[F4.zero, F4.one], [F4.zero, F4.zero]], zero, zero))
+    counts = []
+    for m in modules:
+        got = []
+        for run in (_greedy_decompose, decompose):
+            del shrinks[:]
+            try:
+                out = [(s.rows, s.homogeneous) for s in run(m)]
+            except NotCompletelyReducible as exc:
+                out = str(exc)
+            got.append((out, len(shrinks)))
+        (want, before), (out, after) = got
+        assert out == want
+        assert after <= before
+        counts.append((before, after))
+    assert sum(a for _, a in counts) < sum(b for b, _ in counts)
+
+
 def test_denominators_divisible_by_p_give_no_certificate_but_exact_verdicts():
     from fractions import Fraction
 
     from liecolour import modp
-    from liecolour.gmodule import _intertwiner_system, _sector_blocks
+    from liecolour.gmodule import _intertwiner_system
 
     p = modp.prime_for(4)
     assert p == 1048589
@@ -312,7 +377,7 @@ def test_denominators_divisible_by_p_give_no_certificate_but_exact_verdicts():
     # denominator
     with pytest.raises(ValueError):  # Q2 acts as 1/p
         modp.scalar_to_fp(V.action[2][0][0], *modp.fp_for_field(F4))
-    assert not modp.certifies_full_closure(F4, _sector_blocks(V), 1)
+    assert not modp.certifies_full_closure(F4, V.action, [[0]], 1)
     variables, rows = _intertwiner_system(V, partner)
     assert modp.certified_nullspace(F4, rows, len(variables)) is None
     verdict = is_graded_irreducible(V)
@@ -388,3 +453,35 @@ def test_iso_labels_induce_the_pairwise_relation(name):
         assert labels[i] <= i and labels[labels[i]] == labels[i]
         for j, b in enumerate(mods):
             assert (labels[i] == labels[j]) == _related(a, b), (i, j)
+
+
+def _monic(roots):
+    """Coefficients, low degree first, of the product of (x - r)."""
+    mu = [F4.one]
+    for r in roots:
+        mu = [a - r * b for a, b in zip([F4.zero] + mu, mu + [F4.zero])]
+    return mu
+
+
+def _same_roots(found, roots):
+    return len(found) == len(roots) and all(any(x == r for x in found) for r in roots)
+
+
+def test_field_roots_rational_branch(monkeypatch):
+    # 5/3 and -7 are no small candidate q * i^k, and with the numeric
+    # branch cut off only the rational-root candidates p/q can find them
+    def no_roots(coeffs):
+        raise np.linalg.LinAlgError("numeric roots cut off")
+
+    monkeypatch.setattr(gmodule.np, "roots", no_roots)
+    roots = [F4.from_rational(Fraction(5, 3)), F4.from_rational(-7)]
+    assert _same_roots(_field_roots(F4, _monic(roots)), roots)
+
+
+def test_field_roots_numeric_branch():
+    # the coefficients are not rational, so only the small candidates (2)
+    # and the numeric roots reconstructed over Q(i) ((1 + 2i)/3) apply
+    roots = [F4.from_rational(2), F4.num([Fraction(1, 3), Fraction(2, 3)])]
+    mu = _monic(roots)
+    assert not all(x.is_rational() for x in mu)
+    assert _same_roots(_field_roots(F4, mu), roots)

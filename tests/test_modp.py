@@ -23,7 +23,6 @@ from liecolour.gmodule import (
     _closure_rank_exact,
     _generator_matrices,
     _intertwiner_system,
-    _sector_blocks,
 )
 from liecolour.loopfunctor import loop
 from liecolour.workbench import GROUP, catalog_modules, sl2c_factor
@@ -74,9 +73,9 @@ def test_scalar_to_fp_refuses_a_denominator_divisible_by_p(m):
 
 def _block_closure_rank(module):
     p, omega = modp.fp_for_field(module.field)
-    sizes, blocks = _sector_blocks(module)
-    fp = [(s, t, modp.mat_to_fp(g, p, omega, sizes[t])) for s, t, g in blocks]
-    return modp.closure_rank((sizes, fp), p, module.dim)
+    fp = [modp.mat_to_fp(g, p, omega, module.dim) for g in module.action]
+    parts = [idx for idx in module.sector_indices().values() if idx]
+    return modp.closure_rank(fp, p, module.dim, parts)
 
 
 def test_block_closure_rank_equals_the_exact_closure():

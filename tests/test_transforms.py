@@ -1,8 +1,10 @@
 """Every module transform maps valid modules to valid modules.
 
-Transforms build their output without revalidating it (modules are
-validated where they enter the program), so this battery runs each one over
-the catalog and calls validate() on every output explicitly.
+Transforms store their output as given, without revalidating it (modules
+are validated where they enter the program), so this battery runs each one
+over the catalog and rebuilds every output through the validating
+constructor: the rebuild must pass and equal the output, which pins both
+validity and the stored form (sparse rows without zeros, reduced degrees).
 """
 
 import pytest
@@ -28,6 +30,7 @@ from liecolour import (
     twist,
 )
 from liecolour.errors import InvalidSubmodule, ModuleValidationError
+from liecolour.gmodule import GradedModule
 from liecolour.workbench import GROUP, catalog_modules, discolouring_sigma, make_sl2_graded
 
 SUBGROUPS = [
@@ -88,9 +91,10 @@ def test_every_transform_output_validates(catalog, name):
     assert len(outputs) >= 11
     for what, out in outputs:
         try:
-            out.validate()
+            rebuilt = GradedModule(out.algebra, out.hsub, list(out.degrees), out.action)
         except ModuleValidationError as exc:
             pytest.fail(f"{name}: {what} gave an invalid module: {exc}")
+        assert rebuilt == out, f"{name}: {what} is not stored in normal form"
 
 
 def test_catalog_modules_validate(catalog):
