@@ -93,16 +93,17 @@ class CycloField:
         self._zeta_pow = None
 
     def num(self, coeffs):
-        coeffs = [Fraction(c) for c in coeffs]
-        if len(coeffs) != self.degree:
+        return self.from_ratios([(c.numerator, c.denominator) for c in map(Fraction, coeffs)])
+
+    def from_ratios(self, pairs):
+        """The element with power-basis coordinates p/q, for integer pairs
+        (p, q) with q > 0."""
+        if len(pairs) != self.degree:
             raise InvalidInput(
-                f"expected {self.degree} coefficients, got {len(coeffs)}"
+                f"expected {self.degree} coefficients, got {len(pairs)}"
             )
-        # the lcm of reduced denominators leaves the numerators coprime to it
-        den = math.lcm(*(c.denominator for c in coeffs))
-        return CycloNum(
-            self, tuple(c.numerator * (den // c.denominator) for c in coeffs), den
-        )
+        den = math.lcm(*(q for _, q in pairs))
+        return _reduced(self, tuple([p * (den // q) for p, q in pairs]), den)
 
     def from_rational(self, r):
         pad = (0,) * (self.degree - 1)

@@ -15,7 +15,8 @@ a last resort, an exact closure of the whole augmented set.
 
 Modules are validated where they enter the program, and only there: the
 GradedModule constructor (user code and the catalog formulas) and JSON
-loading both run the full representation and homogeneity check.  The
+loading both run the full representation and homogeneity check, the
+first on integer coordinates (linalg.representation_defect).  The
 transforms here and in loopfunctor (coarsen, twist, parity_shift,
 direct_sum, discolour/recolour, restriction, quotient, loop) map a valid
 module to a valid one by construction, so they check only what their own
@@ -123,25 +124,15 @@ class GradedModule:
     def validate(self):
         alg = self.algebra
         act = self.action
-        eps = alg.epsilon
         n = alg.dim()
-        for i in range(n):
-            a = alg.degree(i)
-            for j in range(i, n):
-                b = alg.degree(j)
-                lhs = linalg.zeros(self.dim)
-                for k, c in alg.bracket_basis(i, j).items():
-                    lhs = linalg.mat_add(lhs, mat_scale(act[k], c))
-                rhs = mat_sub(
-                    mat_mul(act[i], act[j]),
-                    mat_scale(mat_mul(act[j], act[i]), eps.eval(a, b)),
-                )
-                if lhs != rhs:
-                    raise ModuleValidationError(
-                        "representation",
-                        (i, j),
-                        f"rho([[x{i},x{j}]]) != rho(x{i})rho(x{j}) - eps rho(x{j})rho(x{i})",
-                    )
+        bad = linalg.representation_defect(alg, act, self.dim)
+        if bad is not None:
+            i, j, _ = bad
+            raise ModuleValidationError(
+                "representation",
+                (i, j),
+                f"rho([[x{i},x{j}]]) != rho(x{i})rho(x{j}) - eps rho(x{j})rho(x{i})",
+            )
         if not self.is_ungraded():
             for k in range(n):
                 shift = self.quo.rep(alg.degree(k))

@@ -36,7 +36,9 @@ class _Bimultiplicative:
         self.exponents = exponents
         self._cache = {}
 
-    def _raw_exponent(self, a, b):
+    def exponent(self, a, b):
+        """The e in 0..m-1 with eval(a, b) = zeta_m^e; the orders are
+        compatible, so any representatives of a and b give the same e."""
         e = 0
         for i, ai in enumerate(a):
             if ai:
@@ -52,7 +54,7 @@ class _Bimultiplicative:
         key = (a, b)
         val = self._cache.get(key)
         if val is None:
-            val = self.field.zeta(self._raw_exponent(a, b))
+            val = self.field.zeta(self.exponent(a, b))
             self._cache[key] = val
         return val
 
@@ -174,7 +176,7 @@ def scheunert_multiplier(eps) -> Multiplier:
     exps = [[0] * k for _ in range(k)]
     for i in range(k):
         for j in range(i + 1, k):
-            e = (-eps._raw_exponent(gens[i], gens[j])) % m
+            e = (-eps.exponent(gens[i], gens[j])) % m
             if split.parity(gens[i]) and split.parity(gens[j]):
                 if m % 2:
                     raise LieColourError("field lacks -1 for odd parity pair")

@@ -26,7 +26,6 @@ import json
 import math
 import os
 import re
-from fractions import Fraction
 
 from .abelian import AbelianGroup, subgroup_from_generators
 from .colouralg import ColourAlgebra
@@ -38,8 +37,9 @@ from .grading import CommutationFactor
 MAX_M = 1024  # building field(m) costs O(m)
 MAX_GROUP_ORDER = 256  # groups are enumerated element by element
 _DECIMAL = re.compile(r"[+-]?[0-9]{1,18}")  # fits in 64 bits
-# "p", "p/q" or a plain decimal: an exponent would be expanded in full
-_RATIONAL = re.compile(r"[+-]?(?:[0-9]+(?:/[0-9]+|\.[0-9]*)?|\.[0-9]+)")
+# "p", "p/q" or a plain decimal, grouped as sign, digits, denominator and
+# digits after the point; an exponent would be expanded in full
+_RATIONAL = re.compile(r"([+-]?)(?=\.?[0-9])([0-9]*)(?:/([0-9]+)|\.([0-9]*))?")
 
 
 def _typed(value, kind, what):
@@ -78,19 +78,29 @@ def _group_from_json(obj):
     return AbelianGroup(orders)
 
 
+def _rational(c):
+    """(numerator, denominator) of one coefficient, not yet in lowest terms."""
+    if type(c) is int:
+        return c, 1
+    match = _RATIONAL.fullmatch(c) if isinstance(c, str) else None
+    if match is None:
+        raise InvalidInput(f"coefficient {str(c)[:40]!r} is not an integer, p/q or a decimal")
+    sign, whole, den, frac = match.groups("")
+    try:
+        num = int(whole + frac)
+        den = int(den) if den else 10 ** len(frac)
+    except ValueError:  # over the interpreter's limit on digits in an int
+        raise InvalidInput(f"coefficient {c[:40]!r} is too long") from None
+    if not den:
+        raise InvalidInput(f"coefficient {c[:40]!r} is not a rational number")
+    return (-num if sign == "-" else num), den
+
+
 def num_from_json(obj):
     """Scalar from JSON; coefficients must be integers or rational strings
     (such as "-5/2" or "1.5"), never floats, which are not exact."""
     f = _field(_typed(obj, dict, "scalar"))
-    coeffs = []
-    for c in _typed(obj["coeffs"], list, "coeffs"):
-        if type(c) is not int and not (isinstance(c, str) and _RATIONAL.fullmatch(c)):
-            raise InvalidInput(f"coefficient {str(c)[:40]!r} is not an integer, p/q or a decimal")
-        try:
-            coeffs.append(Fraction(c))
-        except (ValueError, ZeroDivisionError):
-            raise InvalidInput(f"coefficient {c[:40]!r} is not a rational number") from None
-    return f.num(coeffs)
+    return f.from_ratios([_rational(c) for c in _typed(obj["coeffs"], list, "coeffs")])
 
 
 def bimultiplicative_from_json(cls, obj):

@@ -1,6 +1,8 @@
-import pytest
-
+import random
+from collections import Counter
 from itertools import product
+
+import pytest
 
 from liecolour import (
     CommutationFactor,
@@ -215,3 +217,167 @@ def test_fuzzed_single_entry_perturbations(rng):
             continue
         # a perturbation that validates must be genuinely consistent
         assert _jacobi_defect({ij: r for ij, r in constants.items()}) == 0
+
+
+# -- the eps-Jacobi check against the triple loop it replaced ------------------
+
+
+def _unchecked(group, eps, basis, constants):
+    """The algebra with its completed table, without validation."""
+    alg = ColourAlgebra._derived(group, eps, tuple((n, group.reduce(d)) for n, d in basis), {})
+    table = {}
+    for ij, row in constants.items():
+        row = {k: alg._scalar(c) for k, c in row.items()}
+        table[ij] = {k: c for k, c in row.items() if not c.is_zero()}
+    alg._table = alg._complete(table)
+    return alg
+
+
+def _oracle(alg):
+    """(kind, witness, message) of the first failure, by the exhaustive
+    loops over pairs and triples that validation used to run; None if the
+    table is a colour algebra."""
+    n = len(alg.basis)
+    eps = alg.epsilon
+    zero = alg.field.zero
+    deg = [d for _, d in alg.basis]
+    for (i, j), row in alg._table.items():
+        want = alg.group.add(deg[i], deg[j])
+        for k, c in row.items():
+            if not c.is_zero() and deg[k] != want:
+                return "grading", (i, j, k), f"bracket ({i},{j}) hits basis {k} outside degree {want}"
+    for i in range(n):
+        for j in range(n):
+            sign = -eps.eval(deg[i], deg[j])
+            lhs, rhs = alg._table[(i, j)], alg._table[(j, i)]
+            for k in set(lhs) | set(rhs):
+                if lhs.get(k, zero) != sign * rhs.get(k, zero):
+                    return "antisymmetry", (i, j), f"[[x{i},x{j}]] != -eps [[x{j},x{i}]] at basis {k}"
+    for i, j, k in product(range(n), repeat=3):
+        a, b, c = deg[i], deg[j], deg[k]
+        acc = {}
+        for term, (p, q, r) in (
+            (eps.eval(c, a), (i, j, k)),
+            (eps.eval(a, b), (j, k, i)),
+            (eps.eval(b, c), (k, i, j)),
+        ):
+            for t, ct in alg._table[(q, r)].items():
+                for u, cu in alg._table[(p, t)].items():
+                    acc[u] = acc.get(u, zero) + term * ct * cu
+        if any(not v.is_zero() for v in acc.values()):
+            return "jacobi", (i, j, k), f"eps-Jacobi fails on triple ({i},{j},{k})"
+    return None
+
+
+def _verdict(group, eps, basis, constants):
+    try:
+        ColourAlgebra(group, eps, basis, constants)
+    except AlgebraValidationError as err:
+        return err.kind, err.witness, str(err)
+    return None
+
+
+def _agree(group, eps, basis, constants):
+    """The new check and the oracle give the same verdict; returns it."""
+    got = _verdict(group, eps, basis, constants)
+    assert got == _oracle(_unchecked(group, eps, basis, constants))
+    return got
+
+
+def _random_table(rng, n, pairs, coeffs):
+    """Random brackets on the allowed (i, j) -> k slots, sometimes also
+    supplying the (j, i) entry or a slot outside the grading."""
+    constants = {}
+    for (i, j), ks in pairs.items():
+        if rng.random() < 0.8:
+            constants[(i, j)] = {k: rng.choice(coeffs) for k in ks if rng.random() < 0.9}
+    if rng.random() < 0.15:
+        (i, j), ks = rng.choice(sorted(pairs.items()))
+        if i != j:
+            constants[(j, i)] = {k: rng.choice(coeffs) for k in ks}
+    if rng.random() < 0.1:
+        i, j, k = (rng.randrange(n) for _ in range(3))
+        constants.setdefault((i, j), {})[k] = rng.choice(coeffs)
+    return constants
+
+
+def test_jacobi_check_matches_the_triple_loop_on_fuzzed_sl2c_tables():
+    # sl2c-shaped: a1, a2, a3 of degrees (1,0), (0,1), (1,1) and an even h,
+    # brackets only where the grading allows them (eps(a, a) = 1, so
+    # [[x, x]] = 0 and the diagonal is left out)
+    rng = random.Random(2024)
+    basis = [("a1", (1, 0)), ("a2", (0, 1)), ("a3", (1, 1)), ("h", (0, 0))]
+    pairs = {(0, 1): [2], (1, 2): [0], (0, 2): [1], (0, 3): [0], (1, 3): [1], (2, 3): [2]}
+    i4 = F4.zeta(1)
+    coeffs = [1, -1, 2, F4.one + i4, i4, -i4]
+    kinds, witnesses = Counter(), set()
+    for _ in range(300):
+        got = _agree(GROUP, sl2c_factor(), basis, _random_table(rng, 4, pairs, coeffs))
+        kinds[got[0] if got else "valid"] += 1
+        if got and got[0] == "jacobi":
+            witnesses.add(got[1])
+    assert kinds["jacobi"] >= 30 and kinds["valid"] >= 5, kinds
+    assert len(witnesses) >= 3, witnesses
+
+
+def test_jacobi_check_matches_the_triple_loop_on_the_super_example():
+    # Z2 super: h even, x odd, [h,x] ~ x and [[x,x]] ~ h as in
+    # test_jacobi_violation_caught_with_witness, with fuzzed coefficients
+    from liecolour import AbelianGroup
+
+    z2 = AbelianGroup([2])
+    sup = CommutationFactor(z2, F4, [[2]])
+    basis = [("h", (0,)), ("x", (1,)), ("y", (1,))]
+    rng = random.Random(7)
+    pairs = {(0, 1): [1, 2], (0, 2): [1, 2], (1, 1): [0], (1, 2): [0], (2, 2): [0], (0, 0): [0]}
+    kinds = Counter()
+    for _ in range(300):
+        got = _agree(z2, sup, basis, _random_table(rng, 3, pairs, [1, -1, 2, F4.zeta(1)]))
+        kinds[got[0] if got else "valid"] += 1
+    assert kinds["jacobi"] >= 30, kinds
+    assert _agree(z2, sup, basis[:2], {(0, 1): {1: 1}, (1, 1): {0: 1}})[:2] == ("jacobi", (0, 1, 1))
+
+
+@pytest.mark.parametrize("make", [make_sl2c, make_sl2_discoloured, lambda: make_bd_model()[0]])
+def test_valid_tables_pass_both_checks(make):
+    alg = make()
+    assert _agree(alg.group, alg.epsilon, alg.basis, alg.constants) is None
+
+
+def _gl_constants(n):
+    """gl(n) on the matrix units E_ab (index a n + b):
+    [[E_ab, E_cd]] = delta_bc E_ad - delta_da E_cb."""
+    constants = {}
+    for i in range(n * n):
+        a, b = divmod(i, n)
+        for j in range(i + 1, n * n):
+            c, d = divmod(j, n)
+            row = Counter()
+            row[a * n + d] += b == c
+            row[c * n + b] -= d == a
+            if any(row.values()):
+                constants[(i, j)] = {k: v for k, v in row.items() if v}
+    return constants
+
+
+def test_jacobi_check_matches_the_triple_loop_on_perturbed_gl3():
+    # a larger, sparse adjoint: gl(3) with trivial eps, one structure
+    # constant changed at a time
+    from liecolour import AbelianGroup
+
+    z2 = AbelianGroup([2])
+    eps = CommutationFactor(z2, F4, [[0]])
+    basis = [(f"E{a}{b}", (0,)) for a in range(3) for b in range(3)]
+    constants = _gl_constants(3)
+    assert _agree(z2, eps, basis, constants) is None
+    rng = random.Random(9)
+    kinds = Counter()
+    for _ in range(40):
+        bad = {ij: dict(row) for ij, row in constants.items()}
+        i, j = sorted(rng.sample(range(9), 2))
+        row = bad.setdefault((i, j), {})
+        k = rng.randrange(9)
+        row[k] = row.get(k, 0) + rng.choice([1, -1, 2])
+        got = _agree(z2, eps, basis, bad)
+        kinds[got[0] if got else "valid"] += 1
+    assert kinds["jacobi"] >= 20, kinds

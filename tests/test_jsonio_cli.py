@@ -1,12 +1,14 @@
 import copy
 import json
 import os
+import sys
 import tempfile
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from liecolour import direct_sum, dual_characters, jsonio, parity_shift, twist
+from liecolour import direct_sum, dual_characters, field, jsonio, parity_shift, twist
 from liecolour.cli import main
 from liecolour.grading import Multiplier
 from liecolour.workbench import (
@@ -176,6 +178,37 @@ def test_cli_verify_accepts_rational_coefficient_syntax(tmp_path, coeff):
     assert main(["verify", path]) == 0
 
 
+@pytest.mark.parametrize(
+    "coeff", [1.5, True, "1e5", "1/0", "", " 1", "-", ".", "/2", "1.5/2"],
+    ids=["float", "bool", "exponent", "zero-denominator", "empty", "space", "sign", "point",
+         "no-numerator", "decimal-over"],
+)
+def test_cli_verify_rejects_degenerate_coefficients(tmp_path, coeff):
+    blob = jsonio.module_to_json(make_sl2_graded(2, "E"))
+    blob["action"][0][0]["coeffs"][0] = coeff
+    path = _write(tmp_path, "degenerate.json", blob)
+    assert main(["verify", path]) == 2
+
+
+@pytest.fixture
+def digit_limit():
+    """The interpreter's default limit on the digits of an int read from a
+    string (4300), which an environment variable can lift."""
+    before = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(4300)
+    yield
+    sys.set_int_max_str_digits(before)
+
+
+@pytest.mark.parametrize("coeff", ["1" + "0" * 5000, "1/" + "3" * 5000, "0." + "7" * 5000])
+def test_cli_verify_names_an_overlong_coefficient(tmp_path, capsys, digit_limit, coeff):
+    blob = jsonio.module_to_json(make_sl2_graded(2, "E"))
+    blob["action"][0][0]["coeffs"][0] = coeff
+    path = _write(tmp_path, "long.json", blob)
+    assert main(["verify", path]) == 2
+    assert "is too long" in capsys.readouterr().err
+
+
 def test_cli_verify_accepts_decimal_integer_strings(tmp_path):
     blob = jsonio.module_to_json(make_sl2_graded(2, "E"))
     blob["algebra"]["epsilon"]["m"] = "4"
@@ -193,6 +226,19 @@ def test_cli_verify_mathematically_broken_algebra(tmp_path):
     entry["coeffs"] = {"0": entry["coeffs"]["2"]}
     path = _write(tmp_path, "broken.json", blob)
     assert main(["verify", path]) == 1
+
+
+def test_cli_main_calls_share_no_state(tmp_path, capsys):
+    # options given to one call do not carry over to the next
+    path = _write(tmp_path, "sl2c.json", jsonio.algebra_to_json(make_sl2c()))
+    assert main(["--json", "verify", path]) == 0
+    assert json.loads(capsys.readouterr().out) == {"kind": "algebra", "valid": True}
+    assert main(["verify", path]) == 0
+    assert capsys.readouterr().out == "algebra ok\n"
+    assert main(["--seed", "5", "verify", path]) == 0
+    assert "fuzz: 20/20" in capsys.readouterr().out
+    assert main(["verify", path]) == 0
+    assert capsys.readouterr().out == "algebra ok\n"
 
 
 def test_cli_discolour(tmp_path, capsys):
@@ -341,3 +387,24 @@ def test_cli_verify_exit_code_on_a_replaced_leaf(path, value):
         with open(target, "w") as fh:
             json.dump(blob, fh)
         assert main(["verify", target]) in (0, 1, 2)
+
+
+_SIGN = st.sampled_from(["", "+", "-"])
+_DIGITS = st.text("0123456789", min_size=1, max_size=25)
+COEFFICIENTS = (
+    st.integers(-(10**30), 10**30)
+    | st.builds("{}{}".format, _SIGN, _DIGITS)
+    | st.builds("{}{}/{}".format, _SIGN, _DIGITS, _DIGITS.filter(lambda q: int(q) != 0))
+    | st.builds("{}{}.{}".format, _SIGN, _DIGITS | st.just(""), _DIGITS | st.just(""))
+    .filter(lambda c: any(ch.isdigit() for ch in c))
+)
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(st.sampled_from([1, 3, 4, 5, 8, 12]), st.data())
+def test_scalar_reader_agrees_with_fraction(m, data):
+    f = field(m)
+    coeffs = data.draw(st.lists(COEFFICIENTS, min_size=f.degree, max_size=f.degree))
+    got = jsonio.num_from_json({"m": m, "coeffs": coeffs})
+    want = f.num([Fraction(c) for c in coeffs])
+    assert (got.nums, got.den) == (want.nums, want.den)
