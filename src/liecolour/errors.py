@@ -59,10 +59,18 @@ class InvalidVariant(InvalidInput):
 class InconclusiveIrreducibility(LieColourError):
     """Burnside closure is proper but no invariant subspace was exhibited.
 
-    Over a field that is not algebraically closed this can happen for
-    genuinely irreducible-but-not-absolutely-irreducible modules; the
-    catalog shipped with this package never triggers it.
+    Such a module is reducible over C, but over Q(zeta_m) it can be
+    irreducible without being absolutely irreducible (its commutant is then
+    a division algebra larger than Q(zeta_m)), and a reducible verdict needs
+    a witness over Q(zeta_m).  `closure_rank` and `commutant_dim` are the exact
+    dimensions of the closure and the commutant when the Burnside test
+    raised it; the catalog shipped with this package never triggers it.
     """
+
+    def __init__(self, message, closure_rank=None, commutant_dim=None):
+        super().__init__(message)
+        self.closure_rank = closure_rank
+        self.commutant_dim = commutant_dim
 
 
 class InconclusiveIsomorphism(LieColourError):

@@ -388,26 +388,29 @@ def _intertwiner_system(V, W):
 def intertwiners(V, W):
     """Basis of degree-0 maps M with M rho_V(x) = rho_W(x) M, as matrices.
 
-    The basis is the one linalg.nullspace gives for the constraint system,
-    whichever path produced it: modp.certified_nullspace when it has a
-    certificate (Hom = 0 by full column rank mod p, or a basis solved mod p
-    and checked exactly), otherwise linalg.nullspace itself (an empty
-    system, a denominator divisible by p, pivots that differ between
-    embeddings, no lift that passes the exact check).
+    The basis is the one linalg.nullspace gives for the constraint system
+    (_intertwiner_system), whichever path produced it:
+    modp.certified_hom when it has a certificate (Hom = 0 by full column
+    rank mod p, or a basis solved by spinning V mod p, with dim W_s
+    unknowns per spin generator in sector s, and checked exactly against
+    every action matrix), otherwise linalg.nullspace itself on the dense
+    system (a denominator divisible by p, a spin basis singular under
+    another embedding or prime, last columns that differ between them, no
+    lift that passes the exact check).
     """
     if V.algebra != W.algebra:
         raise InvalidInput("modules over different algebras")
     if V.hsub != W.hsub:
         raise InvalidInput("modules graded by different quotients")
-    variables, rows = _intertwiner_system(V, W)
-    if not variables:
-        return []
+    if not set(V.degrees) & set(W.degrees):
+        return []  # no degree-0 entry: no variable
     f = V.field
-    basis = modp.certified_nullspace(f, rows, len(variables))
-    if basis is None:
-        basis = linalg.nullspace(f, rows, len(variables))
+    maps = modp.certified_hom(f, V.action, W.action, V.degrees, W.degrees)
+    if maps is not None:
+        return maps
+    variables, rows = _intertwiner_system(V, W)
     out = []
-    for sol in basis:
+    for sol in linalg.nullspace(f, rows, len(variables)):
         mat = linalg.zeros(W.dim)
         for t, x in sol.items():
             r, c = variables[t]
@@ -639,8 +642,12 @@ def is_graded_irreducible(module) -> IrreducibilityVerdict:
     """Burnside-closure irreducibility with exact certification.
 
     Irreducible verdicts always come with closure dimension dim^2 (full
-    rank mod p already implies full rank exactly); reducible verdicts carry
-    an exactly verified proper graded submodule.
+    rank mod p already implies full rank exactly), so they hold over C too;
+    reducible verdicts carry an exactly verified proper graded submodule
+    over Q(zeta_m).  A closure below dim^2 with no submodule found raises
+    InconclusiveIrreducibility with the closure rank and the commutant
+    dimension: the module is then reducible over C, and may be irreducible
+    over Q(zeta_m), though not when its commutant is the scalars.
     """
     d = module.dim
     if d == 0:
@@ -657,8 +664,16 @@ def is_graded_irreducible(module) -> IrreducibilityVerdict:
     rank_exact = _closure_rank_exact(f, _generator_matrices(module), d)
     if rank_exact == d * d:
         return IrreducibilityVerdict(True, closure_dim=d * d)
+    # by the density theorem a graded irreducible module whose commutant is
+    # the scalars has the full closure
+    dim_end = len(commutant(module))
+    why = (f"the commutant is the scalars, so one exists over Q(zeta_{f.m})" if dim_end == 1
+           else f"the module is reducible over C and may be irreducible over Q(zeta_{f.m})")
     raise InconclusiveIrreducibility(
-        f"closure rank {rank_exact} < {d * d} but no proper graded submodule found"
+        f"closure rank {rank_exact} < {d * d} and commutant dimension {dim_end}, "
+        f"but no proper graded submodule found ({why})",
+        closure_rank=rank_exact,
+        commutant_dim=dim_end,
     )
 
 

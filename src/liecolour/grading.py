@@ -96,7 +96,17 @@ class CommutationFactor(_Bimultiplicative):
         self._validate()
 
     def _validate(self):
+        """eps(a, a) = +-1 and eps(a, b) eps(b, a) = 1 for all a, b.
+
+        By bimultiplicativity eps(a, b) eps(b, a) = zeta^S(a, b) for the
+        bilinear form S with generator values e_ij + e_ji, so the second
+        condition holds iff e_ij + e_ji = 0 (mod m) for every generator pair;
+        with b = a it gives eps(a, a)^2 = 1, the first.  Only a factor that
+        fails runs the loop over all pairs, to name the first failing pair."""
         self._check_orders(InvalidCommutationFactor)
+        m, e = self.field.m, self.exponents
+        if all((row[j] + e[j][i]) % m == 0 for i, row in enumerate(e) for j in range(len(e))):
+            return
         one = self.field.one
         for a in self.group.elements():
             v = self.eval(a, a)

@@ -1,4 +1,4 @@
-"""Mod-p acceleration for rank and nullspace computations.
+"""Mod-p acceleration for the closure rank and for Hom spaces.
 
 Reducing Q(zeta_m) -> F_p along zeta -> omega (omega of multiplicative
 order m, which exists whenever p = 1 mod m) can only lower ranks.  That
@@ -6,35 +6,69 @@ one-sided guarantee is used as a sound fast path, with three certificates:
 
 * `certifies_full_closure`: a full closure rank mod p certifies that the
   matrices generate the whole matrix algebra over the exact field;
-* `certified_nullspace` with no free column mod p: full column rank mod p
-  certifies that an exact nullspace is zero;
-* `certified_nullspace` otherwise: a nullspace basis solved mod p, lifted
-  to Q(zeta_m) and checked exactly against every constraint row.
+* `certified_hom` with no solution mod p: full column rank mod p of its
+  Hom system certifies that the exact Hom space is zero;
+* `certified_hom` otherwise: a Hom basis solved mod p, lifted to
+  Q(zeta_m) and checked exactly against every action matrix.
 
-These are the interface.  False or None means "no certificate" (the rank
+These are the interface.  False or None means "no certificate" (a rank
 dropped, a denominator is 0 mod p, the lift failed), never the opposite
 verdict; the caller then computes exactly.
 
-The nullspace is solved by one whole-array Gauss-Jordan elimination
-(`fp_rref`) under each embedding zeta -> omega^k, gcd(k, m) = 1, which must
-all give the same pivot columns.  The phi(m) images of each reduced entry
-determine its power-basis coordinates mod p (a Vandermonde solve), and
-rational reconstruction (Wang 1981; Monagan, ISSAC 2004) lifts them to Q,
-adding primes p = 1 (mod m) with CRT, up to _MAX_PRIMES, while a coordinate
-does not reconstruct or a candidate fails the exact check.  A candidate
-returned is therefore exact, and the basis is complete and the very basis
-`linalg.nullspace` returns:
+Hom by spinning (the MeatAxe homomorphism method; Lux & Pahlings,
+Representations of Groups: A Computational Approach, CUP 2010).  Degree-0
+maps phi: V -> W with phi rho_V(x_k) = rho_W(x_k) phi are solved as follows.
 
-* the rank mod p is at most the exact rank, so the exact nullity is at
-  most the number of free columns mod p;
-* each candidate is 1 at its own free column and 0 at the other free
-  columns, so the candidates are independent and, being exact solutions
-  as many as the free columns, span the exact nullspace;
-* each candidate's last nonzero entry is its own free column (an entry of
-  the reduced form is 0 left of its row's pivot), so the free columns are
-  the last-nonzero positions of the exact nullspace, which are the exact
-  free columns; a nullspace vector is fixed by its free coordinates, so
-  each candidate equals the exact basis vector of its free column.
+1. V is spun once mod p, under the first prime and embedding, from unit
+   vectors (homogeneous): the next unit vector outside the span starts a new
+   spin whenever the span closes below d = dim V, so reducible V is covered.
+   The word tree records each basis vector b_i as a generator g or as
+   rho_V(x_k) b_j.
+2. Under every embedding zeta -> omega^k, gcd(k, m) = 1, and every prime,
+   the tree gives the basis B (columns b_i), which must be invertible
+   (fp_rref; singular B is no certificate), and C_k = B^-1 rho_V(x_k) B.
+   The unknowns are u_g in W_{deg g}, one block per generator; pushing them
+   along the tree gives U_i = phi(b_i) as a linear function of u.  phi is
+   an intertwiner iff sum_i C_k[i, j] U_i - rho_W(x_k) U_j = 0 for all k
+   and j: K d dim W rows, sum_g dim W_{deg g} columns.  phi is fixed by u
+   (u_g = phi(g)) and every solution is one, so the nullity of this system
+   is dim Hom(V, W) mod p.  A homogeneous b_i makes phi = (U_i)_i B^-1
+   degree 0.  When both actions are rational, every embedding gives the
+   same system, which is solved once.
+3. Each solution is mapped back to phi = (U_i)_i B^-1, flattened row-major
+   (entry (r, c) at r dim V + c, the order of the intertwiner system's
+   variables, whose other entries vanish) and brought to the canonical
+   form: each vector 1 at its own last nonzero column and 0 at the others'
+   last columns, which must agree across embeddings and primes.
+4. The phi(m) images of each entry determine its power-basis coordinates
+   mod p (a Vandermonde solve), and rational reconstruction (Wang 1981;
+   Monagan, ISSAC 2004) lifts them to Q, adding primes p = 1 (mod m) with
+   CRT, up to _MAX_PRIMES, while a coordinate does not reconstruct or a
+   candidate fails the exact check phi rho_V(x_k) = rho_W(x_k) phi.
+
+A basis returned is exact, complete, and the very basis linalg.nullspace
+returns for the intertwiner system:
+
+* Hom(V, W) is the nullspace of an integer system over Z[zeta_m] (the
+  intertwiner system with denominators cleared), and the system mod p
+  defines Hom(V mod p, W mod p), which step 2 solves; the rank mod p is at
+  most the exact rank, so the exact Hom dimension is at most the number of
+  solutions mod p;
+* each candidate is 1 at its own last column and 0 at the other last
+  columns, so the candidates are independent and, being exact solutions as
+  many as the dimension mod p, a basis of the exact Hom space;
+* a space has one basis of that form, and linalg.nullspace's is one (the
+  last nonzero entry of each vector is its free column: an entry of the
+  reduced form is 0 left of its row's pivot).
+
+int64 arithmetic: every entry is reduced into [0, p), and every
+contraction sums at most L = max(d dim W, phi(m)) products of two entries
+(the images of the power basis, B^-1 rho_V B, C_k^T U, rho_W U, the
+solutions' images U_i u, (U_i u)_i B^-1, the spin's reductions: each sums
+over d, dim W, phi(m) or at most d dim W unknowns) and is reduced mod p at
+once.  certified_hom gives no certificate unless L p^2 < 2^63, which
+holds whenever d dim W <= 2^20 and m <= 1024 (the JSON reader's cap; the
+primes used are then below 2^21).
 
 The closure is computed one sector block at a time.  The Burnside algebra
 A of a graded module is generated by the action matrices and the diagonal
@@ -113,26 +147,47 @@ def order_m_root(m, p):
     raise InvalidInput("no root found")  # unreachable for prime p
 
 
+def _coords_fp(x, p):
+    """Power-basis coordinates of a CycloNum mod p: its numerators times
+    den^-1.  Raises ValueError when p divides the denominator."""
+    inv = pow(x.den, -1, p)
+    return [n * inv % p for n in x.nums]
+
+
 def scalar_to_fp(x, p, omega):
-    """Image of a CycloNum under zeta -> omega in F_p: the numerators'
-    image times den^-1.  Raises ValueError when p divides the denominator."""
-    acc, w = 0, 1
-    for n in x.nums:
-        if n:
-            acc += n * w
-        w = w * omega % p
-    if x.den != 1:
-        acc *= pow(x.den % p, -1, p)
-    return acc % p
+    """Image of a CycloNum under zeta -> omega in F_p.  Raises ValueError
+    when p divides the denominator."""
+    acc = 0
+    for c in reversed(_coords_fp(x, p)):
+        acc = (acc * omega + c) % p
+    return acc
 
 
-def mat_to_fp(mat, p, omega, ncols):
-    """F_p image of a matrix of sparse rows, as an int64 array."""
-    out = np.zeros((len(mat), ncols), dtype=np.int64)
-    for i, row in enumerate(mat):
-        for j, x in row.items():
-            out[i, j] = scalar_to_fp(x, p, omega)
-    return out
+def fp_images(mats, n, p):
+    """The F_p images of n x n matrices of sparse rows under zeta -> omega,
+    as a function of omega that returns an int64 array (len(mats), n, n).
+    Each entry's coordinates are reduced mod p once, here (ValueError when
+    p divides a denominator), so each image is one product with the powers
+    of omega.  The function's `rational` is True when every entry is in Q,
+    so that every omega gives the same image."""
+    where, coords = [], []
+    for k, mat in enumerate(mats):
+        for i, row in enumerate(mat):
+            for j, x in row.items():
+                where.append((k, i, j))
+                coords.append(_coords_fp(x, p))
+    index = tuple(np.array(where, dtype=np.intp).reshape(-1, 3).T)
+    coords = np.array(coords, dtype=np.int64) if where else np.zeros((0, 1), dtype=np.int64)
+
+    def image(omega):
+        out = np.zeros((len(mats), n, n), dtype=np.int64)
+        if where:
+            powers = [pow(omega, t, p) for t in range(coords.shape[1])]
+            out[index] = coords @ np.array(powers, dtype=np.int64) % p
+        return out
+
+    image.rational = not np.count_nonzero(coords[:, 1:])
+    return image
 
 
 def fp_for_field(f):
@@ -223,7 +278,7 @@ def fp_rref(a, p):
         r = len(pivots)
         if r == nrows:
             break
-        nz = np.flatnonzero(a[r:, c])
+        nz = a[r:, c].nonzero()[0]
         if nz.size == 0:
             continue
         i = r + int(nz[0])
@@ -233,7 +288,7 @@ def fp_rref(a, p):
         # row r is 0 left of column c, so no row changes there
         col = a[:, c].copy()
         col[r] = 0
-        hit = np.flatnonzero(col)
+        hit = col.nonzero()[0]
         if hit.size:
             a[hit, c:] = (a[hit, c:] - np.outer(col[hit], a[r, c:])) % p
         pivots.append(c)
@@ -246,7 +301,7 @@ def fp_rank(rows, p):
     return len(fp_rref(rows, p))
 
 
-# Primes p = 1 (mod m) that a nullspace lift may combine by CRT.
+# Primes p = 1 (mod m) that a Hom lift may combine by CRT.
 _MAX_PRIMES = 4
 
 
@@ -282,69 +337,187 @@ def _power_coordinates(images, p, omega, units):
     return system[:, n:].reshape(stacked.shape)
 
 
-def certified_nullspace(f, rows, ncols):
-    """Basis of {x : R x = 0} over f solved mod p and checked exactly (see
-    the module docstring), or None when there is no certificate.
+def _spin_tree(mats, p, d):
+    """Word tree of a basis of F_p^d spun from unit vectors under the d x d
+    F_p matrices `mats`: entry i is (None, c) when basis vector i is the unit
+    vector e_c, a generator, and (k, j) when it is mats[k] times vector j.
+    Unit vectors are tried in index order, each only once the span of the
+    ones before has closed below d."""
+    reduced = np.zeros((d, d), dtype=np.int64)  # 1 at own pivot, 0 at others'
+    pivots, vecs, tree = [], [], []
 
-    The basis, when given, is the one linalg.nullspace(f, rows, ncols)
-    returns.  [] is certified by full column rank mod p.  None is returned
-    for an empty system (nothing to eliminate), a denominator divisible by
-    a prime used, pivot columns that differ between embeddings or primes,
-    or no candidate basis that reconstructs and passes the exact check
-    within _MAX_PRIMES primes.
-    """
-    if not rows:
+    def add(v, how):
+        r = len(pivots)
+        resid = (v - v[pivots] @ reduced[:r]) % p if r else v
+        nz = resid.nonzero()[0]
+        if nz.size == 0:
+            return
+        c = int(nz[0])
+        resid = resid * pow(int(resid[c]), -1, p) % p
+        col = reduced[:r, c].copy()
+        if np.count_nonzero(col):
+            reduced[:r] = (reduced[:r] - np.outer(col, resid)) % p
+        reduced[r] = resid
+        pivots.append(c)
+        vecs.append(v)
+        tree.append(how)
+
+    for c in range(d):
+        if len(vecs) == d:
+            break
+        j = len(vecs)
+        add(np.eye(1, d, c, dtype=np.int64)[0], (None, c))
+        while j < len(vecs) < d:
+            for k, g in enumerate(mats):
+                add(g @ vecs[j] % p, (k, j))
+            j += 1
+    return tree
+
+
+def _hom_solutions(act_v, act_w, tree, unknowns, p, first):
+    """Hom(V, W) mod p under one embedding (steps 2 and 3 of the module
+    docstring), from the F_p action arrays act_v (K, d, d) and act_w
+    (K, e, e): its basis flattened row-major in canonical form, with the
+    last nonzero column of each vector, or None if the tree's basis B is
+    singular.  `unknowns[i]` lists the W indices of the unknowns of
+    generator i.  With `first`, a full column rank, found by fp_rank, gives
+    an empty basis at once."""
+    d, e = len(tree), act_w.shape[1]
+    n = sum(len(idx) for idx in unknowns.values())
+    B = np.zeros((d, d), dtype=np.int64)
+    U = np.zeros((d, e, n), dtype=np.int64)  # U[i] u = phi(b_i)
+    offset = 0
+    for i, (k, j) in enumerate(tree):
+        if k is None:
+            B[j, i] = 1
+            idx = unknowns[i]
+            U[i, idx, range(offset, offset + len(idx))] = 1
+            offset += len(idx)
+        else:
+            B[:, i] = act_v[k] @ B[:, j] % p
+            U[i] = act_w[k] @ U[j] % p
+    inv = np.hstack([B, np.eye(d, dtype=np.int64)])
+    if fp_rref(inv, p) != list(range(d)):
         return None
+    inv = inv[:, d:]
+    K = len(act_v)
+    # sum_i C_k[i, j] U_i = sum_l (rho_V(x_k) B)[l, j] (B^-T U)_l, as 2-D products
+    moved = (act_v.reshape(K * d, d) @ B % p).reshape(K, d, d)
+    pushed = moved.transpose(0, 2, 1).reshape(K * d, d) @ (inv.T @ U.reshape(d, e * n) % p) % p
+    acted = act_w.reshape(K * e, e) @ U.transpose(1, 0, 2).reshape(e, d * n) % p
+    acted = acted.reshape(K, e, d, n).transpose(0, 2, 1, 3)
+    rows = ((pushed.reshape(K, d, e, n) - acted) % p).reshape(K * d * e, n)
+    if first:
+        rank = fp_rank(rows, p)
+        if rank == n:
+            return np.zeros((0, e * d), dtype=np.int64), []
+        pivots = [int(row.nonzero()[0][0]) for row in rows[:rank]]
+    else:
+        pivots = fp_rref(rows, p)
+    free = [c for c in range(n) if c not in set(pivots)]
+    h = len(free)
+    null = np.zeros((n, h), dtype=np.int64)
+    null[free, range(h)] = 1
+    if pivots:
+        null[pivots] = -rows[: len(pivots), free] % p
+    # phi_t = (U_i u_t)_i B^-1, as (t, r, c)
+    images = U.reshape(d * e, n) @ null % p  # rows (i, r): U_i u_t at r
+    flat = (inv.T @ images.reshape(d, e * h) % p).reshape(d, e, h)
+    flat = flat.transpose(2, 1, 0).reshape(h, e * d)
+    # canonical form: reduced echelon form with the columns reversed
+    rev = flat[:, ::-1].copy()
+    pivots = fp_rref(rev, p)
+    if len(pivots) != h:
+        return None  # unreachable: u -> phi is injective
+    return rev[::-1, ::-1].copy(), [e * d - 1 - c for c in reversed(pivots)]
+
+
+def _lift(f, residues, modulus, d):
+    """Candidate maps (sparse rows) from the coordinates mod `modulus` of
+    their entries, residues[t, s, r d + c] for coordinate t of entry (r, c)
+    of candidate s; None if a coordinate does not reconstruct."""
+    count, size = residues.shape[1:]
+    maps = [[{} for _ in range(size // d)] for _ in range(count)]
+    for s, j in sorted(set(zip(*np.nonzero(residues)[1:]))):
+        coeffs = [_rational(int(u), modulus) for u in residues[:, s, j]]
+        if None in coeffs:
+            return None
+        r, c = divmod(int(j), d)
+        maps[s][r][c] = f.num(coeffs)
+    return maps
+
+
+def _intertwines(phi, act_v, act_w):
+    return all(linalg.mat_mul(phi, a) == linalg.mat_mul(b, phi) for a, b in zip(act_v, act_w))
+
+
+def certified_hom(f, act_v, act_w, deg_v, deg_w):
+    """Basis of the degree-0 maps phi: V -> W (sparse rows) with
+    phi rho_V(x_k) = rho_W(x_k) phi for the exact action matrices act_v and
+    act_w and basis degrees deg_v and deg_w over f, solved by spinning mod p
+    and checked exactly (see the module docstring); None when there is no
+    certificate.
+
+    The basis, when given, is the one linalg.nullspace returns for the
+    intertwiner system.  [] is certified by full column rank mod p.  None
+    is returned for a denominator divisible by a prime used, a singular
+    spin basis, last columns that differ between embeddings or primes, or
+    no candidate basis that reconstructs and passes the exact check within
+    _MAX_PRIMES primes.
+    """
+    d, e = len(deg_v), len(deg_w)
     m = f.m
     units = [k for k in range(1, m + 1) if gcd(k, m) == 1]
-    pivots = None
-    residues, modulus = None, 1
+    sectors = {}
+    for r, s in enumerate(deg_w):
+        sectors.setdefault(s, []).append(r)
+    tree = unknowns = last = residues = None
+    modulus = 1
     for i in range(_MAX_PRIMES):
         p = prime_for(m, i)
+        if max(d * e, f.degree) * p * p >= 1 << 63:
+            return None  # beyond the int64 bound of the module docstring
         omega = order_m_root(m, p)
+        try:
+            image_v = fp_images(act_v, d, p)
+            image_w = image_v if act_w is act_v else fp_images(act_w, e, p)
+        except ValueError:  # a denominator is 0 mod p
+            return None
         images = []
         for k in units:
-            try:
-                a = mat_to_fp(rows, p, pow(omega, k, p), ncols)
-            except ValueError:  # a denominator is 0 mod p
+            if images and image_v.rational and image_w.rational:
+                images.append(images[0])  # the same system under every embedding
+                continue
+            w = pow(omega, k, p)
+            fv, fw = image_v(w), image_w(w)
+            first = tree is None
+            if first:
+                tree = _spin_tree(fv, p, d)
+                unknowns = {t: sectors.get(deg_v[c], []) for t, (g, c) in enumerate(tree)
+                            if g is None}
+            solved = _hom_solutions(fv, fw, tree, unknowns, p, first)
+            if solved is None:
                 return None
-            if pivots is None:
-                rank = fp_rank(a, p)
-                if rank == ncols:
-                    return []
-                pivots = [int(np.flatnonzero(row)[0]) for row in a[:rank]]
-                free = sorted(set(range(ncols)).difference(pivots))
-            elif fp_rref(a, p) != pivots:
+            basis, cols = solved
+            if first and not cols:
+                return []
+            if last is None:
+                last = cols
+            elif cols != last:
                 return None
-            images.append(a[:rank, free])
-            del a  # hold one embedding's array at a time
-        # the pivot variable of row r is -sum_j R[r, j] x_j
-        coords = -_power_coordinates(images, p, omega, units) % p
+            images.append(basis)
+        coords = _power_coordinates(images, p, omega, units)
         if residues is None:
-            residues = coords.astype(object)
+            residues = coords
         else:
             # CRT: keep residues mod modulus, lift to mod modulus * p
             step = (coords - residues % p) * pow(modulus, -1, p) % p
-            residues = residues + modulus * step.astype(object)
+            residues = residues.astype(object) + modulus * step.astype(object)
         modulus *= p
-        basis = _lift(f, residues, modulus, pivots, free)
-        # the exact check: every constraint row vanishes at every candidate
-        if basis is not None and not any(linalg.mat_vec(rows, x) for x in basis):
-            return basis
+        maps = _lift(f, residues, modulus, d)
+        if maps is not None and all(_intertwines(phi, act_v, act_w) for phi in maps):
+            return maps
     return None
-
-
-def _lift(f, residues, modulus, pivots, free):
-    """Candidate nullspace vectors from the coordinates mod `modulus` of
-    their pivot entries, residues[t, r, j] for coordinate t, pivot row r
-    and free column free[j]; None if a coordinate does not reconstruct."""
-    basis = [{col: f.one} for col in free]
-    for r, j in sorted(set(zip(*np.nonzero(residues)[1:]))):
-        coeffs = [_rational(int(u), modulus) for u in residues[:, r, j]]
-        if None in coeffs:
-            return None
-        basis[j][pivots[r]] = f.num(coeffs)
-    return basis
 
 
 def certifies_full_closure(f, mats, parts, d):
@@ -354,7 +527,7 @@ def certifies_full_closure(f, mats, parts, d):
     basis indices of each non-empty sector, as closure_rank takes them."""
     try:
         p, omega = fp_for_field(f)
-        fp = [mat_to_fp(g, p, omega, d) for g in mats]
+        fp = fp_images(mats, d, p)(omega)
     except ValueError:  # a denominator is 0 mod p
         return False
     return closure_rank(fp, p, d, parts) == d * d

@@ -28,7 +28,9 @@ from liecolour import (
     twist,
 )
 from liecolour import gmodule
+from liecolour.colouralg import ColourAlgebra
 from liecolour.errors import (
+    InconclusiveIrreducibility,
     InconclusiveIsomorphism,
     InvalidSubmodule,
     ModuleValidationError,
@@ -42,6 +44,7 @@ from liecolour.workbench import (
     h2_subgroup,
     make_sl2_graded,
     make_V_lambda,
+    sl2c_factor,
 )
 
 F4 = field(4)
@@ -358,7 +361,6 @@ def test_denominators_divisible_by_p_give_no_certificate_but_exact_verdicts():
     from fractions import Fraction
 
     from liecolour import modp
-    from liecolour.gmodule import _intertwiner_system
 
     p = modp.prime_for(4)
     assert p == 1048589
@@ -378,8 +380,7 @@ def test_denominators_divisible_by_p_give_no_certificate_but_exact_verdicts():
     with pytest.raises(ValueError):  # Q2 acts as 1/p
         modp.scalar_to_fp(V.action[2][0][0], *modp.fp_for_field(F4))
     assert not modp.certifies_full_closure(F4, V.action, [[0]], 1)
-    variables, rows = _intertwiner_system(V, partner)
-    assert modp.certified_nullspace(F4, rows, len(variables)) is None
+    assert modp.certified_hom(F4, V.action, partner.action, V.degrees, partner.degrees) is None
     verdict = is_graded_irreducible(V)
     assert verdict.irreducible and verdict.closure_dim == 1
     double = direct_sum(V, V)
@@ -485,3 +486,43 @@ def test_field_roots_numeric_branch():
     mu = _monic(roots)
     assert not all(x.is_rational() for x in mu)
     assert _same_roots(_field_roots(F4, mu), roots)
+
+
+# x acting on Q(i)^2 with x^2 = c for a c that is no square in Q(i): no
+# invariant line over Q(i), two over C
+NOT_ABSOLUTELY_IRREDUCIBLE = {
+    "x^2 = -2": [{1: -1}, {0: 2}],
+    "x^2 = -3": [{1: -3}, {0: 1}],
+    "x^2 = 2": [{1: 2}, {0: 1}],
+}
+
+
+def _one_operator(rows):
+    abelian = ColourAlgebra(GROUP, sl2c_factor(), [("x", (0, 0))], {})
+    return GradedModule(abelian, trivial_subgroup(GROUP), [(0, 0)] * 2, [rows])
+
+
+@pytest.mark.parametrize("name", sorted(NOT_ABSOLUTELY_IRREDUCIBLE))
+def test_irreducible_over_q_i_but_not_absolutely_is_inconclusive(name):
+    module = _one_operator(NOT_ABSOLUTELY_IRREDUCIBLE[name])
+    with pytest.raises(InconclusiveIrreducibility) as caught:
+        is_graded_irreducible(module)
+    exc = caught.value
+    # the closure is Q(i)[x] and so is the commutant: a field of degree 2
+    assert (exc.closure_rank, exc.commutant_dim) == (2, 2)
+    assert str(exc) == (
+        "closure rank 2 < 4 and commutant dimension 2, but no proper graded submodule "
+        "found (the module is reducible over C and may be irreducible over Q(zeta_4))"
+    )
+
+
+def test_cli_reports_an_irreducible_but_not_absolutely_irreducible_module(tmp_path, capsys):
+    from liecolour import jsonio
+    from liecolour.cli import main
+
+    path = tmp_path / "xx.json"
+    jsonio.dump(jsonio.module_to_json(_one_operator(NOT_ABSOLUTELY_IRREDUCIBLE["x^2 = -2"])), path)
+    assert main(["--json", "irreducible", str(path)]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("mismatch: closure rank 2 < 4 and commutant dimension 2,")

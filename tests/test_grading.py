@@ -1,4 +1,5 @@
 import random
+import time
 
 import pytest
 
@@ -16,6 +17,7 @@ from liecolour import (
     twisted_factor,
 )
 from liecolour.errors import InvalidCommutationFactor
+from liecolour.grading import _Bimultiplicative
 from liecolour.workbench import GROUP, discolouring_sigma, sl2c_factor
 
 from conftest import battery_groups, field_for, random_commutation_factor
@@ -170,3 +172,63 @@ def test_multiplier_inverse_examples():
     for a in z3.elements():
         for b in z3.elements():
             assert s.eval(a, b) * sinv.eval(a, b) == 1
+
+
+def test_a_large_factor_is_validated_on_generator_pairs():
+    """A factor on Z16 x Z16 (256 elements, the JSON reader's cap) is checked
+    without evaluating eps on all 65,536 pairs of elements."""
+    group = AbelianGroup([16, 16])
+    f = field(16)
+    start = time.perf_counter()
+    eps = CommutationFactor(group, f, [[8, 3], [13, 8]])
+    assert time.perf_counter() - start < 0.1
+    assert len(eps._cache) == 0
+    assert eps.eval((1, 0), (1, 0)) == -f.one and eps.eval((1, 0), (0, 1)) == f.zeta(3)
+
+
+def _all_pairs_verdict(group, f, exps):
+    """The first failure, as (message, pair), of the check over every pair
+    of group elements that generator pairs now decide, or None."""
+    eps = CommutationFactor.__new__(CommutationFactor)
+    _Bimultiplicative.__init__(eps, group, f, exps)
+    try:
+        eps._check_orders(InvalidCommutationFactor)
+    except InvalidCommutationFactor as exc:
+        return str(exc), exc.pair
+    one = f.one
+    for a in group.elements():
+        v = eps.eval(a, a)
+        if v != one and v != -one:
+            return f"eps({a},{a}) = {v!r} is not +-1", (a, a)
+        for b in group.elements():
+            if eps.eval(a, b) * eps.eval(b, a) != one:
+                return f"eps({a},{b}) * eps({b},{a}) != 1", (a, b)
+    return None
+
+
+def test_generator_pairs_decide_as_all_pairs_do():
+    rng = random.Random(1613)
+    groups = battery_groups() + [AbelianGroup(o) for o in ([4, 4], [2, 2, 2], [3, 6])]
+    verdicts = []
+    for trial in range(150):
+        group = rng.choice(groups)
+        f = field_for(group)
+        k = group.rank
+        exps = random_commutation_factor(group, f, rng).exponents
+        exps = [list(row) for row in exps]
+        kind = trial % 3
+        if kind == 1:  # one entry moved: usually invalid
+            i, j = rng.randrange(k), rng.randrange(k)
+            exps[i][j] = (exps[i][j] + rng.choice([f.m // 2, f.m // 4 or 1, 1])) % f.m
+        elif kind == 2:  # any table
+            exps = [[rng.randrange(f.m) for _ in range(k)] for _ in range(k)]
+        want = _all_pairs_verdict(group, f, exps)
+        try:
+            CommutationFactor(group, f, exps)
+            got = None
+        except InvalidCommutationFactor as exc:
+            got = str(exc), exc.pair
+        assert got == want, (group.orders, exps)
+        verdicts.append(want is None)
+    # both outcomes are exercised
+    assert 20 < sum(verdicts) < 130

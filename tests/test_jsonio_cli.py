@@ -408,3 +408,14 @@ def test_scalar_reader_agrees_with_fraction(m, data):
     got = jsonio.num_from_json({"m": m, "coeffs": coeffs})
     want = f.num([Fraction(c) for c in coeffs])
     assert (got.nums, got.den) == (want.nums, want.den)
+
+
+def test_cli_classify_sl2_json_is_pinned(capsys):
+    """`colour --json classify-sl2 --max-lambda 8` prints, byte for byte,
+    the report kept in tests/data (written by the dense intertwiner solver
+    that the spin solver replaced)."""
+    path = os.path.join(os.path.dirname(__file__), "data", "classify_sl2_max8.json")
+    with open(path, "rb") as fh:
+        pinned = fh.read()
+    assert main(["--json", "classify-sl2", "--max-lambda", "8"]) == 0
+    assert capsys.readouterr().out.encode() == pinned

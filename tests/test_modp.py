@@ -1,3 +1,4 @@
+import functools
 import importlib.util
 import os
 import random
@@ -5,19 +6,22 @@ from fractions import Fraction
 from math import isqrt
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from liecolour import (
     direct_sum,
     field,
     intertwiners,
+    is_isomorphic,
     jsonio,
     linalg,
     modp,
     parity_shift,
     trivial_subgroup,
 )
+from liecolour import gmodule
 from liecolour.colouralg import ColourAlgebra
+from liecolour.grading import CommutationFactor
 from liecolour.gmodule import (
     GradedModule,
     _closure_rank_exact,
@@ -25,7 +29,7 @@ from liecolour.gmodule import (
     _intertwiner_system,
 )
 from liecolour.loopfunctor import loop
-from liecolour.workbench import GROUP, catalog_modules, sl2c_factor
+from liecolour.workbench import GROUP, catalog_modules, classify_lambda, sl2c_factor
 
 
 def _fp_by_coefficient(x, p, omega):
@@ -73,7 +77,7 @@ def test_scalar_to_fp_refuses_a_denominator_divisible_by_p(m):
 
 def _block_closure_rank(module):
     p, omega = modp.fp_for_field(module.field)
-    fp = [modp.mat_to_fp(g, p, omega, module.dim) for g in module.action]
+    fp = modp.fp_images(module.action, module.dim, p)(omega)
     parts = [idx for idx in module.sector_indices().values() if idx]
     return modp.closure_rank(fp, p, module.dim, parts)
 
@@ -103,7 +107,7 @@ def test_block_closure_rank_equals_the_exact_closure():
 
 
 # ---------------------------------------------------------------------------
-# the intertwiner nullspace mod p against the exact one
+# Hom by spinning mod p against the exact nullspace
 # ---------------------------------------------------------------------------
 
 def _exact_maps(V, W):
@@ -120,10 +124,8 @@ def _exact_maps(V, W):
 
 
 def _certified(V, W):
-    """certified_nullspace on the intertwiner system of (V, W); None also
-    for an empty system."""
-    variables, rows = _intertwiner_system(V, W)
-    return modp.certified_nullspace(V.field, rows, len(variables))
+    """certified_hom on (V, W): None when there is no certificate."""
+    return modp.certified_hom(V.field, V.action, W.action, V.degrees, W.degrees)
 
 
 def _same_shape(V, W):
@@ -137,10 +139,8 @@ def test_intertwiners_equal_the_exact_nullspace_on_the_catalog():
     differ = [(a, b) for a, b in pairs
               if intertwiners(modules[a], modules[b]) != _exact_maps(modules[a], modules[b])]
     assert differ == []
-    # every non-empty system was solved mod p, none fell back
-    fell_back = [(a, b) for a, b in pairs
-                 if _intertwiner_system(modules[a], modules[b])[1]
-                 and _certified(modules[a], modules[b]) is None]
+    # every pair was solved by spinning, none fell back
+    fell_back = [(a, b) for a, b in pairs if _certified(modules[a], modules[b]) is None]
     assert fell_back == []
 
 
@@ -170,21 +170,108 @@ def test_intertwiners_equal_the_exact_nullspace_on_dense_conjugates(tmp_path):
     assert checked == 24
 
 
+def test_a_heavy_classification_row_takes_no_fallback(monkeypatch):
+    """classify_lambda(13) (modules of dimension 28) passes with every Hom
+    solved by spinning: the fallback's dense system is never built."""
+    def refuse(V, W):
+        raise AssertionError("intertwiners fell back to the dense system")
+
+    monkeypatch.setattr(gmodule, "_intertwiner_system", refuse)
+    row = classify_lambda(13)
+    assert row.passed and row.graded_dims == [28]
+
+
+@functools.cache
+def _families():
+    """The catalog up to lambda = 3, in lists of modules of one algebra and
+    grading (the lists of two or more)."""
+    families = []
+    for m in catalog_modules(3).values():
+        for fam in families:
+            if fam[0].algebra == m.algebra and fam[0].hsub == m.hsub:
+                fam.append(m)
+                break
+        else:
+            families.append([m])
+    return [fam for fam in families if len(fam) > 1]
+
+
+@settings(derandomize=True, max_examples=30, deadline=None)
+@given(st.data())
+def test_a_sector_preserving_conjugate_is_isomorphic(data):
+    """V and P V P^-1 for a random invertible P that keeps each sector: Hom
+    is the exact basis, and an isomorphism is found."""
+    family = data.draw(st.sampled_from(_families()), label="family")
+    V = data.draw(st.sampled_from(family), label="V")
+    f = V.field
+    entry = st.builds(lambda a, b: f.num([a, b]), st.integers(-3, 3), st.integers(-2, 2))
+    P = linalg.zeros(V.dim)
+    for idx in V.sector_indices().values():
+        for r in idx:
+            for c in idx:
+                x = data.draw(entry, label="P")
+                if not x.is_zero():
+                    P[r][c] = x
+    P_inv = linalg.invert(f, P)
+    assume(P_inv is not None)
+    conj = [linalg.mat_mul(linalg.mat_mul(P, a), P_inv) for a in V.action]
+    W = GradedModule(V.algebra, V.hsub, V.degrees, conj)
+    maps = intertwiners(V, W)
+    assert maps == _exact_maps(V, W) and len(maps) == len(intertwiners(V, V))
+    assert is_isomorphic(V, W) and is_isomorphic(W, V)
+
+
+@settings(derandomize=True, max_examples=30, deadline=None)
+@given(st.data())
+def test_hom_from_a_direct_sum_adds_up(data):
+    """dim Hom(V + W, X) = dim Hom(V, X) + dim Hom(W, X) and the other way
+    round; V + W is spun from several unit vectors."""
+    family = data.draw(st.sampled_from(_families()), label="family")
+    V, W, X = (data.draw(st.sampled_from(family), label=n) for n in "VWX")
+    S = direct_sum(V, W)
+    for a, b in ((S, X), (X, S)):
+        maps = intertwiners(a, b)
+        assert maps == _exact_maps(a, b)
+    split = (len(intertwiners(V, X)) + len(intertwiners(W, X)),
+             len(intertwiners(X, V)) + len(intertwiners(X, W)))
+    assert (len(intertwiners(S, X)), len(intertwiners(X, S))) == split
+
+
 F4 = field(4)
 P4 = modp.prime_for(4)
 
 
-def _realising(rows, ncols):
-    """Modules V, W with intertwiner system `rows`: V a line on which a
-    degree-0 generator acts as 0, W = F^ncols on which it acts as -R, so
-    M: V -> W intertwines iff R m = 0 (the abelian algebra makes any action
-    a module)."""
-    abelian = ColourAlgebra(GROUP, sl2c_factor(), [("x", (0, 0))], {})
+def _abelian(f):
+    """One degree-0 generator over f, so any matrix is a module action."""
+    return ColourAlgebra(GROUP, CommutationFactor(GROUP, f, [[0, 0], [0, 0]]), [("x", (0, 0))], {})
+
+
+def _modules(f, *actions):
+    """Modules of _abelian(f), all in degree 0, of the given actions."""
+    alg = _abelian(f)
+    return [GradedModule(alg, trivial_subgroup(GROUP), [(0, 0)] * len(a), [a]) for a in actions]
+
+
+def _realising(rows, ncols, f=F4):
+    """Modules V, W whose intertwiner system is `rows` on ncols variables
+    (ncols >= len(rows)): V a line on which a degree-0 generator acts as 0,
+    W = F^ncols on which it acts as -R, so M: V -> W intertwines iff R m = 0
+    (the abelian algebra makes any action a module).  Spinning V is trivial."""
     neg = [{j: -x for j, x in row.items()} for row in rows]
     neg += [{} for _ in range(ncols - len(rows))]
-    V = GradedModule(abelian, trivial_subgroup(GROUP), [(0, 0)], [[{}]])
-    W = GradedModule(abelian, trivial_subgroup(GROUP), [(0, 0)] * ncols, [neg])
+    V, W = _modules(f, [{}], neg)
     assert _intertwiner_system(V, W) == ([(r, 0) for r in range(ncols)], rows)
+    return V, W
+
+
+def _realising_dually(rows, ncols, f=F4):
+    """Modules V, W with the same system as _realising, the other way round
+    (ncols >= len(rows)): V = F^ncols on which the generator acts as R^T, W a
+    line on which it acts as 0, so M: V -> W intertwines iff M R^T = 0.
+    Here V is spun from unit vectors under R^T, with several generators
+    when R^T is not cyclic."""
+    V, W = _modules(f, linalg.transpose(rows, ncols), [{}])
+    assert _intertwiner_system(V, W) == ([(0, c) for c in range(ncols)], rows)
     return V, W
 
 
@@ -198,7 +285,7 @@ NO_CERTIFICATE = {
     # p divides a denominator: the system has no image mod p
     "denominator divisible by p": (lambda: [{0: _q(Fraction(1, P4)), 1: F4.one}], False),
     # p -> 0: the rank drops mod p, the candidate fails the exact check and
-    # the next prime has other pivots
+    # the next prime has other last columns
     "rank drop": (lambda: [{0: _q(P4), 1: F4.one}], True),
     # 10^13 exceeds the reconstruction bound of _MAX_PRIMES primes
     "height beyond every prime": (lambda: [{0: F4.one, 1: _q(-10**13)}], True),
@@ -211,13 +298,12 @@ NO_CERTIFICATE = {
 @pytest.mark.parametrize("name", sorted(NO_CERTIFICATE))
 def test_each_fallback_returns_the_exact_basis(name, monkeypatch):
     make, lifted = NO_CERTIFICATE[name]
-    rows = make()
-    V, W = _realising(rows, 2)
+    V, W = _realising(make(), 2)
     if not lifted:
         def refuse(*args):
             raise AssertionError("lifted a candidate")
         monkeypatch.setattr(modp, "_lift", refuse)
-    assert modp.certified_nullspace(F4, rows, 2) is None
+    assert _certified(V, W) is None
     maps = intertwiners(V, W)
     assert maps == _exact_maps(V, W) and len(maps) == 1
 
@@ -227,11 +313,11 @@ def test_heights_beyond_one_prime_are_lifted_by_crt():
     # reconstructs numerators and denominators up to 724 only
     assert isqrt(P4 // 2) == 724
     rows = [{0: F4.one, 2: _q(Fraction(-1, 1009))}, {1: F4.one, 2: _q(-1000003)}]
-    V, W = _realising(rows, 3)
     exact = linalg.nullspace(F4, rows, 3)
     assert exact == [{0: _q(Fraction(1, 1009)), 1: _q(1000003), 2: F4.one}]
-    assert modp.certified_nullspace(F4, rows, 3) == exact
-    assert intertwiners(V, W) == _exact_maps(V, W)
+    for V, W in (_realising(rows, 3), _realising_dually(rows, 3)):
+        assert _certified(V, W) == _exact_maps(V, W) == intertwiners(V, W)
+        assert len(_exact_maps(V, W)) == 1
 
 
 def _entry(data, f, p, kind):
@@ -252,7 +338,7 @@ def _entry(data, f, p, kind):
 
 @settings(derandomize=True, max_examples=80, deadline=None)
 @given(st.sampled_from([1, 3, 4, 5, 12]), st.data())
-def test_certified_nullspace_is_none_or_the_exact_basis(m, data):
+def test_certified_hom_is_none_or_the_exact_basis(m, data):
     f = field(m)
     p = modp.prime_for(m)
     kind = data.draw(st.sampled_from(["small", "large", "p"]), label="kind")
@@ -273,5 +359,8 @@ def test_certified_nullspace_is_none_or_the_exact_basis(m, data):
         extra = linalg.axpy(dict(rows[0]), c, rows[-1]) if not c.is_zero() else dict(rows[0])
         if extra:
             rows.append(extra)
-    out = modp.certified_nullspace(f, rows, ncols)
-    assert out is None or out == linalg.nullspace(f, rows, ncols)
+    # a system with more rows than variables gets unconstrained variables
+    ncols = max(ncols, len(rows))
+    for V, W in (_realising(rows, ncols, f), _realising_dually(rows, ncols, f)):
+        out = _certified(V, W)
+        assert out is None or out == _exact_maps(V, W)
