@@ -47,9 +47,12 @@ class ColourAlgebra:
                 raise InvalidInput(f"bracket indices ({i},{j}) out of range")
             row = {}
             for k, c in comp.items():
+                k = int(k)
+                if not 0 <= k < len(self.basis):
+                    raise InvalidInput(f"bracket output index {k} out of range")
                 c = self._scalar(c)
                 if not c.is_zero():
-                    row[int(k)] = c
+                    row[k] = c
             table[(i, j)] = row
         self._table = self._complete(table)
         self._validate()

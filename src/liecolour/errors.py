@@ -48,7 +48,7 @@ class InvalidSubmodule(LieColourError):
     pass
 
 
-class InvalidSubgroupStep(LieColourError):
+class InvalidSubgroupStep(InvalidInput):
     pass
 
 

@@ -80,6 +80,14 @@ V_t into V_{t + deg x_k}, so closure_rank closes the identity of each
 sector V_t under left multiplication by such blocks and adds up the block
 ranks: the same algebra, and dimension, as the closure of the d^2-long
 words under all the generators.
+
+The closure and the spin of step 1 grow one incremental echelon,
+_FpEchelon (the Meat-Axe spinning form; Parker 1984), whose rows are each
+1 at their own pivot and 0 at the others': a vector is reduced by one
+product, vec[pivots] @ rows, which sums up to ncols products of entries in
+[0, p).  So the closure needs ncols (p - 1)^2 < 2^63, where ncols, the size
+of a block V_t -> V_s, is at most (largest sector) d <= d^2;
+certifies_full_closure gives no certificate past that bound.
 """
 
 from __future__ import annotations
@@ -147,22 +155,6 @@ def order_m_root(m, p):
     raise InvalidInput("no root found")  # unreachable for prime p
 
 
-def _coords_fp(x, p):
-    """Power-basis coordinates of a CycloNum mod p: its numerators times
-    den^-1.  Raises ValueError when p divides the denominator."""
-    inv = pow(x.den, -1, p)
-    return [n * inv % p for n in x.nums]
-
-
-def scalar_to_fp(x, p, omega):
-    """Image of a CycloNum under zeta -> omega in F_p.  Raises ValueError
-    when p divides the denominator."""
-    acc = 0
-    for c in reversed(_coords_fp(x, p)):
-        acc = (acc * omega + c) % p
-    return acc
-
-
 def fp_images(mats, n, p):
     """The F_p images of n x n matrices of sparse rows under zeta -> omega,
     as a function of omega that returns an int64 array (len(mats), n, n).
@@ -175,7 +167,8 @@ def fp_images(mats, n, p):
         for i, row in enumerate(mat):
             for j, x in row.items():
                 where.append((k, i, j))
-                coords.append(_coords_fp(x, p))
+                inv = pow(x.den, -1, p)  # power-basis coordinates: nums / den
+                coords.append([n * inv % p for n in x.nums])
     index = tuple(np.array(where, dtype=np.intp).reshape(-1, 3).T)
     coords = np.array(coords, dtype=np.int64) if where else np.zeros((0, 1), dtype=np.int64)
 
@@ -196,33 +189,42 @@ def fp_for_field(f):
 
 
 class _FpEchelon:
-    """Row echelon accumulator over F_p with int64 numpy rows."""
+    """Incrementally built reduced basis of a subspace of F_p^ncols, the F_p
+    counterpart of linalg.RowBasis.  The first `rank` rows of `rows` are the
+    basis in the order added; row i is 1 at column pivots[i] and 0 at the
+    other rows' pivots.  Both arrays are allocated once, for the ncols rows
+    a basis can have."""
 
     def __init__(self, ncols, p):
         self.p = p
         self.ncols = ncols
-        self.rows = []
-        self.pivots = []
-
-    @property
-    def rank(self):
-        return len(self.rows)
+        self.rank = 0
+        self.rows = np.empty((ncols, ncols), dtype=np.int64)
+        self.pivots = np.empty(ncols, dtype=np.intp)
 
     def add(self, vec):
-        p = self.p
-        v = vec % p
-        for row, piv in zip(self.rows, self.pivots):
-            c = int(v[piv])
-            if c:
-                v = (v - c * row) % p
-        nz = np.nonzero(v)[0]
+        """Insert vec, entries in [0, p): the row it adds, normalised and
+        reduced, or None if vec is in the span."""
+        p, r = self.p, self.rank
+        rows = self.rows[:r]
+        if r:
+            # a row's coefficient is vec's entry at the row's pivot
+            vec = (vec - vec[self.pivots[:r]] @ rows) % p
+        nz = vec.nonzero()[0]
         if nz.size == 0:
             return None
-        piv = int(nz[0])
-        v = v * pow(int(v[piv]), -1, p) % p
-        self.rows.append(v)
-        self.pivots.append(piv)
-        return v
+        c = int(nz[0])
+        vec = vec * pow(int(vec[c]), -1, p) % p
+        hit = rows[:, c].nonzero()[0]
+        if hit.size:  # in place, to hold fewer row-block temporaries at once
+            cleared = rows[hit]
+            cleared -= np.outer(cleared[:, c], vec)
+            cleared %= p
+            rows[hit] = cleared
+        self.rows[r] = vec
+        self.pivots[r] = c
+        self.rank = r + 1
+        return vec
 
 
 def closure_rank(mats, p, dim, parts):
@@ -343,24 +345,13 @@ def _spin_tree(mats, p, d):
     vector e_c, a generator, and (k, j) when it is mats[k] times vector j.
     Unit vectors are tried in index order, each only once the span of the
     ones before has closed below d."""
-    reduced = np.zeros((d, d), dtype=np.int64)  # 1 at own pivot, 0 at others'
-    pivots, vecs, tree = [], [], []
+    basis = _FpEchelon(d, p)
+    vecs, tree = [], []
 
     def add(v, how):
-        r = len(pivots)
-        resid = (v - v[pivots] @ reduced[:r]) % p if r else v
-        nz = resid.nonzero()[0]
-        if nz.size == 0:
-            return
-        c = int(nz[0])
-        resid = resid * pow(int(resid[c]), -1, p) % p
-        col = reduced[:r, c].copy()
-        if np.count_nonzero(col):
-            reduced[:r] = (reduced[:r] - np.outer(col, resid)) % p
-        reduced[r] = resid
-        pivots.append(c)
-        vecs.append(v)
-        tree.append(how)
+        if basis.add(v) is not None:
+            vecs.append(v)
+            tree.append(how)
 
     for c in range(d):
         if len(vecs) == d:
@@ -525,8 +516,10 @@ def certifies_full_closure(f, mats, parts, d):
     projections generate has dimension d^2 mod p, which proves it is all of
     End(f^d).  `mats` are the exact sparse action matrices and `parts` the
     basis indices of each non-empty sector, as closure_rank takes them."""
+    p, omega = fp_for_field(f)
+    if max(map(len, parts), default=0) * d * (p - 1) ** 2 >= 1 << 63:
+        return False  # beyond the int64 bound of the module docstring
     try:
-        p, omega = fp_for_field(f)
         fp = fp_images(mats, d, p)(omega)
     except ValueError:  # a denominator is 0 mod p
         return False

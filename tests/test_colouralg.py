@@ -16,7 +16,7 @@ from liecolour import (
     trivial_multiplier,
 )
 from liecolour.colouralg import ColourAlgebra
-from liecolour.errors import AlgebraValidationError
+from liecolour.errors import AlgebraValidationError, InvalidInput
 from liecolour.grading import twisted_factor
 from liecolour.workbench import (
     GROUP,
@@ -47,6 +47,13 @@ def test_sign_flipped_constants_remain_valid():
         GROUP, sl2c_factor(), [("a1", (1, 0)), ("a2", (0, 1)), ("a3", (1, 1))], constants
     )
     assert alg.bracket_basis(1, 2) == {0: -F4.one}
+
+
+@pytest.mark.parametrize("k", [3, -1])
+def test_bracket_output_index_out_of_range_is_invalid_input(k):
+    basis = [("a1", (1, 0)), ("a2", (0, 1)), ("a3", (1, 1))]
+    with pytest.raises(InvalidInput, match="output index"):
+        ColourAlgebra(GROUP, sl2c_factor(), basis, {(0, 1): {k: 1}})
 
 
 def test_jacobi_violation_caught_with_witness():

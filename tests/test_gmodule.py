@@ -378,7 +378,7 @@ def test_denominators_divisible_by_p_give_no_certificate_but_exact_verdicts():
     # zero nullity; mod p neither can be certified, since p divides a
     # denominator
     with pytest.raises(ValueError):  # Q2 acts as 1/p
-        modp.scalar_to_fp(V.action[2][0][0], *modp.fp_for_field(F4))
+        modp.fp_images(V.action, 1, p)
     assert not modp.certifies_full_closure(F4, V.action, [[0]], 1)
     assert modp.certified_hom(F4, V.action, partner.action, V.degrees, partner.degrees) is None
     verdict = is_graded_irreducible(V)

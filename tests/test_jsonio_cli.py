@@ -102,6 +102,14 @@ def test_cli_verify_rejects_inexact_coefficient(tmp_path, coeff):
     assert main(["verify", path]) == 2
 
 
+def test_cli_verify_rejects_an_out_of_range_bracket_output(tmp_path):
+    # bracket output index 9 on a 3-dimensional algebra: exit 2, not a traceback
+    blob = jsonio.algebra_to_json(make_sl2c())
+    coeffs = blob["brackets"][0]["coeffs"]
+    coeffs["9"] = coeffs.pop(next(iter(coeffs)))
+    assert main(["verify", _write(tmp_path, "bad.json", blob)]) == 2
+
+
 def _set(path, value):
     def mutate(blob):
         *outer, last = path
@@ -323,15 +331,21 @@ def test_cli_refine_by_parsing(tmp_path, capsys):
         ("loop", "--refine-by", "a:b"),
         ("loop", "--refine-by", "1:1.5"),
         ("loop", "--refine-by", "1:"),
+        # the trivial subgroup: index 4 in V1's grading group, not a prime step
+        ("loop", "--refine-by", ""),
+        # (1, 0) lies outside the bd-model seed's grading subgroup <(1, 1)>
+        ("loop", "--refine-by", "1:0"),
         ("lift", "--group", "2,x"),
         ("lift", "--group", "2,2.0"),
         ("lift", "--group", "0x2,2"),
     ],
 )
 def test_cli_rejects_malformed_group_flags(tmp_path, command, flag, value):
-    # group flags follow the JSON integer rule: exit 2, not a traceback
-    v1 = _write(tmp_path, "v1.json", jsonio.module_to_json(make_V_lambda(1)))
-    assert main([command, v1, flag, value]) == 2
+    # group flags follow the JSON integer rule, and a subgroup that is no
+    # valid step is invalid input too: exit 2, not a traceback or a mismatch
+    module = make_bd_model()[1] if value == "1:0" else make_V_lambda(1)
+    path = _write(tmp_path, "module.json", jsonio.module_to_json(module))
+    assert main([command, path, flag, value]) == 2
 
 
 # -- properties -----------------------------------------------------------------

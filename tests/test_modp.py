@@ -5,8 +5,9 @@ import random
 from fractions import Fraction
 from math import isqrt
 
+import numpy as np
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from liecolour import (
     direct_sum,
@@ -29,7 +30,7 @@ from liecolour.gmodule import (
     _intertwiner_system,
 )
 from liecolour.loopfunctor import loop
-from liecolour.workbench import GROUP, catalog_modules, classify_lambda, sl2c_factor
+from liecolour.workbench import GROUP, catalog_modules, classify_lambda, make_V_lambda, sl2c_factor
 
 
 def _fp_by_coefficient(x, p, omega):
@@ -42,8 +43,17 @@ def _fp_by_coefficient(x, p, omega):
     return acc
 
 
+def _diagonal_images(scalars, p, omega):
+    """The F_p images of the scalars through fp_images, as the diagonal of
+    one sparse diagonal matrix."""
+    n = len(scalars)
+    image = modp.fp_images([[{i: x} for i, x in enumerate(scalars)]], n, p)(omega)
+    return [int(x) for x in image[0].diagonal()]
+
+
 @pytest.mark.parametrize("m", [3, 4, 12])
 def test_scalar_to_fp_matches_the_per_coefficient_formula(m):
+    # fp_images is the library's one map from scalars to F_p
     f = field(m)
     p, omega = modp.fp_for_field(f)
     rng = random.Random(3000 + m)
@@ -56,23 +66,25 @@ def test_scalar_to_fp_matches_the_per_coefficient_formula(m):
             for _ in range(f.degree)
         ])
 
-    for _ in range(200):
-        a, b = rand(), rand()
-        image = modp.scalar_to_fp(a, p, omega)
-        assert image == _fp_by_coefficient(a, p, omega)
-        # zeta -> omega is a ring map
-        assert modp.scalar_to_fp(a * b, p, omega) == image * modp.scalar_to_fp(b, p, omega) % p
-        assert modp.scalar_to_fp(a + b, p, omega) == (image + modp.scalar_to_fp(b, p, omega)) % p
+    pairs = [(rand(), rand()) for _ in range(200)]
+    a_images, b_images, products, sums = (
+        _diagonal_images(column, p, omega)
+        for column in zip(*((a, b, a * b, a + b) for a, b in pairs))
+    )
+    assert a_images == [_fp_by_coefficient(a, p, omega) for a, _ in pairs]
+    # zeta -> omega is a ring map
+    assert products == [x * y % p for x, y in zip(a_images, b_images)]
+    assert sums == [(x + y) % p for x, y in zip(a_images, b_images)]
 
 
 @pytest.mark.parametrize("m", [3, 4, 12])
 def test_scalar_to_fp_refuses_a_denominator_divisible_by_p(m):
     f = field(m)
-    p, omega = modp.fp_for_field(f)
+    p, _ = modp.fp_for_field(f)
     for x in (f.from_rational(Fraction(3, p)),
               f.num([Fraction(1, 2)] + [Fraction(1, 2 * p)] * (f.degree - 1))):
         with pytest.raises(ValueError):
-            modp.scalar_to_fp(x, p, omega)
+            modp.fp_images([[{0: x}]], 1, p)
 
 
 def _block_closure_rank(module):
@@ -104,6 +116,88 @@ def test_block_closure_rank_equals_the_exact_closure():
     assert len(ranks) == 62
     below = [name for name, (_, exact) in ranks.items() if exact < modules[name].dim ** 2]
     assert {"loopE2", "V1+V2", "E+2+O-2", "diag(1, 2)"} <= set(below)
+
+
+# ---------------------------------------------------------------------------
+# The incremental F_p echelon, the spin tree and the closure's int64 bound
+# ---------------------------------------------------------------------------
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(
+    st.sampled_from([2, 3, 7, 1048589]),
+    st.integers(1, 80),
+    st.lists(st.sampled_from(["random", "zero", "repeat", "combination"]), max_size=120),
+    st.integers(0, 2**32 - 1),
+)
+@example(1048589, 12, ["random"] * 16 + ["zero", "repeat", "combination"], 0)
+def test_echelon_equals_the_batch_rref(p, ncols, kinds, seed):
+    # rows fed one at a time give the basis fp_rref gives on the stack, also
+    # once the basis fills its ncols rows and more rows arrive
+    rng = np.random.default_rng(seed)
+    rows = []
+    for kind in kinds:
+        if kind == "random" or not rows:
+            row = rng.integers(0, p, ncols)
+        elif kind == "zero":
+            row = np.zeros(ncols, dtype=np.int64)
+        elif kind == "repeat":
+            row = rows[rng.integers(len(rows))].copy()
+        else:
+            coeffs = rng.integers(0, p, len(rows))
+            row = coeffs @ np.array(rows) % p
+        rows.append(row.astype(np.int64))
+    ech = modp._FpEchelon(ncols, p)
+    for row in rows:
+        before = ech.rank
+        added = ech.add(row.copy())
+        assert (added is None) == (ech.rank == before)
+        if added is not None:
+            assert added[ech.pivots[before]] == 1
+    stacked = np.array(rows, dtype=np.int64).reshape(-1, ncols)
+    pivots = modp.fp_rref(stacked, p)
+    order = np.argsort(ech.pivots[: ech.rank])
+    assert ech.pivots[: ech.rank][order].tolist() == pivots
+    assert np.array_equal(ech.rows[: ech.rank][order], stacked[: len(pivots)])
+
+
+def test_spin_tree_starts_a_generator_for_each_closed_block():
+    # blocks {0, 1}, {2, 3, 4} and {5}: a cyclic shift on each block, and a
+    # second matrix that keeps the blocks
+    p, d = modp.prime_for(4), 6
+    shift = np.zeros((d, d), dtype=np.int64)
+    for i, j in ((1, 0), (0, 1), (3, 2), (4, 3), (2, 4)):
+        shift[i, j] = 1
+    other = np.zeros((d, d), dtype=np.int64)
+    other[:2, :2] = [[5, 7], [11, 13]]
+    other[2:5, 2:5] = [[2, 0, 1], [3, 4, 0], [0, 6, 8]]
+    other[5, 5] = 9
+    mats = np.stack([shift, other])
+    tree = modp._spin_tree(mats, p, d)
+    assert [c for k, c in tree if k is None] == [0, 2, 5]
+    basis = []
+    for i, (k, j) in enumerate(tree):
+        if k is None:
+            basis.append(np.eye(1, d, j, dtype=np.int64)[0])
+        else:
+            assert j < i
+            basis.append(mats[k] @ basis[j] % p)
+    assert modp.fp_rank(np.array(basis), p) == d
+
+
+def test_closure_past_the_int64_bound_gives_no_certificate(monkeypatch):
+    V, graded = make_V_lambda(2), catalog_modules(2)["E+2"]
+    f = V.field
+    parts = {name: [idx for idx in M.sector_indices().values() if idx]
+             for name, M in (("V", V), ("graded", graded))}
+    assert modp.certifies_full_closure(f, V.action, parts["V"], 3)
+    # a prime p = 1 (mod 4) near 2^30: 3 x 3 (p - 1)^2 > 2^63 for V, one
+    # sector of 3, but 1 x 3 (p - 1)^2 < 2^63 for E+2, sectors of 1
+    big = (1 << 30) + 1
+    while not modp._is_prime(big):
+        big += f.m
+    monkeypatch.setattr(modp, "fp_for_field", lambda _: (big, modp.order_m_root(f.m, big)))
+    assert not modp.certifies_full_closure(f, V.action, parts["V"], 3)
+    assert modp.certifies_full_closure(f, graded.action, parts["graded"], 3)
 
 
 # ---------------------------------------------------------------------------
