@@ -41,15 +41,19 @@ class ColourAlgebra:
         self.epsilon = epsilon
         self.field = epsilon.field
         self.basis = tuple((str(n), group.reduce(d)) for n, d in basis)
+        n = len(self.basis)
+
+        def index(i, what):
+            if type(i) is not int or not 0 <= i < n:
+                raise InvalidInput(f"bracket {what} index {i!r} is no integer in 0..{n - 1}")
+
         table = {}
         for (i, j), comp in constants.items():
-            if not (0 <= i < len(self.basis) and 0 <= j < len(self.basis)):
-                raise InvalidInput(f"bracket indices ({i},{j}) out of range")
+            index(i, "input")
+            index(j, "input")
             row = {}
             for k, c in comp.items():
-                k = int(k)
-                if not 0 <= k < len(self.basis):
-                    raise InvalidInput(f"bracket output index {k} out of range")
+                index(k, "output")
                 c = self._scalar(c)
                 if not c.is_zero():
                     row[k] = c

@@ -5,13 +5,14 @@ A module stores one action matrix per algebra basis element, as sparse rows
 degrees live in Gamma/H, H = {0} is the fully graded case and H = Gamma
 encodes an ungraded module.
 
-Irreducibility uses the Burnside criterion over the augmented operator set
-(action matrices plus diagonal grading operators for characters of
+Irreducibility uses the Burnside criterion on the action matrices and the
+sector projections (the span of the grading operators for characters of
 Gamma/H): the module is absolutely irreducible iff the unital algebra these
-generate is all of End(V).  The closure dimension is computed mod p first,
-one sector block at a time (see modp); a full-rank answer mod p certifies
-the exact answer, anything else falls back to exact witness search and, as
-a last resort, an exact closure of the whole augmented set.
+generate is all of End(V).  Its dimension is the sum over sectors V_t of
+the dimension of the words in the action on V_t (see modp).  It is
+computed mod p first; a full-rank answer mod p certifies the exact answer,
+anything else falls back to exact witness search and, as a last resort,
+the same sector closure over Q(zeta_m).
 
 Modules are validated where they enter the program, and only there: the
 GradedModule constructor (user code and the catalog formulas) and JSON
@@ -34,7 +35,7 @@ from typing import Optional
 import numpy as np
 
 from . import linalg, modp
-from .abelian import Character, quotient
+from .abelian import quotient
 from .colouralg import discolour as discolour_algebra
 from .errors import (
     InconclusiveIrreducibility,
@@ -491,40 +492,27 @@ def iso_labels(modules):
 # irreducibility
 # ---------------------------------------------------------------------------
 
-def _grading_operators(module):
-    """Diagonal operators T_chi for characters of Gamma/H (i.e. H-perp)."""
-    if module.is_ungraded():
-        return []
-    from .abelian import h_perp
+def _closure_rank_exact(f, mats, parts, d):
+    """Dimension over f of the unital algebra that a graded action and its
+    sector projections generate, for `mats` the exact sparse action matrices
+    and `parts` as modp.closure_rank takes them.  Each sector V_t's
+    inclusion, a d x n_t matrix flattened row-major, is closed under left
+    multiplication by the action, and the ranks are summed (why this is the
+    dimension: see the modp docstring)."""
+    total = 0
+    for idx in parts:
+        n = len(idx)
 
-    g = module.algebra.group
-    f = module.field
-    perp = h_perp(g, module.hsub)
-    ops = []
-    for exps in perp.elements:
-        if not any(exps):
-            continue
-        ch = Character(g, exps)
-        ops.append([{i: ch.eval(d, f)} for i, d in enumerate(module.degrees)])
-    return ops
+        def products(w):
+            wm = linalg.zeros(d)
+            for t, x in w.items():
+                wm[t // n][t % n] = x
+            for g in mats:
+                yield {i * n + c: x for i, row in enumerate(mat_mul(g, wm)) for c, x in row.items()}
 
-
-def _generator_matrices(module):
-    return list(module.action) + _grading_operators(module)
-
-
-def _closure_rank_exact(f, mats, d):
-    """Dimension of the unital algebra the d x d matrices generate, exactly."""
-
-    def products(w):
-        wm = linalg.zeros(d)
-        for t, x in w.items():
-            wm[t // d][t % d] = x
-        for g in mats:
-            yield {i * d + j: x for i, row in enumerate(mat_mul(wm, g)) for j, x in row.items()}
-
-    eye = {i * d + i: f.one for i in range(d)}
-    return RowBasis(f, d * d).close([eye], products).rank
+        inclusion = {i * n + c: f.one for c, i in enumerate(idx)}
+        total += RowBasis(f, d * n).close([inclusion], products).rank
+    return total
 
 
 def _field_roots(f, mu):
@@ -661,7 +649,7 @@ def is_graded_irreducible(module) -> IrreducibilityVerdict:
         witness.validate()
         return IrreducibilityVerdict(False, witness=witness)
     # exact authority: the mod-p rank may have dropped on an unlucky prime
-    rank_exact = _closure_rank_exact(f, _generator_matrices(module), d)
+    rank_exact = _closure_rank_exact(f, module.action, parts, d)
     if rank_exact == d * d:
         return IrreducibilityVerdict(True, closure_dim=d * d)
     # by the density theorem a graded irreducible module whose commutant is

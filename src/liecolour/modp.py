@@ -79,7 +79,10 @@ matrices alone, restricted to V_t and landing in V_s.  Each rho(x_k) maps
 V_t into V_{t + deg x_k}, so closure_rank closes the identity of each
 sector V_t under left multiplication by such blocks and adds up the block
 ranks: the same algebra, and dimension, as the closure of the d^2-long
-words under all the generators.
+words under all the generators.  gmodule's exact fallback closes the same
+words on V_t in one echelon d n_t wide, where closure_rank keeps one per
+target block V_t -> V_s: dense F_p rows pay for their width, while sparse
+exact rows do not.
 
 The closure and the spin of step 1 grow one incremental echelon,
 _FpEchelon (the Meat-Axe spinning form; Parker 1984), whose rows are each
@@ -102,31 +105,6 @@ from . import linalg
 from .abelian import _prime_factors
 from .errors import InvalidInput
 
-_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
-
-
-def _is_prime(n):
-    if n < 2:
-        return False
-    for q in _MR_BASES:
-        if n % q == 0:
-            return n == q
-    d, s = n - 1, 0
-    while d % 2 == 0:
-        d //= 2
-        s += 1
-    for a in _MR_BASES:
-        x = pow(a, d, n)
-        if x in (1, n - 1):
-            continue
-        for _ in range(s - 1):
-            x = x * x % n
-            if x == n - 1:
-                break
-        else:
-            return False
-    return True
-
 
 @lru_cache(maxsize=None)
 def prime_for(m, i=0):
@@ -136,7 +114,7 @@ def prime_for(m, i=0):
     else:
         base = 1 << 20
         p = base + 1 + ((-base) % m)
-    while not _is_prime(p):
+    while _prime_factors(p) != {p}:
         p += m
     return p
 

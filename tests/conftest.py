@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from liecolour import AbelianGroup, CommutationFactor, field
+from liecolour import AbelianGroup, CommutationFactor, Character, field, h_perp, linalg
 
 
 def random_commutation_factor(group, f, rng):
@@ -42,3 +42,27 @@ def field_for(group):
 @pytest.fixture(scope="session")
 def rng():
     return random.Random(20240817)
+
+
+def augmented_closure_rank(module):
+    """The unblocked Burnside closure, a reference for the sector-block ones:
+    the dimension of the unital algebra that the action matrices and the
+    diagonal grading operators T_chi, chi in H-perp, generate, computed by
+    closing the identity under right multiplication as d^2-long words."""
+    f, d = module.field, module.dim
+    group = module.algebra.group
+    mats = list(module.action)
+    for exps in h_perp(group, module.hsub).elements:
+        if any(exps):
+            chi = Character(group, exps)
+            mats.append([{i: chi.eval(deg, f)} for i, deg in enumerate(module.degrees)])
+
+    def products(w):
+        wm = linalg.zeros(d)
+        for t, x in w.items():
+            wm[t // d][t % d] = x
+        for g in mats:
+            yield {i * d + j: x for i, row in enumerate(linalg.mat_mul(wm, g)) for j, x in row.items()}
+
+    eye = {i * d + i: f.one for i in range(d)}
+    return linalg.RowBasis(f, d * d).close([eye], products).rank

@@ -35,7 +35,7 @@ from liecolour import (
 )
 from liecolour.colouralg import ColourAlgebra
 from liecolour.errors import AlgebraValidationError
-from liecolour.gmodule import _closure_rank_exact, _generator_matrices
+from liecolour.gmodule import _closure_rank_exact
 from liecolour.grading import parity_split
 from liecolour.workbench import (
     GROUP,
@@ -51,7 +51,7 @@ from liecolour.workbench import (
     sl2c_factor,
 )
 
-from conftest import battery_groups, field_for, random_commutation_factor
+from conftest import augmented_closure_rank, battery_groups, field_for, random_commutation_factor
 
 MAX_LAMBDA = 6
 
@@ -300,10 +300,10 @@ def test_criterion_8_oracle_agreement():
             if spin(module, [{i: f.one}]).dim < module.dim:
                 spins_full = False
                 break
-        closure_full = (
-            _closure_rank_exact(f, _generator_matrices(module), module.dim)
-            == module.dim**2
-        )
+        parts = [idx for idx in module.sector_indices().values() if idx]
+        closure = _closure_rank_exact(f, module.action, parts, module.dim)
+        assert closure == augmented_closure_rank(module), name
+        closure_full = closure == module.dim**2
         assert verdict.irreducible == closure_full == (comm_dim == 1 and spins_full), (
             name,
             verdict.irreducible,

@@ -56,6 +56,17 @@ def test_bracket_output_index_out_of_range_is_invalid_input(k):
         ColourAlgebra(GROUP, sl2c_factor(), basis, {(0, 1): {k: 1}})
 
 
+@pytest.mark.parametrize("constants, index", [
+    ({(0.5, 1): {2: 1}}, "input index 0.5"),  # was dropped: [x0, x1] = 0
+    ({(0, 1): {2.5: 1}}, "output index 2.5"),  # was stored at index 2
+    ({(True, 1): {2: 1}}, "input index True"),  # was read as (1, 1)
+])
+def test_non_integer_bracket_index_is_invalid_input(constants, index):
+    basis = [("a1", (1, 0)), ("a2", (0, 1)), ("a3", (1, 1))]
+    with pytest.raises(InvalidInput, match=index):
+        ColourAlgebra(GROUP, sl2c_factor(), basis, constants)
+
+
 def test_jacobi_violation_caught_with_witness():
     # one even element acting on an odd one whose square feeds back: with
     # [h,x] = x and [[x,x]] = h the cyclic sum on (h,x,x) is -2h != 0

@@ -389,6 +389,44 @@ def test_denominators_divisible_by_p_give_no_certificate_but_exact_verdicts():
     assert intertwiners(V, partner) == []
 
 
+def test_graded_irreducible_module_with_denominators_divisible_by_p_is_closed_exactly():
+    # D E+2 D^-1 with D = diag(p, 1, 1) keeps the sectors (dims 1, 1, 0, 1)
+    # and puts p in a denominator, so mod p certifies nothing and the exact
+    # sector-block closure decides
+    from liecolour import modp
+
+    E = make_sl2_graded(2, "E+")
+    p = modp.prime_for(4)
+    scale = [F4.from_rational(p), F4.one, F4.one]
+    conj = [
+        [{j: scale[i] * x / scale[j] for j, x in row.items()} for i, row in enumerate(mat)]
+        for mat in E.action
+    ]
+    module = GradedModule(E.algebra, E.hsub, E.degrees, conj)
+    assert module.sector_dims() == [1, 1, 0, 1]
+    parts = [idx for idx in module.sector_indices().values() if idx]
+    assert not modp.certifies_full_closure(F4, module.action, parts, 3)
+    verdict = is_graded_irreducible(module)
+    assert verdict.irreducible and verdict.closure_dim == 9
+
+
+def test_sector_closure_stops_when_its_block_is_full(monkeypatch):
+    # a sector V_t's words live in d n_t columns, so its closure stops once
+    # they are all spanned: on E+2 (sectors of one vector, blocks of rank 3)
+    # no sector multiplies the last of its three rows by the action
+    E = make_sl2_graded(2, "E+")
+    parts = [idx for idx in E.sector_indices().values() if idx]
+    products = []
+
+    def counting(a, b):
+        products.append(a)
+        return linalg.mat_mul(a, b)
+
+    monkeypatch.setattr(gmodule, "mat_mul", counting)
+    assert gmodule._closure_rank_exact(F4, E.action, parts, 3) == 9
+    assert 0 < len(products) <= 2 * len(E.action) * len(parts)
+
+
 ISO_SUMMANDS = {
     "V0": lambda: make_V_lambda(0),
     "V1": lambda: make_V_lambda(1),
@@ -489,7 +527,9 @@ def test_field_roots_numeric_branch():
 
 
 # x acting on Q(i)^2 with x^2 = c for a c that is no square in Q(i): no
-# invariant line over Q(i), two over C
+# invariant line over Q(i), two over C.  Both vectors have degree 0 and
+# H = {0}, so the exact closure that decides runs on one non-empty sector
+# and three empty ones
 NOT_ABSOLUTELY_IRREDUCIBLE = {
     "x^2 = -2": [{1: -1}, {0: 2}],
     "x^2 = -3": [{1: -3}, {0: 1}],

@@ -21,16 +21,14 @@ from liecolour import (
     trivial_subgroup,
 )
 from liecolour import gmodule
+from liecolour.abelian import _prime_factors
 from liecolour.colouralg import ColourAlgebra
 from liecolour.grading import CommutationFactor
-from liecolour.gmodule import (
-    GradedModule,
-    _closure_rank_exact,
-    _generator_matrices,
-    _intertwiner_system,
-)
+from liecolour.gmodule import GradedModule, _closure_rank_exact, _intertwiner_system
 from liecolour.loopfunctor import loop
 from liecolour.workbench import GROUP, catalog_modules, classify_lambda, make_V_lambda, sl2c_factor
+
+from conftest import augmented_closure_rank
 
 
 def _fp_by_coefficient(x, p, omega):
@@ -110,11 +108,12 @@ def test_block_closure_rank_equals_the_exact_closure():
     )
     ranks = {}
     for name, m in modules.items():
-        exact = _closure_rank_exact(m.field, _generator_matrices(m), m.dim)
-        ranks[name] = (_block_closure_rank(m), exact)
-    assert {name: r for name, r in ranks.items() if r[0] != r[1]} == {}
+        parts = [idx for idx in m.sector_indices().values() if idx]
+        exact = _closure_rank_exact(m.field, m.action, parts, m.dim)
+        ranks[name] = (_block_closure_rank(m), exact, augmented_closure_rank(m))
+    assert {name: r for name, r in ranks.items() if len(set(r)) > 1} == {}
     assert len(ranks) == 62
-    below = [name for name, (_, exact) in ranks.items() if exact < modules[name].dim ** 2]
+    below = [name for name, (*_, oracle) in ranks.items() if oracle < modules[name].dim ** 2]
     assert {"loopE2", "V1+V2", "E+2+O-2", "diag(1, 2)"} <= set(below)
 
 
@@ -193,7 +192,7 @@ def test_closure_past_the_int64_bound_gives_no_certificate(monkeypatch):
     # a prime p = 1 (mod 4) near 2^30: 3 x 3 (p - 1)^2 > 2^63 for V, one
     # sector of 3, but 1 x 3 (p - 1)^2 < 2^63 for E+2, sectors of 1
     big = (1 << 30) + 1
-    while not modp._is_prime(big):
+    while _prime_factors(big) != {big}:
         big += f.m
     monkeypatch.setattr(modp, "fp_for_field", lambda _: (big, modp.order_m_root(f.m, big)))
     assert not modp.certifies_full_closure(f, V.action, parts["V"], 3)
