@@ -55,6 +55,14 @@ def _emit(args, payload, text):
     print(json.dumps(payload, sort_keys=True) if args.json else text)
 
 
+def _load(path, kind):
+    """The object in a JSON file of the kind ("algebra" or "module") given."""
+    found, obj = jsonio.load_file(path)
+    if found != kind:
+        raise InvalidInput(f"{path}: expected {kind} file, not {found} file")
+    return obj
+
+
 def _fuzz_algebra(alg, seed, trials=20):
     """Seeded single-entry perturbations of the completed bracket table;
     each must be rejected by validation (or revalidate as genuinely
@@ -94,23 +102,18 @@ def cmd_verify(args):
 
 
 def cmd_discolour(args):
-    kind, alg = jsonio.load_file(args.algebra)
-    if kind != "algebra":
-        raise InvalidInput("discolour expects an algebra file")
+    alg = _load(args.algebra, "algebra")
     if args.sigma == "paper-sl2":
         sigma = workbench.discolouring_sigma()
     else:
-        with open(args.sigma) as fh:
-            sigma = jsonio.bimultiplicative_from_json(Multiplier, json.load(fh))
+        sigma = jsonio.bimultiplicative_from_json(Multiplier, jsonio.read_json(args.sigma))
     out = discolour(alg, sigma)
     print(jsonio.dump(jsonio.algebra_to_json(out)))
     return EXIT_OK
 
 
 def cmd_loop(args):
-    kind, module = jsonio.load_file(args.module)
-    if kind != "module":
-        raise InvalidInput("loop expects a module file")
+    module = _load(args.module, "module")
     gens = _parse_elements(args.refine_by) if args.refine_by else []
     refiner = subgroup_from_generators(module.algebra.group, gens)
     lm = loopfunctor.loop(module, refiner)
@@ -119,34 +122,23 @@ def cmd_loop(args):
 
 
 def cmd_irreducible(args):
-    kind, module = jsonio.load_file(args.module)
-    if kind != "module":
-        raise InvalidInput("irreducible expects a module file")
-    verdict = is_graded_irreducible(module)
-    if args.json:
-        print(json.dumps(verdict.to_json(), sort_keys=True))
+    verdict = is_graded_irreducible(_load(args.module, "module"))
+    if verdict.irreducible:
+        text = f"irreducible (closure dimension {verdict.closure_dim})"
     else:
-        if verdict.irreducible:
-            print(f"irreducible (closure dimension {verdict.closure_dim})")
-        else:
-            print(f"reducible: proper graded submodule of dim {verdict.witness.dim}")
+        text = f"reducible: proper graded submodule of dim {verdict.witness.dim}"
+    _emit(args, verdict.to_json(), text)
     return EXIT_OK if verdict.irreducible else EXIT_MISMATCH
 
 
 def cmd_isomorphic(args):
-    kind_a, a = jsonio.load_file(args.a)
-    kind_b, b = jsonio.load_file(args.b)
-    if kind_a != "module" or kind_b != "module":
-        raise InvalidInput("isomorphic expects two module files")
-    same = is_isomorphic(a, b)
+    same = is_isomorphic(_load(args.a, "module"), _load(args.b, "module"))
     _emit(args, {"isomorphic": same}, "isomorphic" if same else "not isomorphic")
     return EXIT_OK if same else EXIT_MISMATCH
 
 
 def cmd_lift(args):
-    kind, module = jsonio.load_file(args.module)
-    if kind != "module":
-        raise InvalidInput("lift expects a module file")
+    module = _load(args.module, "module")
     orders = [
         jsonio.read_int(x.strip(), "group order") for x in args.group.split(",") if x.strip()
     ]
@@ -161,15 +153,14 @@ def cmd_classify(args):
     payload = report.to_json()
     if args.out:
         jsonio.dump(payload, args.out)
-    if args.json:
-        print(json.dumps(payload, sort_keys=True))
-    else:
-        for row in report.rows:
-            status = "ok" if row.passed else "MISMATCH " + "; ".join(row.notes)
-            print(
-                f"lambda={row.lam}: {row.graded_classes} graded classes of dims "
-                f"{row.graded_dims}, {row.ungraded_classes} ungraded [{status}]"
-            )
+    lines = []
+    for row in report.rows:
+        status = "ok" if row.passed else "MISMATCH " + "; ".join(row.notes)
+        lines.append(
+            f"lambda={row.lam}: {row.graded_classes} graded classes of dims "
+            f"{row.graded_dims}, {row.ungraded_classes} ungraded [{status}]"
+        )
+    _emit(args, payload, "\n".join(lines))
     return EXIT_OK if report.passed else EXIT_MISMATCH
 
 
@@ -248,7 +239,7 @@ def main(argv=None):
     except (AlgebraValidationError, ModuleValidationError) as exc:
         print(f"invalid object: {exc}", file=sys.stderr)
         return EXIT_MISMATCH
-    except (InvalidInput, OSError, json.JSONDecodeError, KeyError) as exc:
+    except (InvalidInput, OSError, KeyError) as exc:
         print(f"invalid input: {exc}", file=sys.stderr)
         return EXIT_INVALID
     except LieColourError as exc:

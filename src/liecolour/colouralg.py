@@ -25,7 +25,7 @@ tests downstream lean on.  discolour stores its result unchecked.
 from __future__ import annotations
 
 from .errors import AlgebraValidationError, InvalidInput
-from .grading import multiplier_inverse, parity_split, twisted_factor
+from .grading import multiplier_inverse, twisted_factor
 
 
 class ColourAlgebra:
@@ -238,8 +238,9 @@ def discolour(algebra, sigma) -> ColourAlgebra:
 
     Valid by construction, so not revalidated (Scheunert 1979): sigma is a
     bicharacter, so eps_s(a,b) eps_s(b,a) = eps(a,b) eps(b,a) = 1,
-    eps_s(a,a) = eps(a,a), order compatibility is inherited (twisted_factor
-    checks them), and the bracket keeps its grading, eps_s-antisymmetry and
+    eps_s(a,a) = eps(a,a), order compatibility is inherited (so the
+    CommutationFactor that twisted_factor builds always passes its check),
+    and the bracket keeps its grading, eps_s-antisymmetry and
     eps_s-Jacobi: each eps_s-Jacobi term is the eps one times sigma(a,b)
     sigma(b,c) sigma(c,a).
     """
@@ -258,13 +259,13 @@ def recolour(algebra, sigma) -> ColourAlgebra:
 
 
 def is_superalgebra(algebra) -> bool:
-    """True iff eps is exactly the super sign of its own parity split."""
-    eps = algebra.epsilon
-    split = parity_split(eps)
-    one = algebra.field.one
-    for a in algebra.group.elements():
-        for b in algebra.group.elements():
-            want = -one if (split.parity(a) and split.parity(b)) else one
-            if eps.eval(a, b) != want:
-                return False
-    return True
+    """True iff eps is exactly the super sign (-1)^{p(a) p(b)} of its own
+    parity split.  Both are bicharacters (a -> eps(a, a) is a character, as
+    eps(a, b) eps(b, a) = 1), so the generator pairs decide, as they do in
+    CommutationFactor._validate."""
+    e, half = algebra.epsilon.exponents, algebra.field.m // 2
+    return all(
+        row[j] == (half if row[i] and e[j][j] else 0)
+        for i, row in enumerate(e)
+        for j in range(len(e))
+    )

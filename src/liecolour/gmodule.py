@@ -286,37 +286,24 @@ def recolour_module(module, sigma) -> GradedModule:
 # spinning and restriction
 # ---------------------------------------------------------------------------
 
-def _homogeneous_parts(module, vec):
-    parts = {}
-    for i, x in vec.items():
-        parts.setdefault(module.degrees[i], {})[i] = x
-    return list(parts.values())
-
-
 def spin(module, vectors) -> Submodule:
     """Smallest submodule containing the (sparse) vectors.
 
-    If the module is graded and every input is homogeneous, images are
-    re-split into homogeneous components so the result is a graded
-    submodule.
+    The action is homogeneous (checked where the module entered, kept by
+    every transform), so if the module is graded and every input is
+    homogeneous, so are their images and the reduced echelon rows of their
+    span: the result is a graded submodule.
     """
-    graded = not module.is_ungraded()
     vecs = [v for v in vectors if v]
-    split = graded and all(len({module.degrees[i] for i in v}) == 1 for v in vecs)
-
-    def pieces(v):
-        return _homogeneous_parts(module, v) if split else [v]
 
     def images(v):
-        for mat in module.action:
-            img = mat_vec(mat, v)
-            if img:
-                yield from pieces(img)
+        return (mat_vec(mat, v) for mat in module.action)
 
-    basis = RowBasis(module.field, module.dim).close(
-        [p for v in vecs for p in pieces(v)], images
+    basis = RowBasis(module.field, module.dim).close(vecs, images)
+    homogeneous = module.is_ungraded() or all(
+        len({module.degrees[i] for i in v}) == 1 for v in vecs
     )
-    return Submodule(parent=module, rows=tuple(basis.rows), homogeneous=split or not graded)
+    return Submodule(parent=module, rows=tuple(basis.rows), homogeneous=homogeneous)
 
 
 def submodule_to_module(sub):

@@ -18,6 +18,11 @@ such as "-1.25" (no exponent).  Integer fields are JSON integers or
 decimal strings (one strict reader); m lies in 1..1024 and a group has at
 most 256 elements.  Every array and object is checked for its type where
 it is read, so a value of the wrong shape is InvalidInput.
+
+Every file is read by read_json, the one place JSON is decoded: a file
+that does not decode (bytes that are not UTF-8, bad syntax, nesting past
+the recursion limit, an integer over the interpreter's digit limit) is
+InvalidInput too.
 """
 
 from __future__ import annotations
@@ -132,6 +137,16 @@ def algebra_from_json(obj):
     return ColourAlgebra(group, eps, basis, constants)
 
 
+def read_json(path):
+    """The JSON value in a file.  ValueError covers JSONDecodeError,
+    UnicodeDecodeError and the interpreter's digit limit on ints."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            return json.load(fh)
+    except (ValueError, RecursionError) as exc:
+        raise InvalidInput(f"{path}: not readable as JSON: {str(exc)[:100]}") from None
+
+
 def module_to_json(module, algebra_ref=None):
     action = []
     for k in range(module.algebra.dim()):
@@ -147,8 +162,7 @@ def module_to_json(module, algebra_ref=None):
 def module_from_json(obj, base_dir="."):
     ref = obj["algebra"]
     if isinstance(ref, str):
-        with open(os.path.join(base_dir, ref)) as fh:
-            ref = json.load(fh)
+        ref = read_json(os.path.join(base_dir, ref))
     alg = algebra_from_json(ref)
     gens = [_ints(g, "H") for g in _typed(obj["H"], list, "H")]
     hsub = subgroup_from_generators(alg.group, gens)
@@ -165,8 +179,7 @@ def module_from_json(obj, base_dir="."):
 
 def load_file(path):
     """Load an algebra or module JSON file; returns ("algebra"|"module", obj)."""
-    with open(path) as fh:
-        obj = json.load(fh)
+    obj = read_json(path)
     if not isinstance(obj, dict):
         raise InvalidInput(f"{path}: expected a JSON object")
     if "action" in obj:

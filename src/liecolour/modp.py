@@ -186,8 +186,12 @@ class _FpEchelon:
         p, r = self.p, self.rank
         rows = self.rows[:r]
         if r:
-            # a row's coefficient is vec's entry at the row's pivot
-            vec = (vec - vec[self.pivots[:r]] @ rows) % p
+            # a row's coefficient is vec's entry at the row's pivot; only
+            # the rows with a nonzero one take part
+            coef = vec[self.pivots[:r]]
+            used = coef.nonzero()[0]
+            if used.size:
+                vec = (vec - coef[used] @ rows[used]) % p
         nz = vec.nonzero()[0]
         if nz.size == 0:
             return None

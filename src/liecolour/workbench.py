@@ -72,9 +72,7 @@ def make_sl2c() -> colouralg.ColourAlgebra:
 def make_sl2_discoloured() -> colouralg.ColourAlgebra:
     trivial = CommutationFactor(GROUP, FIELD, [[0, 0], [0, 0]])
     constants = {(0, 1): {2: 1}, (1, 2): {0: -1}, (2, 0): {1: -1}}
-    alg = colouralg.ColourAlgebra(GROUP, trivial, _SL2_BASIS, constants)
-    assert colouralg.discolour(make_sl2c(), discolouring_sigma()) == alg
-    return alg
+    return colouralg.ColourAlgebra(GROUP, trivial, _SL2_BASIS, constants)
 
 
 def _imag():

@@ -17,7 +17,7 @@ from liecolour import (
 )
 from liecolour.colouralg import ColourAlgebra
 from liecolour.errors import AlgebraValidationError, InvalidInput
-from liecolour.grading import twisted_factor
+from liecolour.grading import parity_split, twisted_factor
 from liecolour.workbench import (
     GROUP,
     make_bd_model,
@@ -26,6 +26,8 @@ from liecolour.workbench import (
     discolouring_sigma,
     sl2c_factor,
 )
+
+from conftest import battery_groups, field_for, random_commutation_factor
 
 F4 = field(4)
 
@@ -219,6 +221,31 @@ def test_is_superalgebra_examples():
     sup = CommutationFactor(z2, F4, [[2]])
     alg = make_algebra(z2, sup, [("q", (1,))], {})
     assert is_superalgebra(alg)
+
+
+def test_is_superalgebra_agrees_with_the_all_pairs_definition(rng):
+    # the definition: eps(a, b) = (-1)^{p(a) p(b)} on every pair of elements;
+    # each random factor is compared, and so is the super sign of its parity
+    def all_pairs(eps):
+        split, one = parity_split(eps), eps.field.one
+        return all(
+            eps.eval(a, b) == (-one if split.parity(a) and split.parity(b) else one)
+            for a in eps.group.elements()
+            for b in eps.group.elements()
+        )
+
+    verdicts = Counter()
+    for group in battery_groups():
+        f = field_for(group)
+        for _ in range(8):
+            eps = random_commutation_factor(group, f, rng)
+            e, half = eps.exponents, f.m // 2
+            sup = [[half if e[i][i] and e[j][j] else 0 for j in range(len(e))] for i in range(len(e))]
+            for factor in (eps, CommutationFactor(group, f, sup)):
+                want = all_pairs(factor)
+                assert is_superalgebra(make_algebra(group, factor, [], {})) == want
+                verdicts[want] += 1
+    assert verdicts[True] and verdicts[False]
 
 
 def test_fuzzed_single_entry_perturbations(rng):

@@ -10,6 +10,7 @@ from hypothesis import given, settings, strategies as st
 
 from liecolour import direct_sum, dual_characters, field, jsonio, parity_shift, twist
 from liecolour.cli import main
+from liecolour.errors import InvalidInput
 from liecolour.grading import Multiplier
 from liecolour.workbench import (
     GROUP,
@@ -215,6 +216,46 @@ def test_cli_verify_names_an_overlong_coefficient(tmp_path, capsys, digit_limit,
     path = _write(tmp_path, "long.json", blob)
     assert main(["verify", path]) == 2
     assert "is too long" in capsys.readouterr().err
+
+
+# files that do not decode as JSON at all: each used to escape json.load as
+# a traceback (UnicodeDecodeError, RecursionError, ValueError) with exit 1
+UNDECODABLE = {
+    "not-utf8": b'{"group": {"orders": [2, 2]}, "name": "\xff\xfe"}',
+    "nested-100000": b"[" * 100_000,
+    "integer-5000-digits": b'{"group": {"orders": [1' + b"0" * 4999 + b"]}}",
+}
+
+
+def _undecodable(tmp_path, case):
+    path = tmp_path / f"{case}.json"
+    path.write_bytes(UNDECODABLE[case])
+    return str(path)
+
+
+@pytest.mark.parametrize("case", sorted(UNDECODABLE))
+def test_load_file_rejects_a_file_that_does_not_decode(tmp_path, digit_limit, case):
+    with pytest.raises(InvalidInput, match="not readable as JSON"):
+        jsonio.load_file(_undecodable(tmp_path, case))
+
+
+@pytest.mark.parametrize("case", sorted(UNDECODABLE))
+@pytest.mark.parametrize("entry", ["verify", "irreducible", "discolour-sigma", "module-algebra"])
+def test_cli_exits_2_on_a_file_that_does_not_decode(tmp_path, capsys, digit_limit, case, entry):
+    # the file is read directly, as the multiplier of discolour --sigma, or
+    # as the "algebra" file a module refers to
+    bad = _undecodable(tmp_path, case)
+    if entry == "discolour-sigma":
+        alg = _write(tmp_path, "sl2c.json", jsonio.algebra_to_json(make_sl2c()))
+        argv = ["discolour", alg, "--sigma", bad]
+    elif entry == "module-algebra":
+        blob = jsonio.module_to_json(make_sl2_graded(2, "E"), algebra_ref=os.path.basename(bad))
+        argv = ["irreducible", _write(tmp_path, "module.json", blob)]
+    else:
+        argv = [entry, bad]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("invalid input:") and "Traceback" not in err
 
 
 def test_cli_verify_accepts_decimal_integer_strings(tmp_path):

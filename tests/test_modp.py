@@ -125,17 +125,25 @@ def test_block_closure_rank_equals_the_exact_closure():
 @given(
     st.sampled_from([2, 3, 7, 1048589]),
     st.integers(1, 80),
-    st.lists(st.sampled_from(["random", "zero", "repeat", "combination"]), max_size=120),
+    st.lists(
+        st.sampled_from(["random", "zero", "repeat", "combination", "sparse"]), max_size=120
+    ),
     st.integers(0, 2**32 - 1),
 )
 @example(1048589, 12, ["random"] * 16 + ["zero", "repeat", "combination"], 0)
+@example(7, 20, ["sparse"] * 24 + ["combination", "random"], 0)
 def test_echelon_equals_the_batch_rref(p, ncols, kinds, seed):
     # rows fed one at a time give the basis fp_rref gives on the stack, also
-    # once the basis fills its ncols rows and more rows arrive
+    # once the basis fills its ncols rows and more rows arrive; a sparse row
+    # (one to three nonzeros) has a zero coefficient on most basis rows
     rng = np.random.default_rng(seed)
     rows = []
     for kind in kinds:
-        if kind == "random" or not rows:
+        if kind == "sparse":
+            row = np.zeros(ncols, dtype=np.int64)
+            at = rng.choice(ncols, size=min(ncols, rng.integers(1, 4)), replace=False)
+            row[at] = rng.integers(1, p, at.size)
+        elif kind == "random" or not rows:
             row = rng.integers(0, p, ncols)
         elif kind == "zero":
             row = np.zeros(ncols, dtype=np.int64)
