@@ -36,7 +36,6 @@ from .errors import (
     ModuleValidationError,
 )
 from .gmodule import is_graded_irreducible, is_isomorphic
-from .grading import Multiplier
 
 EXIT_OK = 0
 EXIT_MISMATCH = 1
@@ -106,7 +105,7 @@ def cmd_discolour(args):
     if args.sigma == "paper-sl2":
         sigma = workbench.discolouring_sigma()
     else:
-        sigma = jsonio.bimultiplicative_from_json(Multiplier, jsonio.read_json(args.sigma))
+        sigma = jsonio.load_multiplier(args.sigma)
     out = discolour(alg, sigma)
     print(jsonio.dump(jsonio.algebra_to_json(out)))
     return EXIT_OK

@@ -22,7 +22,8 @@ it is read, so a value of the wrong shape is InvalidInput.
 Every file is read by read_json, the one place JSON is decoded: a file
 that does not decode (bytes that are not UTF-8, bad syntax, nesting past
 the recursion limit, an integer over the interpreter's digit limit) is
-InvalidInput too.
+InvalidInput too, and so is a missing field, named with the file that
+lacks it (a module's "algebra" file when it is missing there).
 """
 
 from __future__ import annotations
@@ -37,7 +38,7 @@ from .colouralg import ColourAlgebra
 from .cyclotomic import field
 from .errors import InvalidInput
 from .gmodule import GradedModule
-from .grading import CommutationFactor
+from .grading import CommutationFactor, Multiplier
 
 MAX_M = 1024  # building field(m) costs O(m)
 MAX_GROUP_ORDER = 256  # groups are enumerated element by element
@@ -159,11 +160,22 @@ def module_to_json(module, algebra_ref=None):
     }
 
 
+def _decoded(path, build, obj):
+    """build(obj) for the value obj read from the file at path, with a field
+    missing from one of its objects reported against the file."""
+    try:
+        return build(obj)
+    except KeyError as exc:
+        raise InvalidInput(f"{path}: missing field {exc.args[0]!r}") from None
+
+
 def module_from_json(obj, base_dir="."):
     ref = obj["algebra"]
     if isinstance(ref, str):
-        ref = read_json(os.path.join(base_dir, ref))
-    alg = algebra_from_json(ref)
+        path = os.path.join(base_dir, ref)
+        alg = _decoded(path, algebra_from_json, read_json(path))
+    else:
+        alg = algebra_from_json(ref)
     gens = [_ints(g, "H") for g in _typed(obj["H"], list, "H")]
     hsub = subgroup_from_generators(alg.group, gens)
     degrees = [_ints(d, "degrees") for d in _typed(obj["degrees"], list, "degrees")]
@@ -183,10 +195,16 @@ def load_file(path):
     if not isinstance(obj, dict):
         raise InvalidInput(f"{path}: expected a JSON object")
     if "action" in obj:
-        return "module", module_from_json(obj, base_dir=os.path.dirname(path) or ".")
+        base_dir = os.path.dirname(path) or "."
+        return "module", _decoded(path, lambda o: module_from_json(o, base_dir), obj)
     if "brackets" in obj:
-        return "algebra", algebra_from_json(obj)
+        return "algebra", _decoded(path, algebra_from_json, obj)
     raise InvalidInput(f"{path}: neither an algebra nor a module")
+
+
+def load_multiplier(path):
+    """The Multiplier (a discolouring's sigma) in a JSON file."""
+    return _decoded(path, lambda o: bimultiplicative_from_json(Multiplier, o), read_json(path))
 
 
 def dump(obj, path=None):

@@ -4,8 +4,10 @@ Reducing Q(zeta_m) -> F_p along zeta -> omega (omega of multiplicative
 order m, which exists whenever p = 1 mod m) can only lower ranks.  That
 one-sided guarantee is used as a sound fast path, with three certificates:
 
-* `certifies_full_closure`: a full closure rank mod p certifies that the
-  matrices generate the whole matrix algebra over the exact field;
+* `certifies_full_closure`: a full closure mod p (found by two spins when
+  the algebra mod p shows a rank-one idempotent, by the closure rank
+  otherwise) certifies that the matrices generate the whole matrix algebra
+  over the exact field;
 * `certified_hom` with no solution mod p: full column rank mod p of its
   Hom system certifies that the exact Hom space is zero;
 * `certified_hom` otherwise: a Hom basis solved mod p, lifted to
@@ -91,10 +93,35 @@ product, vec[pivots] @ rows, which sums up to ncols products of entries in
 [0, p).  So the closure needs ncols (p - 1)^2 < 2^63, where ncols, the size
 of a block V_t -> V_s, is at most (largest sector) d <= d^2;
 certifies_full_closure gives no certificate past that bound.
+
+Most closures are decided without closure_rank, by a rank-one idempotent
+E_ii (1 at (i, i), 0 elsewhere) in the algebra A mod p, the rank-one case
+of Norton's irreducibility test (Holt & Rees, J. Austral. Math. Soc. A 57,
+1994):
+
+* E_ii is in A when i is alone in its sector V_t, as E_ii = P_t.  It is
+  also in A when a block V_t -> V_t of an action matrix, or of a product
+  rho(x_a) rho(x_b) through V_t -> V_s -> V_t, is diagonal, D, and its
+  entry at i occurs once on D's diagonal: P_t D P_t is in A, and
+  E_ii = P_t q(P_t D P_t) for the Lagrange polynomial q that is 1 at that
+  entry and 0 at the others.  Such a product sums at most d products of
+  entries in [0, p), within the closure's bound above.
+* If the spins of e_i under the matrices and under their transposes are
+  both F_p^d, then A e_i = F_p^d and e_i^T A = (F_p^d)^T (a spin of a
+  homogeneous vector is graded, so the projections add nothing to it).
+  Every u w^T is then a E_ii b with u = a e_i and w^T = e_i^T b, a, b in A,
+  so A = End(F_p^d): its dimension is d^2.
+* If either spin is proper, A is not End(F_p^d), whose e_i spins to all
+  of F_p^d either way, so the dimension is below d^2.
+
+So the answer is closure_rank(...) == d^2 in every case; closure_rank
+runs only when no E_ii shows.  A spin sums d products per entry, as a
+product of two matrices does.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd, isqrt
@@ -209,18 +236,11 @@ class _FpEchelon:
         return vec
 
 
-def closure_rank(mats, p, dim, parts):
-    """Dimension over F_p of the unital algebra generated by a graded action
-    and its sector projections (why blocks suffice: see the module docstring).
-
-    `mats` are the dim x dim F_p action matrices and `parts` the basis
-    indices of each non-empty sector.  By homogeneity the columns of sector
-    t hit one sector s: the block V_t -> V_s.  Each V_t's identity is closed
-    under the blocks, one echelon per target s, and the ranks are summed;
-    each block span, closed under every block, is that of all words on V_t.
-    Callers and the perfbench tracer compare the result with dim^2.
-    """
-    sizes = [len(idx) for idx in parts]
+def _blocks(mats, p, parts):
+    """The nonzero blocks of a graded action: for each sector t (an index
+    into `parts`), the pairs (s, block V_t -> V_s) of the matrices in
+    `mats` that do not vanish on V_t, in the order of `mats`.  By
+    homogeneity the columns of sector t hit one sector s."""
     sector = {i: s for s, idx in enumerate(parts) for i in idx}
     out_of = {}
     for t, idx in enumerate(parts):
@@ -230,6 +250,21 @@ def closure_rank(mats, p, dim, parts):
             if nz.size:
                 s = sector[int(nz[0]) // len(idx)]
                 out_of.setdefault(t, []).append((s, cut[parts[s]]))
+    return out_of
+
+
+def closure_rank(mats, p, dim, parts):
+    """Dimension over F_p of the unital algebra generated by a graded action
+    and its sector projections (why blocks suffice: see the module docstring).
+
+    `mats` are the dim x dim F_p action matrices and `parts` the basis
+    indices of each non-empty sector.  Each V_t's identity is closed under
+    the blocks V_u -> V_s, one echelon per target s, and the ranks are
+    summed; each block span, closed under every block, is that of all words
+    on V_t.  Callers and the perfbench tracer compare the result with dim^2.
+    """
+    sizes = [len(idx) for idx in parts]
+    out_of = _blocks(mats, p, parts)
     total = 0
     for t, n in enumerate(sizes):
         echs = {t: _FpEchelon(n * n, p)}
@@ -248,6 +283,57 @@ def closure_rank(mats, p, dim, parts):
                     work.append((s, added))
         total += sum(ech.rank for ech in echs.values())
     return total
+
+
+def _unique_diagonal_entry(block, idx):
+    """The first index of `idx` whose entry occurs once on the diagonal of
+    the square F_p block, if the block is diagonal; otherwise None."""
+    diag = block.diagonal()
+    if np.count_nonzero(block) != np.count_nonzero(diag):
+        return None
+    values = diag.tolist()
+    counts = Counter(values)
+    return next((i for i, x in zip(idx, values) if counts[x] == 1), None)
+
+
+def _rank_one_index(mats, p, parts):
+    """An index i such that E_ii lies in the algebra that the F_p action
+    matrices and the sector projections generate, or None if none shows.
+    It is looked for in a one-vector sector, then in the blocks V_t -> V_t
+    of the matrices, then in those of the products V_t -> V_s -> V_t: a
+    diagonal block on whose diagonal i's entry occurs once (see the module
+    docstring)."""
+    for idx in parts:
+        if len(idx) == 1:
+            return idx[0]
+    out_of = _blocks(mats, p, parts)
+    for t, idx in enumerate(parts):
+        for s, g in out_of.get(t, ()):
+            if s == t and (i := _unique_diagonal_entry(g, idx)) is not None:
+                return i
+    # products only now, one at a time
+    for t, idx in enumerate(parts):
+        for s, b in out_of.get(t, ()):
+            for u, a in out_of.get(s, ()):
+                if u == t and (i := _unique_diagonal_entry(a @ b % p, idx)) is not None:
+                    return i
+    return None
+
+
+def _spans_all(mats, p, d, i):
+    """True if the words in the d x d F_p matrices `mats` take the unit
+    vector e_i to a spanning set of F_p^d."""
+    basis = _FpEchelon(d, p)
+    work = [basis.add(np.eye(1, d, i, dtype=np.int64)[0])]
+    while work:
+        v = work.pop()
+        for g in mats:
+            if basis.rank == d:
+                return True
+            added = basis.add(g @ v % p)
+            if added is not None:
+                work.append(added)
+    return basis.rank == d
 
 
 def fp_rref(a, p):
@@ -432,13 +518,20 @@ def certified_hom(f, act_v, act_w, deg_v, deg_w):
     certificate.
 
     The basis, when given, is the one linalg.nullspace returns for the
-    intertwiner system.  [] is certified by full column rank mod p.  None
+    intertwiner system.  When every action matrix is zero it is the unit
+    maps, given at once.  [] is certified by full column rank mod p.  None
     is returned for a denominator divisible by a prime used, a singular
     spin basis, last columns that differ between embeddings or primes, or
     no candidate basis that reconstructs and passes the exact check within
     _MAX_PRIMES primes.
     """
     d, e = len(deg_v), len(deg_w)
+    if not any(row for mat in (*act_v, *act_w) for row in mat):
+        # every degree-0 map intertwines: the units E_rc, in the order of the
+        # intertwiner system's variables, as linalg.nullspace gives them for
+        # a system without rows
+        return [[{c: f.one} if i == r else {} for i in range(e)]
+                for r in range(e) for c in range(d) if deg_w[r] == deg_v[c]]
     m = f.m
     units = [k for k in range(1, m + 1) if gcd(k, m) == 1]
     sectors = {}
@@ -497,7 +590,9 @@ def certifies_full_closure(f, mats, parts, d):
     """True if the unital algebra that a graded action over f and its sector
     projections generate has dimension d^2 mod p, which proves it is all of
     End(f^d).  `mats` are the exact sparse action matrices and `parts` the
-    basis indices of each non-empty sector, as closure_rank takes them."""
+    basis indices of each non-empty sector, as closure_rank takes them.
+    With an index i from _rank_one_index the answer is two spins of e_i;
+    without one it is closure_rank's (see the module docstring)."""
     p, omega = fp_for_field(f)
     if max(map(len, parts), default=0) * d * (p - 1) ** 2 >= 1 << 63:
         return False  # beyond the int64 bound of the module docstring
@@ -505,4 +600,7 @@ def certifies_full_closure(f, mats, parts, d):
         fp = fp_images(mats, d, p)(omega)
     except ValueError:  # a denominator is 0 mod p
         return False
-    return closure_rank(fp, p, d, parts) == d * d
+    i = _rank_one_index(fp, p, parts)
+    if i is None:
+        return closure_rank(fp, p, d, parts) == d * d
+    return _spans_all(fp, p, d, i) and _spans_all(fp.transpose(0, 2, 1), p, d, i)

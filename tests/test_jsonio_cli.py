@@ -258,6 +258,53 @@ def test_cli_exits_2_on_a_file_that_does_not_decode(tmp_path, capsys, digit_limi
     assert err.startswith("invalid input:") and "Traceback" not in err
 
 
+def _without(blob, *keys):
+    """A deep copy of blob with the field at the path keys removed."""
+    blob = copy.deepcopy(blob)
+    obj = blob
+    for key in keys[:-1]:
+        obj = obj[key]
+    del obj[keys[-1]]
+    return blob
+
+
+# a field missing from the file named: (argv, the file that lacks the
+# field, the field); each used to print only the bare key
+MISSING = {
+    "algebra group": lambda tmp: (
+        ["verify", _write(tmp, "a.json", _without(jsonio.algebra_to_json(make_sl2c()), "group"))],
+        "a.json", "group"),
+    "inline algebra epsilon exponents": lambda tmp: (
+        ["verify", _write(tmp, "m.json", _without(
+            jsonio.module_to_json(make_sl2_graded(2, "E")), "algebra", "epsilon", "exponents"))],
+        "m.json", "exponents"),
+    "module H": lambda tmp: (
+        ["irreducible", _write(tmp, "m.json", _without(
+            jsonio.module_to_json(make_sl2_graded(2, "E")), "H"))],
+        "m.json", "H"),
+    # the "algebra" file a module refers to is itself a module file
+    "algebra file group": lambda tmp: (
+        ["verify", _write(tmp, "m.json", jsonio.module_to_json(
+            make_sl2_graded(2, "E"),
+            algebra_ref=os.path.basename(_write(tmp, "other.json", jsonio.module_to_json(
+                make_sl2_graded(2, "E"))))))],
+        "other.json", "group"),
+    "sigma exponents": lambda tmp: (
+        ["discolour", _write(tmp, "a.json", jsonio.algebra_to_json(make_sl2c())),
+         "--sigma", _write(tmp, "s.json", {"group": {"orders": [2, 2]}, "m": 4})],
+        "s.json", "exponents"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MISSING))
+def test_cli_names_the_file_and_the_missing_field(tmp_path, capsys, case):
+    argv, lacking, key = MISSING[case](tmp_path)
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.endswith("\n") and err.count("\n") == 1
+    assert err == f"invalid input: {tmp_path / lacking}: missing field {key!r}\n"
+
+
 def test_cli_verify_accepts_decimal_integer_strings(tmp_path):
     blob = jsonio.module_to_json(make_sl2_graded(2, "E"))
     blob["algebra"]["epsilon"]["m"] = "4"

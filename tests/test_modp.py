@@ -2,15 +2,19 @@ import functools
 import importlib.util
 import os
 import random
+import re
 from fractions import Fraction
 from math import isqrt
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
 from liecolour import (
+    AbelianGroup,
     direct_sum,
+    dual_characters,
     field,
     intertwiners,
     is_isomorphic,
@@ -19,9 +23,10 @@ from liecolour import (
     modp,
     parity_shift,
     trivial_subgroup,
+    twist,
 )
 from liecolour import gmodule
-from liecolour.abelian import _prime_factors
+from liecolour.abelian import _prime_factors, subgroup_from_generators
 from liecolour.colouralg import ColourAlgebra
 from liecolour.grading import CommutationFactor
 from liecolour.gmodule import GradedModule, _closure_rank_exact, _intertwiner_system
@@ -465,3 +470,210 @@ def test_certified_hom_is_none_or_the_exact_basis(m, data):
     for V, W in (_realising(rows, ncols, f), _realising_dually(rows, ncols, f)):
         out = _certified(V, W)
         assert out is None or out == _exact_maps(V, W)
+
+
+def test_zero_actions_give_the_unit_maps_at_once(monkeypatch):
+    """Both actions zero: every degree-0 map intertwines, and the basis is
+    the E_rc in the order of the intertwiner system's variables, which is
+    what linalg.nullspace gives for a system without rows."""
+    def refuse(*args):
+        raise AssertionError("spun a module whose action is zero")
+
+    monkeypatch.setattr(modp, "_spin_tree", refuse)
+    alg = _abelian(F4)
+    graded = trivial_subgroup(GROUP)
+    ungraded = subgroup_from_generators(GROUP, [(1, 0), (0, 1)])
+    cases = [
+        (graded, [(0, 0), (1, 0), (0, 0)], [(1, 0), (0, 0), (1, 1), (0, 0)], 5),
+        (graded, [(1, 1)], [(1, 1), (0, 1), (1, 1)], 2),
+        (ungraded, [(0, 0), (1, 0)], [(1, 1), (0, 0), (0, 1)], 6),
+    ]
+    for hsub, deg_v, deg_w, count in cases:
+        V, W = (GradedModule(alg, hsub, deg, [[{}] * len(deg)]) for deg in (deg_v, deg_w))
+        variables, rows = _intertwiner_system(V, W)
+        assert rows == [] and len(variables) == count
+        assert linalg.nullspace(F4, rows, count) == [{t: F4.one} for t in range(count)]
+        assert _certified(V, W) == _exact_maps(V, W) == intertwiners(V, W)
+
+
+# ---------------------------------------------------------------------------
+# The rank-one path of certifies_full_closure against the closure rank
+# ---------------------------------------------------------------------------
+
+def _parts(degrees):
+    """The basis indices of each non-empty sector, by degree."""
+    parts = {}
+    for i, deg in enumerate(degrees):
+        parts.setdefault(deg, []).append(i)
+    return list(parts.values())
+
+
+def _closure_verdicts(module):
+    """certifies_full_closure on the module, closure_rank == d^2 on its F_p
+    image, and the unblocked exact oracle's rank == d^2."""
+    f, d = module.field, module.dim
+    parts = _parts(module.degrees)
+    p, omega = modp.fp_for_field(f)
+    fp = modp.fp_images(module.action, d, p)(omega)
+    return (modp.certifies_full_closure(f, module.action, parts, d),
+            modp.closure_rank(fp, p, d, parts) == d * d,
+            augmented_closure_rank(module) == d * d)
+
+
+def _random_graded_action(data):
+    """Random homogeneous matrices on a Z2 x Z2-graded F4^d, with the
+    attributes augmented_closure_rank reads: a graded action that need not
+    be a module of any algebra, which the closure does not ask."""
+    elements = GROUP.elements()
+    d = data.draw(st.integers(1, 5), label="d")
+    degrees = [data.draw(st.sampled_from(elements), label="degree") for _ in range(d)]
+    mats = []
+    for _ in range(data.draw(st.integers(1, 3), label="generators")):
+        g = data.draw(st.sampled_from(elements), label="generator degree")
+        mat = [{} for _ in range(d)]
+        for r in range(d):
+            for c in range(d):
+                if degrees[r] == GROUP.add(degrees[c], g) and data.draw(st.booleans()):
+                    x = F4.num([data.draw(st.integers(-2, 2)), data.draw(st.integers(-1, 1))])
+                    if not x.is_zero():
+                        mat[r][c] = x
+        mats.append(mat)
+    return SimpleNamespace(field=F4, dim=d, degrees=degrees, action=mats,
+                           algebra=SimpleNamespace(group=GROUP), hsub=trivial_subgroup(GROUP))
+
+
+def _sector_conjugate(V, data):
+    """P V P^-1 for a random invertible P that keeps each sector."""
+    f = V.field
+    entry = st.builds(lambda a, b: f.num([a, b]), st.integers(-3, 3), st.integers(-2, 2))
+    P = linalg.zeros(V.dim)
+    for idx in V.sector_indices().values():
+        for r in idx:
+            for c in idx:
+                x = data.draw(entry, label="P")
+                if not x.is_zero():
+                    P[r][c] = x
+    P_inv = linalg.invert(f, P)
+    assume(P_inv is not None)
+    conj = [linalg.mat_mul(linalg.mat_mul(P, a), P_inv) for a in V.action]
+    return GradedModule(V.algebra, V.hsub, V.degrees, conj)
+
+
+@settings(derandomize=True, max_examples=80, deadline=None)
+@given(st.data())
+def test_full_closure_certificate_equals_the_closure_rank_and_the_oracle(data):
+    """The rank-one path and its fallback answer closure_rank == d^2 on every
+    input, and so does the exact closure here: catalog modules, direct sums,
+    twists, sector-preserving dense conjugates (no diagonal block: the
+    fallback) and random graded actions (both verdicts)."""
+    kind = data.draw(st.sampled_from(["catalog", "sum", "twist", "conjugate", "action"]))
+    if kind == "action":
+        module = _random_graded_action(data)
+    else:
+        family = data.draw(st.sampled_from(_families()), label="family")
+        module = data.draw(st.sampled_from(family), label="module")
+        if kind == "sum":
+            small = [m for m in family if m.dim <= 5] or [module]
+            module = direct_sum(*(data.draw(st.sampled_from(small), label="summand")
+                                  for _ in range(2)))
+        elif kind == "twist":
+            characters = dual_characters(module.algebra.group)
+            module = twist(module, data.draw(st.sampled_from(characters), label="character"))
+        elif kind == "conjugate":
+            module = _sector_conjugate(module, data)
+    full, by_rank, by_oracle = _closure_verdicts(module)
+    assert full == by_rank == by_oracle
+
+
+def _refuse_closure_rank(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("closure_rank was called")
+
+    monkeypatch.setattr(modp, "closure_rank", refuse)
+
+
+@pytest.mark.parametrize("forward", [True, False])
+def test_a_non_split_extension_fails_one_spin(monkeypatch, forward):
+    """Z2-graded, odd x acting by [[0, 0], [1, 0]]: e_0 is alone in its
+    sector, and x e_0 = e_1 spins it to all of F_p^2, but x^T e_0 = 0, so
+    the closure is not End(F_p^2) and closure_rank is not needed to say
+    so.  The witness is the submodule spanned by e_1.  With x^T acting
+    instead, the forward spin is the proper one, and the witness is e_0's."""
+    z2 = AbelianGroup([2])
+    alg = ColourAlgebra(z2, CommutationFactor(z2, F4, [[2]]), [("x", (1,))], {})
+    x = [{}, {0: 1}] if forward else [{1: 1}, {}]
+    V = GradedModule(alg, trivial_subgroup(z2), [(0,), (1,)], [x])
+    parts = _parts(V.degrees)
+    fp = modp.fp_images(V.action, 2, P4)(modp.order_m_root(4, P4))
+    assert modp._rank_one_index(fp, P4, parts) == 0
+    assert modp._spans_all(fp, P4, 2, 0) == forward
+    assert modp._spans_all(fp.transpose(0, 2, 1), P4, 2, 0) != forward
+    _refuse_closure_rank(monkeypatch)
+    assert not modp.certifies_full_closure(F4, V.action, parts, 2)
+    verdict = gmodule.is_graded_irreducible(V)
+    assert not verdict.irreducible and verdict.witness.dim == 1
+    assert verdict.witness.rows == ({1 if forward else 0: F4.one},)
+
+
+@pytest.mark.parametrize("x, y", [
+    # a block with distinct diagonal entries that is not diagonal
+    ([[1, 1], [1, 2]], [[0, 0], [0, 0]]),
+    # a diagonal block whose entries repeat, and products that are scalars
+    ([[2, 0], [0, 2]], [[0, 1], [1, 0]]),
+])
+def test_no_idempotent_from_a_block_that_is_not_a_usable_diagonal(x, y):
+    """Two commuting degree-0 generators on one sector of two: the closure
+    is the two-dimensional algebra they generate, while e_0 spins to all of
+    F_p^2 both ways, so reading E_00 off either block would wrongly give
+    End; no index is found, and closure_rank decides."""
+    alg = ColourAlgebra(GROUP, CommutationFactor(GROUP, F4, [[0, 0], [0, 0]]),
+                        [("x", (0, 0)), ("y", (0, 0))], {})
+    V = GradedModule(alg, trivial_subgroup(GROUP), [(0, 0)] * 2, [x, y])
+    fp = modp.fp_images(V.action, 2, P4)(modp.order_m_root(4, P4))
+    assert modp._spans_all(fp, P4, 2, 0) and modp._spans_all(fp.transpose(0, 2, 1), P4, 2, 0)
+    assert modp._rank_one_index(fp, P4, [[0, 1]]) is None
+    assert modp.closure_rank(fp, P4, 2, [[0, 1]]) == augmented_closure_rank(V) == 2
+    assert not modp.certifies_full_closure(F4, V.action, [[0, 1]], 2)
+
+
+def test_only_a_product_is_diagonal_on_loop_e3(monkeypatch):
+    """loopE3 (d = 8, four sectors of 2) has no one-vector sector and every
+    action matrix has a zero diagonal, so no single block V_t -> V_t is a
+    diagonal with an entry once on it; a product through V_t -> V_s -> V_t
+    gives E_ii, and two spins decide the closure.  Next to the trivial line
+    E+0 the product's entry 0 at the line is the one that occurs once, and
+    the line spins to itself."""
+    catalog = catalog_modules(3)
+    module = catalog["loopE3"]
+    _refuse_closure_rank(monkeypatch)
+    for M, full in ((module, True), (direct_sum(catalog["E+0"], module), False)):
+        d, parts = M.dim, _parts(M.degrees)
+        assert min(map(len, parts)) == 2
+        p, omega = modp.fp_for_field(M.field)
+        fp = modp.fp_images(M.action, d, p)(omega)
+        assert not fp.diagonal(axis1=1, axis2=2).any()
+        assert modp._rank_one_index(fp, p, parts) is not None
+        assert modp.certifies_full_closure(M.field, M.action, parts, d) == full
+    verdict = gmodule.is_graded_irreducible(module)
+    assert verdict.irreducible and verdict.closure_dim == 64
+
+
+def test_catalog_irreducibility_never_falls_back_to_the_closure_rank(monkeypatch):
+    """V_lambda, E+- and loopE at lambda <= 8 are certified by the rank-one
+    path (a one-vector sector, a diagonal h block or a product): a silent
+    fallback to closure_rank fails here."""
+    calls = []
+    real = modp.closure_rank
+
+    def counting(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(modp, "closure_rank", counting)
+    modules = catalog_modules(8)
+    names = [n for n in modules if re.fullmatch(r"(V|E[+-]|loopE)[0-9]", n)]
+    assert len(names) == 9 + 10 + 4
+    for name in names:
+        verdict = gmodule.is_graded_irreducible(modules[name])
+        assert verdict.irreducible and verdict.closure_dim == modules[name].dim ** 2, name
+    assert calls == []
