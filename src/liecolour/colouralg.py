@@ -203,6 +203,8 @@ class ColourAlgebra:
         }
 
     def __eq__(self, other):
+        if self is other:
+            return True
         if not isinstance(other, ColourAlgebra):
             return NotImplemented
         if (

@@ -11,7 +11,8 @@ Gamma/H): the module is absolutely irreducible iff the unital algebra these
 generate is all of End(V).  Its dimension is the sum over sectors V_t of
 the dimension of the words in the action on V_t (see modp).  It is
 computed mod p first; a full-rank answer mod p certifies the exact answer,
-anything else falls back to exact witness search and, as a last resort,
+anything else falls back to exact witness search (which skips the unit
+vectors whose spin mod p is already the whole space) and, as a last resort,
 the same sector closure over Q(zeta_m).
 
 Modules are validated where they enter the program, and only there: the
@@ -50,7 +51,7 @@ from .linalg import RowBasis, identity, mat_mul, mat_scale, mat_sub, mat_vec
 
 
 class GradedModule:
-    __slots__ = ("algebra", "hsub", "quo", "dim", "degrees", "action")
+    __slots__ = ("algebra", "hsub", "quo", "dim", "degrees", "action", "_fp")
 
     def __init__(self, algebra, hsub, degrees, matrices):
         if hsub.parent != algebra.group:
@@ -64,18 +65,20 @@ class GradedModule:
         self.validate()
 
     @classmethod
-    def _derived(cls, algebra, quo, degrees, action):
+    def _derived(cls, algebra, quo, degrees, action, fp=None):
         """A transform's valid output, stored as given (sparse rows without
-        zeros); degrees are reduced through quo = Gamma/H."""
-        return cls.__new__(cls)._store(algebra, quo, degrees, action)
+        zeros); degrees are reduced through quo = Gamma/H.  `fp` is the
+        FpView of a module with this very action tuple, to share."""
+        return cls.__new__(cls)._store(algebra, quo, degrees, action, fp)
 
-    def _store(self, algebra, quo, degrees, action):
+    def _store(self, algebra, quo, degrees, action, fp=None):
         self.algebra = algebra
         self.hsub = quo.subgroup
         self.quo = quo
         self.dim = len(degrees)
         self.degrees = tuple(quo.rep(d) for d in degrees)
         self.action = tuple(action)
+        self._fp = fp
         return self
 
     def _sparse_row(self, row):
@@ -101,6 +104,15 @@ class GradedModule:
     @property
     def field(self):
         return self.algebra.field
+
+    @property
+    def fp_view(self):
+        """The action's modp.FpView (its entries mod p and Hom spin tree),
+        made on first use and kept with the module; parity_shift and coarsen
+        hand it on with the action tuple (see the modp docstring)."""
+        if self._fp is None:
+            self._fp = modp.FpView(self.action, self.dim)
+        return self._fp
 
     def is_ungraded(self):
         return self.hsub.order() == self.algebra.group.order()
@@ -224,7 +236,8 @@ def coarsen(module, hsub_new) -> GradedModule:
     if not module.hsub.is_subset_of(hsub_new):
         raise InvalidInput("can only coarsen along a larger subgroup")
     quo = quotient(module.algebra.group, hsub_new)
-    return GradedModule._derived(module.algebra, quo, module.degrees, module.action)
+    return GradedModule._derived(module.algebra, quo, module.degrees, module.action,
+                                 module.fp_view)
 
 
 def twist(module, character) -> GradedModule:
@@ -244,7 +257,8 @@ def parity_shift(module, h) -> GradedModule:
     g = module.algebra.group
     h = g.reduce(h)
     degrees = [g.add(d, h) for d in module.degrees]
-    return GradedModule._derived(module.algebra, module.quo, degrees, module.action)
+    return GradedModule._derived(module.algebra, module.quo, degrees, module.action,
+                                 module.fp_view)
 
 
 def direct_sum(a, b) -> GradedModule:
@@ -393,7 +407,7 @@ def intertwiners(V, W):
     if not set(V.degrees) & set(W.degrees):
         return []  # no degree-0 entry: no variable
     f = V.field
-    maps = modp.certified_hom(f, V.action, W.action, V.degrees, W.degrees)
+    maps = modp.certified_hom(f, V.fp_view, W.fp_view, V.degrees, W.degrees)
     if maps is not None:
         return maps
     variables, rows = _intertwiner_system(V, W)
@@ -605,8 +619,22 @@ def _candidate_vectors(module):
     yield from _commutant_kernel_vectors(module)
 
 
+def _whole_spin_filter(module):
+    """A test of candidate vectors: True for a multiple of a unit vector
+    whose spin mod p is all of F_p^d, which proves that its exact spin is
+    the whole module (modp.whole_spin_test)."""
+    whole = modp.whole_spin_test(module.field, module.fp_view)
+    return lambda v: len(v) == 1 and whole(next(iter(v)))
+
+
 def _proper_graded_submodule(module):
+    """The first candidate vector's spin that is a proper submodule, or
+    None; vectors whose spin mod p shows it is the whole module are not
+    spun exactly."""
+    whole = _whole_spin_filter(module)
     for v in _candidate_vectors(module):
+        if whole(v):
+            continue
         sub = spin(module, [v])
         if 0 < sub.dim < module.dim:
             return sub
@@ -629,7 +657,7 @@ def is_graded_irreducible(module) -> IrreducibilityVerdict:
         raise InvalidInput("irreducibility of the zero module is undefined")
     f = module.field
     parts = [idx for idx in module.sector_indices().values() if idx]
-    if modp.certifies_full_closure(f, module.action, parts, d):
+    if modp.certifies_full_closure(f, module.fp_view, parts):
         return IrreducibilityVerdict(True, closure_dim=d * d)
     witness = _proper_graded_submodule(module)
     if witness is not None:
@@ -659,13 +687,19 @@ def is_graded_irreducible(module) -> IrreducibilityVerdict:
 def shrink_to_irreducible(sub) -> Submodule:
     """A graded irreducible submodule inside `sub`, found by restricting and
     descending into reducibility witnesses; keeps the homogeneous flag."""
+    return _shrink_and_restrict(sub)[0]
+
+
+def _shrink_and_restrict(sub):
+    """shrink_to_irreducible(sub), with submodule_to_module of the result,
+    which the last step of the descent has already computed."""
     module = sub.parent
     f = module.field
     while True:
         restricted, rows = submodule_to_module(sub)
         verdict = is_graded_irreducible(restricted)
         if verdict.irreducible:
-            return sub
+            return sub, restricted, rows
         lifted = [linalg.vec_mat(w, rows) for w in verdict.witness.rows]
         basis = linalg.row_span(f, lifted, module.dim)
         sub = Submodule(parent=module, rows=tuple(basis.rows), homogeneous=sub.homogeneous)
@@ -683,7 +717,9 @@ def decompose(module):
     NotCompletelyReducible is raised.
 
     Only the first whole-module spin is shrunk: each is the identity rows,
-    so shrinking again repeats a summand already added or discarded.
+    so shrinking again repeats a summand already added or discarded.  After
+    it, a vector whose spin mod p shows it is the whole module is not spun
+    exactly.
     """
     f = module.field
     d = module.dim
@@ -691,14 +727,15 @@ def decompose(module):
         return []
     summands = []
     accum = RowBasis(f, d)
-    whole_shrunk = False
+    whole = None  # the filter, from the first whole-module spin on
     for v in _candidate_vectors(module):
-        if accum.contains(v):
+        if accum.contains(v) or (whole is not None and whole(v)):
             continue
         spun = spin(module, [v])
-        if spun.dim == d and whole_shrunk:
-            continue
-        whole_shrunk |= spun.dim == d
+        if spun.dim == d:
+            if whole is not None:
+                continue
+            whole = _whole_spin_filter(module)
         sub = shrink_to_irreducible(spun)
         probe = accum.copy()
         added = [probe.add(r) for r in sub.rows]

@@ -20,11 +20,10 @@ from .abelian import _prime_factors, jordan_holder, quotient, twist_reps
 from .errors import InconclusiveIrreducibility, InvalidInput, InvalidSubgroupStep
 from .gmodule import (
     GradedModule,
+    _shrink_and_restrict,
     is_graded_irreducible,
     iso_labels,
     parity_shift,
-    shrink_to_irreducible,
-    submodule_to_module,
     twist,
 )
 
@@ -143,7 +142,7 @@ def bijection_F(module, refiner) -> BijectionOutcome:
         return BijectionOutcome(
             gradable=False, module=lm.module, loop=lm, source=module
         )
-    restricted, rows = submodule_to_module(shrink_to_irreducible(verdict.witness))
+    _, restricted, rows = _shrink_and_restrict(verdict.witness)
     if restricted.dim != module.dim:
         raise InconclusiveIrreducibility(
             "proper graded submodule of the loop is not a copy of the source"

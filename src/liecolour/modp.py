@@ -117,6 +117,27 @@ of Norton's irreducibility test (Holt & Rees, J. Austral. Math. Soc. A 57,
 So the answer is closure_rank(...) == d^2 in every case; closure_rank
 runs only when no E_ii shows.  A spin sums d products per entry, as a
 product of two matrices does.
+
+A full spin mod p also settles an exact spin (the lattice argument behind
+the MeatAxe's spinning; Parker 1984): whole_spin_test lets gmodule's
+witness search skip the unit vectors whose exact spin is the whole module.
+Let the action's entries be p-integral (a view raises ValueError
+otherwise, and nothing is certified), let O be Z[zeta_m] localised at the
+prime P = (p, zeta - omega), a discrete valuation ring with O/P = F_p and
+a uniformiser pi, and let S be the exact spin of e_i.  L = S cap O^d is a
+lattice of rank dim S (it spans S), invariant under the action, and
+saturated: an x in L that lies in P O^d is pi y with y in S cap O^d = L.
+So L/PL embeds in F_p^d as an invariant subspace of dimension dim S that
+contains e_i, and with it the spin of e_i mod p.  A spin mod p that is all
+of F_p^d therefore forces dim S = d.
+
+Each GradedModule holds one FpView in a slot, made on first use: the
+entries of its action reduced mod each prime that certifies_full_closure,
+certified_hom (for V and for W) and whole_spin_test have used, and
+certified_hom's spin tree of V.  parity_shift and coarsen give the module
+they derive the same action tuple and the same view.  A view refers to no
+module, and nothing module-global refers to a view, so it is dropped with
+the last module that holds it.
 """
 
 from __future__ import annotations
@@ -160,37 +181,65 @@ def order_m_root(m, p):
     raise InvalidInput("no root found")  # unreachable for prime p
 
 
-def fp_images(mats, n, p):
-    """The F_p images of n x n matrices of sparse rows under zeta -> omega,
-    as a function of omega that returns an int64 array (len(mats), n, n).
-    Each entry's coordinates are reduced mod p once, here (ValueError when
-    p divides a denominator), so each image is one product with the powers
-    of omega.  The function's `rational` is True when every entry is in Q,
-    so that every omega gives the same image."""
-    where, coords = [], []
-    for k, mat in enumerate(mats):
-        for i, row in enumerate(mat):
-            for j, x in row.items():
-                where.append((k, i, j))
-                inv = pow(x.den, -1, p)  # power-basis coordinates: nums / den
-                coords.append([n * inv % p for n in x.nums])
-    index = tuple(np.array(where, dtype=np.intp).reshape(-1, 3).T)
-    coords = np.array(coords, dtype=np.int64) if where else np.zeros((0, 1), dtype=np.int64)
-
-    def image(omega):
-        out = np.zeros((len(mats), n, n), dtype=np.int64)
-        if where:
-            powers = [pow(omega, t, p) for t in range(coords.shape[1])]
-            out[index] = coords @ np.array(powers, dtype=np.int64) % p
-        return out
-
-    image.rational = not np.count_nonzero(coords[:, 1:])
-    return image
-
-
 def fp_for_field(f):
     p = prime_for(f.m)
     return p, order_m_root(f.m, p)
+
+
+class FpView:
+    """The F_p images of one exact action, a sequence of d x d matrices of
+    sparse rows, under zeta -> omega, and the spin tree of certified_hom's
+    step 1.  Each entry's coordinates are reduced mod p once per prime (the
+    entries are kept as one int64 array: flat index, then the coordinates,
+    or the first alone when every entry is rational mod p), so each image is
+    one product with the powers of omega.  What is computed is kept as long
+    as the view (see the module docstring)."""
+
+    __slots__ = ("action", "dim", "_reduced", "_trees")
+
+    def __init__(self, action, dim):
+        self.action = action
+        self.dim = dim
+        self._reduced = {}  # p -> the reduced entries
+        self._trees = {}  # (p, omega) -> _spin_tree of the image
+
+    def _entries(self, p):
+        red = self._reduced.get(p)
+        if red is None:
+            n, rows = self.dim, []
+            for k, mat in enumerate(self.action):
+                for i, row in enumerate(mat):
+                    at = (k * n + i) * n
+                    for j, x in row.items():
+                        inv = pow(x.den, -1, p)  # ValueError when p divides x.den
+                        rows.append([at + j, *(c * inv % p for c in x.nums)])
+            red = np.array(rows, dtype=np.int64) if rows else np.zeros((0, 2), dtype=np.int64)
+            if not np.count_nonzero(red[:, 2:]):
+                red = red[:, :2].copy()
+            self._reduced[p] = red
+        return red
+
+    def images(self, p, omega):
+        """The image under zeta -> omega, an int64 array (K, d, d) with
+        entries in [0, p); ValueError when p divides a denominator."""
+        red = self._entries(p)
+        out = np.zeros((len(self.action), self.dim, self.dim), dtype=np.int64)
+        if red.size:
+            powers = np.array([pow(omega, t, p) for t in range(red.shape[1] - 1)], dtype=np.int64)
+            out.reshape(-1)[red[:, 0]] = red[:, 1:] @ powers % p
+        return out
+
+    def rational(self, p):
+        """True if every omega gives the same image mod p: every entry is
+        rational mod p."""
+        return self._entries(p).shape[1] == 2
+
+    def tree(self, p, omega):
+        key = (p, omega)
+        tree = self._trees.get(key)
+        if tree is None:
+            tree = self._trees[key] = _spin_tree(self.images(p, omega), p, self.dim)
+        return tree
 
 
 class _FpEchelon:
@@ -510,12 +559,12 @@ def _intertwines(phi, act_v, act_w):
     return all(linalg.mat_mul(phi, a) == linalg.mat_mul(b, phi) for a, b in zip(act_v, act_w))
 
 
-def certified_hom(f, act_v, act_w, deg_v, deg_w):
+def certified_hom(f, view_v, view_w, deg_v, deg_w):
     """Basis of the degree-0 maps phi: V -> W (sparse rows) with
-    phi rho_V(x_k) = rho_W(x_k) phi for the exact action matrices act_v and
-    act_w and basis degrees deg_v and deg_w over f, solved by spinning mod p
-    and checked exactly (see the module docstring); None when there is no
-    certificate.
+    phi rho_V(x_k) = rho_W(x_k) phi for the exact actions of the FpViews
+    view_v and view_w and basis degrees deg_v and deg_w over f, solved by
+    spinning mod p and checked exactly (see the module docstring); None when
+    there is no certificate.
 
     The basis, when given, is the one linalg.nullspace returns for the
     intertwiner system.  When every action matrix is zero it is the unit
@@ -525,6 +574,7 @@ def certified_hom(f, act_v, act_w, deg_v, deg_w):
     no candidate basis that reconstructs and passes the exact check within
     _MAX_PRIMES primes.
     """
+    act_v, act_w = view_v.action, view_w.action
     d, e = len(deg_v), len(deg_w)
     if not any(row for mat in (*act_v, *act_w) for row in mat):
         # every degree-0 map intertwines: the units E_rc, in the order of the
@@ -544,21 +594,19 @@ def certified_hom(f, act_v, act_w, deg_v, deg_w):
         if max(d * e, f.degree) * p * p >= 1 << 63:
             return None  # beyond the int64 bound of the module docstring
         omega = order_m_root(m, p)
-        try:
-            image_v = fp_images(act_v, d, p)
-            image_w = image_v if act_w is act_v else fp_images(act_w, e, p)
-        except ValueError:  # a denominator is 0 mod p
-            return None
         images = []
         for k in units:
-            if images and image_v.rational and image_w.rational:
+            if images and view_v.rational(p) and view_w.rational(p):
                 images.append(images[0])  # the same system under every embedding
                 continue
             w = pow(omega, k, p)
-            fv, fw = image_v(w), image_w(w)
+            try:
+                fv, fw = view_v.images(p, w), view_w.images(p, w)
+            except ValueError:  # a denominator is 0 mod p
+                return None
             first = tree is None
             if first:
-                tree = _spin_tree(fv, p, d)
+                tree = view_v.tree(p, w)
                 unknowns = {t: sectors.get(deg_v[c], []) for t, (g, c) in enumerate(tree)
                             if g is None}
             solved = _hom_solutions(fv, fw, tree, unknowns, p, first)
@@ -586,21 +634,47 @@ def certified_hom(f, act_v, act_w, deg_v, deg_w):
     return None
 
 
-def certifies_full_closure(f, mats, parts, d):
+def _first_image(f, view, width):
+    """(image, p): the action's image under f's first prime p and embedding,
+    or None when p divides a denominator or width (p - 1)^2 >= 2^63, for a
+    caller whose products sum at most `width` products of entries in
+    [0, p) (the int64 bound of the module docstring)."""
+    p, omega = fp_for_field(f)
+    if width * (p - 1) ** 2 >= 1 << 63:
+        return None
+    try:
+        return view.images(p, omega), p
+    except ValueError:  # a denominator is 0 mod p
+        return None
+
+
+def certifies_full_closure(f, view, parts):
     """True if the unital algebra that a graded action over f and its sector
     projections generate has dimension d^2 mod p, which proves it is all of
-    End(f^d).  `mats` are the exact sparse action matrices and `parts` the
-    basis indices of each non-empty sector, as closure_rank takes them.
-    With an index i from _rank_one_index the answer is two spins of e_i;
-    without one it is closure_rank's (see the module docstring)."""
-    p, omega = fp_for_field(f)
-    if max(map(len, parts), default=0) * d * (p - 1) ** 2 >= 1 << 63:
-        return False  # beyond the int64 bound of the module docstring
-    try:
-        fp = fp_images(mats, d, p)(omega)
-    except ValueError:  # a denominator is 0 mod p
+    End(f^d).  `view` is the action's FpView and `parts` the basis indices
+    of each non-empty sector, as closure_rank takes them.  With an index i
+    from _rank_one_index the answer is two spins of e_i; without one it is
+    closure_rank's (see the module docstring)."""
+    d = view.dim
+    got = _first_image(f, view, max(map(len, parts), default=0) * d)
+    if got is None:
         return False
+    fp, p = got
     i = _rank_one_index(fp, p, parts)
     if i is None:
         return closure_rank(fp, p, d, parts) == d * d
     return _spans_all(fp, p, d, i) and _spans_all(fp.transpose(0, 2, 1), p, d, i)
+
+
+def whole_spin_test(f, view):
+    """A test of unit vectors under the action of the FpView `view` over f:
+    test(i) is True if e_i spins to all of F_p^d, which proves that its
+    exact spin is all of f^d (the lattice argument of the module
+    docstring).  False is no certificate: a proper spin mod p, or, for
+    every i, a denominator 0 mod p or a d past the int64 bound."""
+    d = view.dim
+    got = _first_image(f, view, d)
+    if got is None:
+        return lambda i: False
+    fp, p = got
+    return lambda i: _spans_all(fp, p, d, i)

@@ -378,9 +378,9 @@ def test_denominators_divisible_by_p_give_no_certificate_but_exact_verdicts():
     # zero nullity; mod p neither can be certified, since p divides a
     # denominator
     with pytest.raises(ValueError):  # Q2 acts as 1/p
-        modp.fp_images(V.action, 1, p)
-    assert not modp.certifies_full_closure(F4, V.action, [[0]], 1)
-    assert modp.certified_hom(F4, V.action, partner.action, V.degrees, partner.degrees) is None
+        V.fp_view.images(p, modp.order_m_root(4, p))
+    assert not modp.certifies_full_closure(F4, V.fp_view, [[0]])
+    assert modp.certified_hom(F4, V.fp_view, partner.fp_view, V.degrees, partner.degrees) is None
     verdict = is_graded_irreducible(V)
     assert verdict.irreducible and verdict.closure_dim == 1
     double = direct_sum(V, V)
@@ -405,7 +405,7 @@ def test_graded_irreducible_module_with_denominators_divisible_by_p_is_closed_ex
     module = GradedModule(E.algebra, E.hsub, E.degrees, conj)
     assert module.sector_dims() == [1, 1, 0, 1]
     parts = [idx for idx in module.sector_indices().values() if idx]
-    assert not modp.certifies_full_closure(F4, module.action, parts, 3)
+    assert not modp.certifies_full_closure(F4, module.fp_view, parts)
     verdict = is_graded_irreducible(module)
     assert verdict.irreducible and verdict.closure_dim == 9
 

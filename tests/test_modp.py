@@ -1,4 +1,5 @@
 import functools
+import gc
 import importlib.util
 import os
 import random
@@ -13,6 +14,8 @@ from hypothesis import assume, example, given, settings, strategies as st
 
 from liecolour import (
     AbelianGroup,
+    coarsen,
+    commutant,
     direct_sum,
     dual_characters,
     field,
@@ -22,16 +25,24 @@ from liecolour import (
     linalg,
     modp,
     parity_shift,
+    recolour_module,
     trivial_subgroup,
     twist,
 )
 from liecolour import gmodule
-from liecolour.abelian import _prime_factors, subgroup_from_generators
+from liecolour.abelian import _prime_factors, jordan_holder, subgroup_from_generators
 from liecolour.colouralg import ColourAlgebra
 from liecolour.grading import CommutationFactor
 from liecolour.gmodule import GradedModule, _closure_rank_exact, _intertwiner_system
 from liecolour.loopfunctor import loop
-from liecolour.workbench import GROUP, catalog_modules, classify_lambda, make_V_lambda, sl2c_factor
+from liecolour.workbench import (
+    GROUP,
+    catalog_modules,
+    classify_lambda,
+    discolouring_sigma,
+    make_V_lambda,
+    sl2c_factor,
+)
 
 from conftest import augmented_closure_rank
 
@@ -47,16 +58,16 @@ def _fp_by_coefficient(x, p, omega):
 
 
 def _diagonal_images(scalars, p, omega):
-    """The F_p images of the scalars through fp_images, as the diagonal of
+    """The F_p images of the scalars through an FpView, as the diagonal of
     one sparse diagonal matrix."""
     n = len(scalars)
-    image = modp.fp_images([[{i: x} for i, x in enumerate(scalars)]], n, p)(omega)
+    image = modp.FpView([[{i: x} for i, x in enumerate(scalars)]], n).images(p, omega)
     return [int(x) for x in image[0].diagonal()]
 
 
 @pytest.mark.parametrize("m", [3, 4, 12])
 def test_scalar_to_fp_matches_the_per_coefficient_formula(m):
-    # fp_images is the library's one map from scalars to F_p
+    # FpView is the library's one map from scalars to F_p
     f = field(m)
     p, omega = modp.fp_for_field(f)
     rng = random.Random(3000 + m)
@@ -83,16 +94,16 @@ def test_scalar_to_fp_matches_the_per_coefficient_formula(m):
 @pytest.mark.parametrize("m", [3, 4, 12])
 def test_scalar_to_fp_refuses_a_denominator_divisible_by_p(m):
     f = field(m)
-    p, _ = modp.fp_for_field(f)
+    p, omega = modp.fp_for_field(f)
     for x in (f.from_rational(Fraction(3, p)),
               f.num([Fraction(1, 2)] + [Fraction(1, 2 * p)] * (f.degree - 1))):
         with pytest.raises(ValueError):
-            modp.fp_images([[{0: x}]], 1, p)
+            modp.FpView([[{0: x}]], 1).images(p, omega)
 
 
 def _block_closure_rank(module):
     p, omega = modp.fp_for_field(module.field)
-    fp = modp.fp_images(module.action, module.dim, p)(omega)
+    fp = module.fp_view.images(p, omega)
     parts = [idx for idx in module.sector_indices().values() if idx]
     return modp.closure_rank(fp, p, module.dim, parts)
 
@@ -201,15 +212,15 @@ def test_closure_past_the_int64_bound_gives_no_certificate(monkeypatch):
     f = V.field
     parts = {name: [idx for idx in M.sector_indices().values() if idx]
              for name, M in (("V", V), ("graded", graded))}
-    assert modp.certifies_full_closure(f, V.action, parts["V"], 3)
+    assert modp.certifies_full_closure(f, V.fp_view, parts["V"])
     # a prime p = 1 (mod 4) near 2^30: 3 x 3 (p - 1)^2 > 2^63 for V, one
     # sector of 3, but 1 x 3 (p - 1)^2 < 2^63 for E+2, sectors of 1
     big = (1 << 30) + 1
     while _prime_factors(big) != {big}:
         big += f.m
     monkeypatch.setattr(modp, "fp_for_field", lambda _: (big, modp.order_m_root(f.m, big)))
-    assert not modp.certifies_full_closure(f, V.action, parts["V"], 3)
-    assert modp.certifies_full_closure(f, graded.action, parts["graded"], 3)
+    assert not modp.certifies_full_closure(f, V.fp_view, parts["V"])
+    assert modp.certifies_full_closure(f, graded.fp_view, parts["graded"])
 
 
 # ---------------------------------------------------------------------------
@@ -231,7 +242,7 @@ def _exact_maps(V, W):
 
 def _certified(V, W):
     """certified_hom on (V, W): None when there is no certificate."""
-    return modp.certified_hom(V.field, V.action, W.action, V.degrees, W.degrees)
+    return modp.certified_hom(V.field, V.fp_view, W.fp_view, V.degrees, W.degrees)
 
 
 def _same_shape(V, W):
@@ -514,8 +525,9 @@ def _closure_verdicts(module):
     f, d = module.field, module.dim
     parts = _parts(module.degrees)
     p, omega = modp.fp_for_field(f)
-    fp = modp.fp_images(module.action, d, p)(omega)
-    return (modp.certifies_full_closure(f, module.action, parts, d),
+    view = modp.FpView(module.action, d)
+    fp = view.images(p, omega)
+    return (modp.certifies_full_closure(f, view, parts),
             modp.closure_rank(fp, p, d, parts) == d * d,
             augmented_closure_rank(module) == d * d)
 
@@ -604,12 +616,12 @@ def test_a_non_split_extension_fails_one_spin(monkeypatch, forward):
     x = [{}, {0: 1}] if forward else [{1: 1}, {}]
     V = GradedModule(alg, trivial_subgroup(z2), [(0,), (1,)], [x])
     parts = _parts(V.degrees)
-    fp = modp.fp_images(V.action, 2, P4)(modp.order_m_root(4, P4))
+    fp = V.fp_view.images(P4, modp.order_m_root(4, P4))
     assert modp._rank_one_index(fp, P4, parts) == 0
     assert modp._spans_all(fp, P4, 2, 0) == forward
     assert modp._spans_all(fp.transpose(0, 2, 1), P4, 2, 0) != forward
     _refuse_closure_rank(monkeypatch)
-    assert not modp.certifies_full_closure(F4, V.action, parts, 2)
+    assert not modp.certifies_full_closure(F4, V.fp_view, parts)
     verdict = gmodule.is_graded_irreducible(V)
     assert not verdict.irreducible and verdict.witness.dim == 1
     assert verdict.witness.rows == ({1 if forward else 0: F4.one},)
@@ -629,11 +641,11 @@ def test_no_idempotent_from_a_block_that_is_not_a_usable_diagonal(x, y):
     alg = ColourAlgebra(GROUP, CommutationFactor(GROUP, F4, [[0, 0], [0, 0]]),
                         [("x", (0, 0)), ("y", (0, 0))], {})
     V = GradedModule(alg, trivial_subgroup(GROUP), [(0, 0)] * 2, [x, y])
-    fp = modp.fp_images(V.action, 2, P4)(modp.order_m_root(4, P4))
+    fp = V.fp_view.images(P4, modp.order_m_root(4, P4))
     assert modp._spans_all(fp, P4, 2, 0) and modp._spans_all(fp.transpose(0, 2, 1), P4, 2, 0)
     assert modp._rank_one_index(fp, P4, [[0, 1]]) is None
     assert modp.closure_rank(fp, P4, 2, [[0, 1]]) == augmented_closure_rank(V) == 2
-    assert not modp.certifies_full_closure(F4, V.action, [[0, 1]], 2)
+    assert not modp.certifies_full_closure(F4, V.fp_view, [[0, 1]])
 
 
 def test_only_a_product_is_diagonal_on_loop_e3(monkeypatch):
@@ -650,10 +662,10 @@ def test_only_a_product_is_diagonal_on_loop_e3(monkeypatch):
         d, parts = M.dim, _parts(M.degrees)
         assert min(map(len, parts)) == 2
         p, omega = modp.fp_for_field(M.field)
-        fp = modp.fp_images(M.action, d, p)(omega)
+        fp = M.fp_view.images(p, omega)
         assert not fp.diagonal(axis1=1, axis2=2).any()
         assert modp._rank_one_index(fp, p, parts) is not None
-        assert modp.certifies_full_closure(M.field, M.action, parts, d) == full
+        assert modp.certifies_full_closure(M.field, M.fp_view, parts) == full
     verdict = gmodule.is_graded_irreducible(module)
     assert verdict.irreducible and verdict.closure_dim == 64
 
@@ -677,3 +689,186 @@ def test_catalog_irreducibility_never_falls_back_to_the_closure_rank(monkeypatch
         verdict = gmodule.is_graded_irreducible(modules[name])
         assert verdict.irreducible and verdict.closure_dim == modules[name].dim ** 2, name
     assert calls == []
+
+
+# ---------------------------------------------------------------------------
+# One F_p view per module, and the witness search's whole-spin filter
+# ---------------------------------------------------------------------------
+
+def _exact_spin_dim(module, i):
+    """Dimension of the exact spin of e_i under the module's action."""
+    f = module.field
+
+    def images(v):
+        return (linalg.mat_vec(mat, v) for mat in module.action)
+
+    return linalg.RowBasis(f, module.dim).close([{i: f.one}], images).rank
+
+
+@settings(derandomize=True, max_examples=80, deadline=None)
+@given(st.data())
+def test_a_unit_vector_that_the_filter_skips_spins_to_the_whole_module(data):
+    """Whenever whole_spin_test lets the witness search skip e_i, the
+    exact spin of e_i is the whole module (the lattice argument of the modp
+    docstring): catalog modules, direct sums (proper spins abound),
+    sector-preserving dense conjugates and random homogeneous actions."""
+    kind = data.draw(st.sampled_from(["catalog", "sum", "conjugate", "action"]))
+    if kind == "action":
+        module = _random_graded_action(data)
+        view = modp.FpView(module.action, module.dim)
+    else:
+        family = data.draw(st.sampled_from(_families()), label="family")
+        module = data.draw(st.sampled_from(family), label="module")
+        if kind == "sum":
+            small = [m for m in family if m.dim <= 5] or [module]
+            module = direct_sum(*(data.draw(st.sampled_from(small), label="summand")
+                                  for _ in range(2)))
+        elif kind == "conjugate":
+            module = _sector_conjugate(module, data)
+        view = module.fp_view
+    d = module.dim
+    whole = modp.whole_spin_test(module.field, view)
+    for i in range(d):
+        if whole(i):
+            assert _exact_spin_dim(module, i) == d, i
+
+
+@functools.cache
+def _reducible_battery():
+    """Reducible modules whose witnesses and summands the filter must not
+    change: sums of two catalog modules of one family, the loops of the
+    Z2-graded catalog modules along the trivial subgroup and of V_lambda
+    along the first composition step."""
+    out = {}
+    for family in _families():
+        small = [m for m in family if m.dim <= 6][:3]
+        for a, V in enumerate(small):
+            for b, W in enumerate(small):
+                out[f"{family[0]!r} sum {a} {b}"] = direct_sum(V, W)
+    catalog = catalog_modules(4)
+    step = jordan_holder(GROUP).chain[1]
+    for lam in range(5):
+        for v in ("E", "O"):
+            out[f"loop {v}{lam}"] = loop(catalog[f"{v}{lam}"], trivial_subgroup(GROUP)).module
+        out[f"loop V{lam}"] = loop(catalog[f"V{lam}"], step).module
+    return out
+
+
+def _first_proper_unit_spin(module):
+    for i in range(module.dim):
+        sub = gmodule.spin(module, [{i: module.field.one}])
+        if 0 < sub.dim < module.dim:
+            return sub
+    return None
+
+
+def test_witnesses_are_the_first_proper_unit_spin(monkeypatch):
+    """is_graded_irreducible's witness is the first proper exact spin of a
+    unit vector, in index order, whenever there is one: the unit vectors
+    skipped mod p are exactly ones whose spin is the whole module."""
+    skipped = []
+    real = modp.whole_spin_test
+
+    def recording(f, view):
+        whole = real(f, view)
+
+        def test(i):
+            skipped.append(whole(i))
+            return skipped[-1]
+
+        return test
+
+    monkeypatch.setattr(modp, "whole_spin_test", recording)
+    compared = 0
+    for name, module in _reducible_battery().items():
+        reference = _first_proper_unit_spin(module)
+        if reference is None:
+            continue
+        verdict = gmodule.is_graded_irreducible(module)
+        assert not verdict.irreducible, name
+        assert verdict.witness.rows == reference.rows, name
+        compared += 1
+    assert compared >= 30
+    assert any(skipped) and not all(skipped)
+
+
+def test_decompose_gives_the_summands_of_exact_spins(monkeypatch):
+    """decompose with the filter returns the summands it returns when every
+    candidate vector is spun exactly."""
+    battery = _reducible_battery()
+    filtered = {name: [s.rows for s in gmodule.decompose(M)] for name, M in battery.items()}
+    monkeypatch.setattr(gmodule, "_whole_spin_filter", lambda module: lambda v: False)
+    exact = {name: [s.rows for s in gmodule.decompose(M)] for name, M in battery.items()}
+    assert filtered == exact
+    assert sum(len(rows) > 1 for rows in exact.values()) >= 30
+
+
+def test_intertwiners_on_modules_that_share_a_view_and_that_do_not():
+    """Parity shifts and coarsenings keep the action tuple and share its
+    view, whose Hom spin tree then serves modules of other degrees; twists
+    and recolourings get views of their own.  intertwiners equals the exact
+    nullspace on every pair."""
+    catalog = catalog_modules(3)
+    sigma = discolouring_sigma()
+    elements = GROUP.elements()
+    checked = 0
+    for name in ("E+2", "O-2", "loopE1", "loopO3", "E3"):
+        V = catalog[name]
+        shifts = [parity_shift(V, h) for h in elements]
+        assert all(S.fp_view is V.fp_view for S in shifts)
+        coarse = coarsen(V, subgroup_from_generators(GROUP, [(1, 0), (0, 1)]))
+        assert coarse.fp_view is V.fp_view
+        twists = [twist(V, chi) for chi in dual_characters(GROUP)]
+        assert all(T.fp_view is not V.fp_view for T in twists)
+        pairs = [(V, S) for S in shifts] + [(S, V) for S in shifts]
+        pairs += [(T, S) for T in twists for S in shifts[:2]] + [(V, T) for T in twists]
+        if V.hsub.order() == 1:
+            recoloured = [recolour_module(M, sigma) for M in (V, *twists[:2])]
+            assert all(R.fp_view is not M.fp_view for R, M in zip(recoloured, (V, *twists)))
+            pairs += [(R, Q) for R in recoloured for Q in recoloured]
+            pairs += [(parity_shift(recoloured[0], h), recoloured[1]) for h in elements]
+        for A, B in pairs:
+            assert intertwiners(A, B) == _exact_maps(A, B), name
+            checked += 1
+    assert checked >= 150
+
+
+def test_a_view_is_dropped_with_its_module():
+    """Nothing outside the module holds its view: once the module is gone,
+    so is the view that its reductions and spin tree filled."""
+    T = twist(catalog_modules(3)["loopE3"], dual_characters(GROUP)[1])
+    action = T.action
+
+    def views():
+        return [o for o in gc.get_objects() if isinstance(o, modp.FpView) and o.action is action]
+
+    assert gmodule.is_graded_irreducible(T).irreducible and len(commutant(T)) == 1
+    assert len(views()) == 1
+    del T
+    gc.collect()
+    assert views() == []
+
+
+def test_one_classification_row_reduces_each_action_once_per_prime(monkeypatch):
+    """classify_lambda(7) reduces the entries of each action tuple mod each
+    prime at most once, and spins each Hom tree once: every module that
+    holds the tuple reads one view."""
+    reduced, spun = [], []
+    entries, tree = modp.FpView._entries, modp.FpView.tree
+
+    def counting_entries(self, p):
+        if p not in self._reduced:
+            reduced.append((self.action, p))
+        return entries(self, p)
+
+    def counting_tree(self, p, omega):
+        if (p, omega) not in self._trees:
+            spun.append((self.action, p, omega))
+        return tree(self, p, omega)
+
+    monkeypatch.setattr(modp.FpView, "_entries", counting_entries)
+    monkeypatch.setattr(modp.FpView, "tree", counting_tree)
+    assert classify_lambda(7).passed
+    # the tuples are held in the lists, so their ids stay distinct
+    assert len(reduced) == len({(id(a), p) for a, p in reduced})
+    assert len(spun) == len({(id(a), p, w) for a, p, w in spun})
