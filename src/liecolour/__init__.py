@@ -63,6 +63,7 @@ from .gmodule import (
     make_module,
     parity_shift,
     recolour_module,
+    regrade,
     spin,
     submodule_from_rows,
     submodule_to_module,

@@ -19,11 +19,14 @@ Modules are validated where they enter the program, and only there: the
 GradedModule constructor (user code and the catalog formulas) and JSON
 loading both run the full representation and homogeneity check, the
 first on integer coordinates (linalg.representation_defect).  The
-transforms here and in loopfunctor (coarsen, twist, parity_shift,
+transforms here and in loopfunctor (coarsen, regrade, twist, parity_shift,
 direct_sum, discolour/recolour, restriction, quotient, loop) map a valid
 module to a valid one by construction, so they check only what their own
 arguments can get wrong (subgroup inclusion, matching data, homogeneous
 rows, span invariance) and store their output as given (_derived).
+regrade gives a valid module's action new degrees: its one check is the
+constructor's homogeneity check, with the same error.  The regradings
+(coarsen, parity_shift, regrade) keep the action tuple and its F_p view.
 """
 
 from __future__ import annotations
@@ -108,8 +111,8 @@ class GradedModule:
     @property
     def fp_view(self):
         """The action's modp.FpView (its entries mod p and Hom spin tree),
-        made on first use and kept with the module; parity_shift and coarsen
-        hand it on with the action tuple (see the modp docstring)."""
+        made on first use and kept with the module; every regrading hands it
+        on with the action tuple (see the modp docstring)."""
         if self._fp is None:
             self._fp = modp.FpView(self.action, self.dim)
         return self._fp
@@ -135,10 +138,7 @@ class GradedModule:
     # -- validation -----------------------------------------------------------
 
     def validate(self):
-        alg = self.algebra
-        act = self.action
-        n = alg.dim()
-        bad = linalg.representation_defect(alg, act, self.dim)
+        bad = linalg.representation_defect(self.algebra, self.action, self.dim)
         if bad is not None:
             i, j, _ = bad
             raise ModuleValidationError(
@@ -146,17 +146,24 @@ class GradedModule:
                 (i, j),
                 f"rho([[x{i},x{j}]]) != rho(x{i})rho(x{j}) - eps rho(x{j})rho(x{i})",
             )
-        if not self.is_ungraded():
-            for k in range(n):
-                shift = self.quo.rep(alg.degree(k))
-                for r, row in enumerate(act[k]):
-                    for c in row:
-                        if self.degrees[r] != self.quo.add(self.degrees[c], shift):
-                            raise ModuleValidationError(
-                                "homogeneity",
-                                (k, r, c),
-                                f"entry ({r},{c}) of rho(x{k}) leaves its sector",
-                            )
+        self._check_homogeneity()
+
+    def _check_homogeneity(self):
+        """Raise ModuleValidationError("homogeneity", (k, r, c)) at the first
+        entry (r, c) of rho(x_k) that leaves its sector (none when ungraded)."""
+        if self.is_ungraded():
+            return
+        alg = self.algebra
+        for k, mat in enumerate(self.action):
+            shift = self.quo.rep(alg.degree(k))
+            for r, row in enumerate(mat):
+                for c in row:
+                    if self.degrees[r] != self.quo.add(self.degrees[c], shift):
+                        raise ModuleValidationError(
+                            "homogeneity",
+                            (k, r, c),
+                            f"entry ({r},{c}) of rho(x{k}) leaves its sector",
+                        )
 
     # -- equality ---------------------------------------------------------------
 
@@ -231,13 +238,30 @@ class IrreducibilityVerdict:
 # regrading operations
 # ---------------------------------------------------------------------------
 
+def _regraded(module, quo, degrees):
+    """The module's action tuple and F_p view under new degrees in quo."""
+    return GradedModule._derived(module.algebra, quo, degrees, module.action, module.fp_view)
+
+
+def regrade(module, hsub, degrees) -> GradedModule:
+    """The same action graded by Gamma/hsub with the given vector degrees.
+
+    The representation identity holds already, so only homogeneity is
+    checked, with the constructor's ModuleValidationError on failure."""
+    if hsub.parent != module.algebra.group:
+        raise InvalidInput("grading subgroup is not inside the algebra's group")
+    if len(degrees) != module.dim:
+        raise InvalidInput("need one degree per basis vector")
+    out = _regraded(module, quotient(module.algebra.group, hsub), degrees)
+    out._check_homogeneity()
+    return out
+
+
 def coarsen(module, hsub_new) -> GradedModule:
     """Push degrees forward along Gamma/H -> Gamma/H' for H <= H'."""
     if not module.hsub.is_subset_of(hsub_new):
         raise InvalidInput("can only coarsen along a larger subgroup")
-    quo = quotient(module.algebra.group, hsub_new)
-    return GradedModule._derived(module.algebra, quo, module.degrees, module.action,
-                                 module.fp_view)
+    return _regraded(module, quotient(module.algebra.group, hsub_new), module.degrees)
 
 
 def twist(module, character) -> GradedModule:
@@ -256,9 +280,7 @@ def parity_shift(module, h) -> GradedModule:
     """Shift every vector degree by +h (an element of Gamma)."""
     g = module.algebra.group
     h = g.reduce(h)
-    degrees = [g.add(d, h) for d in module.degrees]
-    return GradedModule._derived(module.algebra, module.quo, degrees, module.action,
-                                 module.fp_view)
+    return _regraded(module, module.quo, [g.add(d, h) for d in module.degrees])
 
 
 def direct_sum(a, b) -> GradedModule:
@@ -523,7 +545,8 @@ def _field_roots(f, mu):
     candidates when the polynomial is rational, and (for phi(m) <= 2)
     numeric roots reconstructed and verified exactly.  Only exactly
     verified roots are returned, so the list may be incomplete for exotic
-    fields; callers treat a miss as "no split found".
+    fields; callers treat a miss as "no split found".  The search stops at
+    deg distinct roots, since a polynomial of degree deg has no more.
     """
     deg = len(mu) - 1
     if deg <= 0:
@@ -536,15 +559,21 @@ def _field_roots(f, mu):
         return acc
 
     found = []
-
-    def check(c):
+    for c in _root_candidates(f, mu):
         if all(c != r for r in found) and value(c).is_zero():
             found.append(c)
+            if len(found) == deg:
+                break
+    return found
 
+
+def _root_candidates(f, mu):
+    """_field_roots' candidates, in the order they are tried; the numeric
+    ones are computed only if reached."""
     small = [Fraction(n, d2) for n in (0, 1, -1, 2, -2, 3, -3) for d2 in (1, 2, 4)]
     for q in small:
         for k in range(f.m):
-            check(f.zeta(k) * q)
+            yield f.zeta(k) * q
     if all(x.is_rational() for x in mu):
         import math
 
@@ -557,8 +586,8 @@ def _field_roots(f, mu):
             for pdiv in _divisors(const):
                 for qdiv in _divisors(lead):
                     for sign in (1, -1):
-                        check(f.from_rational(Fraction(sign * pdiv, qdiv)))
-    if f.degree <= 2 and len(found) < deg:
+                        yield f.from_rational(Fraction(sign * pdiv, qdiv))
+    if f.degree <= 2:
         coeffs = [x.complex_value() for x in mu]
         try:
             numeric = np.roots(list(reversed(coeffs)))
@@ -577,8 +606,7 @@ def _field_roots(f, mu):
                 except np.linalg.LinAlgError:
                     continue
                 cand = [Fraction(float(x)).limit_denominator(1 << 30) for x in sol]
-            check(f.num(cand))
-    return found
+            yield f.num(cand)
 
 
 def _divisors(n):

@@ -133,9 +133,13 @@ def bijection_F(module, refiner) -> BijectionOutcome:
     irreducibility; a proper graded submodule, shrunk to an irreducible
     one, is a regrading of the input and becomes the Gradable output.
     """
-    pre = is_graded_irreducible(module)
-    if not pre.irreducible:
+    if not is_graded_irreducible(module).irreducible:
         raise InvalidInput("bijection input must be graded irreducible")
+    return _lift_step(module, refiner)
+
+
+def _lift_step(module, refiner) -> BijectionOutcome:
+    """bijection_F on a module already certified graded irreducible."""
     lm = loop(module, refiner)
     verdict = is_graded_irreducible(lm.module)
     if verdict.irreducible:
@@ -200,6 +204,10 @@ def iterate_lift(module, group=None) -> LiftReport:
 
     The input must be an ungraded irreducible module (H = Gamma); each step
     applies the loop dichotomy along one prime-order link of the chain.
+    The input is certified irreducible once, by bijection_F at the first
+    step; every later step starts from the module the step before
+    certified (the irreducible loop or the shrunk restriction), so it is
+    not checked again.
     """
     g = module.algebra.group if group is None else group
     if g != module.algebra.group:
@@ -209,8 +217,8 @@ def iterate_lift(module, group=None) -> LiftReport:
     series = jordan_holder(g)
     report = LiftReport(chain=series)
     current = module
-    for sub in series.chain[1:]:
-        outcome = bijection_F(current, sub)
+    for k, sub in enumerate(series.chain[1:]):
+        outcome = (bijection_F if k == 0 else _lift_step)(current, sub)
         current = outcome.module
         report.steps.append(
             LiftStep(

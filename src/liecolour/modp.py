@@ -134,10 +134,10 @@ of F_p^d therefore forces dim S = d.
 Each GradedModule holds one FpView in a slot, made on first use: the
 entries of its action reduced mod each prime that certifies_full_closure,
 certified_hom (for V and for W) and whole_spin_test have used, and
-certified_hom's spin tree of V.  parity_shift and coarsen give the module
-they derive the same action tuple and the same view.  A view refers to no
-module, and nothing module-global refers to a view, so it is dropped with
-the last module that holds it.
+certified_hom's spin tree of V.  Every regrading (parity_shift, coarsen,
+regrade) gives the module it derives the same action tuple and the same
+view.  A view refers to no module, and nothing module-global refers to a
+view, so it is dropped with the last module that holds it.
 """
 
 from __future__ import annotations

@@ -35,6 +35,7 @@ from .gmodule import (
     iso_labels,
     parity_shift,
     recolour_module,
+    regrade,
     submodule_to_module,
     twist,
 )
@@ -153,19 +154,21 @@ def make_sl2_graded(lam, variant, recoloured=False) -> GradedModule:
 
 @lru_cache(maxsize=None)
 def _graded_variant(lam, variant):
+    """The graded catalog variants.  E and O regrade V_lambda, and E-, O+,
+    O- are parity shifts of E+, so each shares its action tuple and F_p
+    view with V_lambda or E+, and only E+ is validated."""
     V = make_V_lambda(lam)
     if variant in ("E", "O"):
-        degrees = _even_odd_degrees(lam, flip=(variant == "O"))
-        return GradedModule(V.algebra, h2_subgroup(), degrees, V.action)
+        return regrade(V, h2_subgroup(), _even_odd_degrees(lam, flip=(variant == "O")))
     if variant in _SHIFTS:
         if lam % 2:
             raise InvalidVariant(f"{variant} needs even highest weight")
+        if variant != "E+":
+            return parity_shift(_graded_variant(lam, "E+"), _SHIFTS[variant])
         basis, degs = _plus_basis(lam)
         inv = linalg.invert(FIELD, basis)
         mats = [linalg.mat_mul(inv, linalg.mat_mul(a, basis)) for a in V.action]
-        eplus = GradedModule(V.algebra, trivial_subgroup(GROUP), degs, mats)
-        shift = _SHIFTS[variant]
-        return eplus if shift == (0, 0) else parity_shift(eplus, shift)
+        return GradedModule(V.algebra, trivial_subgroup(GROUP), degs, mats)
     if variant in ("loopE", "loopO"):
         if lam % 2 == 0:
             raise InvalidVariant(f"{variant} needs odd highest weight")

@@ -526,6 +526,50 @@ def test_field_roots_numeric_branch():
     assert _same_roots(_field_roots(F4, mu), roots)
 
 
+def _exhaustive_roots(mu):
+    """Every distinct candidate _field_roots tries that is a root, in the
+    order tried, without stopping at deg roots."""
+    found = []
+    for c in gmodule._root_candidates(F4, mu):
+        value = F4.zero
+        for a in reversed(mu):
+            value = value * c + a
+        if value.is_zero() and all(c != r for r in found):
+            found.append(c)
+    return found
+
+
+def test_field_roots_stop_at_degree_without_losing_a_root(monkeypatch):
+    # products of small candidates q * i^k and rational roots off that
+    # list, with repeats: stopping at deg distinct roots gives the list and
+    # order of the exhaustive search, since no further candidate is a root
+    small = [F4.zeta(k) * Fraction(n, d) for n in (0, 1, -1, 2, -3) for d in (1, 2, 4)
+             for k in range(4)]
+    rational = [F4.from_rational(x) for x in (Fraction(5, 3), -7, Fraction(-11, 2))]
+    rng = random.Random(19)
+    cases = [[r] for r in rational] + [[F4.one, F4.one], [F4.one, -F4.one]]
+    cases += [rng.choices(small + rational, k=rng.randint(1, 4)) for _ in range(60)]
+    cases += [[x, -x] for x in rational]  # rational coefficients: p/q candidates
+    for roots in cases:
+        mu = _monic(roots)
+        found = _field_roots(F4, mu)
+        assert found == _exhaustive_roots(mu), roots
+        assert all(any(x == r for x in found) for r in roots)
+    # x^2 - 1: both roots are among the first small candidates, so the
+    # search ends long before the 84 of them
+    tried = []
+
+    def counted(f, mu):
+        for c in original(f, mu):
+            tried.append(c)
+            yield c
+
+    original = gmodule._root_candidates
+    monkeypatch.setattr(gmodule, "_root_candidates", counted)
+    assert _field_roots(F4, _monic([F4.one, -F4.one])) == [F4.one, -F4.one]
+    assert len(tried) < 84
+
+
 # x acting on Q(i)^2 with x^2 = c for a c that is no square in Q(i): no
 # invariant line over Q(i), two over C.  Both vectors have degree 0 and
 # H = {0}, so the exact closure that decides runs on one non-empty sector

@@ -125,6 +125,37 @@ def test_iterate_lift_odd():
     assert rep.final.dim == 4
 
 
+@pytest.mark.parametrize("lam", range(9))
+def test_iterate_lift_certifies_each_module_once(monkeypatch, lam):
+    # the input is certified by bijection_F's pre-check at step 1; a later
+    # step starts from the module the step before certified, so no module
+    # reaches is_graded_irreducible twice, and the report is the one that
+    # bijection_F at every step gives
+    from liecolour import gmodule, loopfunctor
+
+    V = make_V_lambda(lam)
+    steps, current = [], V
+    for sub in jordan_holder(GROUP).chain[1:]:
+        outcome = bijection_F(current, sub)
+        steps.append(outcome.to_json())
+        current = outcome.module
+    classes = loopfunctor.iso_classes_of_module(current)
+    seen = []
+    original = gmodule.is_graded_irreducible
+
+    def once(module):
+        assert all(module is not m for m in seen), "a module was certified twice"
+        seen.append(module)
+        return original(module)
+
+    monkeypatch.setattr(gmodule, "is_graded_irreducible", once)
+    monkeypatch.setattr(loopfunctor, "is_graded_irreducible", once)
+    rep = iterate_lift(V)
+    assert seen[0] is V
+    assert [s.to_json() for s in rep.steps] == steps
+    assert rep.final == current and rep.classes == classes
+
+
 def test_iterate_lift_trivial_module_of_abelian_algebra():
     abelian = make_algebra(
         GROUP, sl2c_factor(), [("x", (0, 0)), ("y", (1, 0))], {}

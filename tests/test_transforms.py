@@ -24,14 +24,22 @@ from liecolour import (
     loop,
     parity_shift,
     recolour_module,
+    regrade,
     submodule_to_module,
     subgroup_from_generators,
     trivial_subgroup,
     twist,
 )
-from liecolour.errors import InvalidSubmodule, ModuleValidationError
+from liecolour.errors import InvalidInput, InvalidSubmodule, ModuleValidationError
 from liecolour.gmodule import GradedModule
-from liecolour.workbench import GROUP, catalog_modules, discolouring_sigma, make_sl2_graded
+from liecolour.workbench import (
+    GROUP,
+    catalog_modules,
+    discolouring_sigma,
+    h2_subgroup,
+    make_sl2_graded,
+    make_V_lambda,
+)
 
 SUBGROUPS = [
     trivial_subgroup(GROUP),
@@ -60,6 +68,7 @@ def _outputs(module):
     for hsub in SUBGROUPS:
         if module.hsub.is_subset_of(hsub):
             out.append((f"coarsen {hsub!r}", coarsen(module, hsub)))
+            out.append((f"regrade {hsub!r}", regrade(module, hsub, module.degrees)))
     for ch in dual_characters(GROUP):
         out.append((f"twist {ch!r}", twist(module, ch)))
     for h in GROUP.elements():
@@ -95,6 +104,72 @@ def test_every_transform_output_validates(catalog, name):
         except ModuleValidationError as exc:
             pytest.fail(f"{name}: {what} gave an invalid module: {exc}")
         assert rebuilt == out, f"{name}: {what} is not stored in normal form"
+
+
+def _validation_outcome(build):
+    """The module build() returns, or the kind, witness and message of the
+    ModuleValidationError it raises."""
+    try:
+        return build()
+    except ModuleValidationError as exc:
+        return exc.kind, exc.witness, str(exc)
+
+
+def _regrade_cases(module):
+    """(hsub, degrees) pairs: the module's degrees shifted by each h and the
+    even-odd split of the weight basis, read in every quotient Gamma/hsub;
+    many are inhomogeneous where hsub does not contain the module's H."""
+    even_odd = [(0, 0) if j % 2 == 0 else (0, 1) for j in range(module.dim)]
+    shifted = [[GROUP.add(d, h) for d in module.degrees] for h in GROUP.elements()]
+    return [(hsub, degrees) for hsub in SUBGROUPS for degrees in shifted + [even_odd]]
+
+
+@pytest.mark.parametrize("name", BATTERY)
+def test_regrade_agrees_with_the_constructor(catalog, name):
+    # regrade checks homogeneity only; on a valid module it accepts what the
+    # constructor accepts and raises the constructor's error otherwise
+    module = catalog[name]
+    for hsub, degrees in _regrade_cases(module):
+        got = _validation_outcome(lambda: regrade(module, hsub, degrees))
+        want = _validation_outcome(
+            lambda: GradedModule(module.algebra, hsub, degrees, module.action)
+        )
+        assert got == want, (name, hsub, degrees)
+        if isinstance(got, GradedModule):
+            assert got.action is module.action and got.fp_view is module.fp_view
+
+
+# (module, subgroup, degrees, the first entry (k, r, c) leaving its sector)
+INHOMOGENEOUS = [
+    # V_3 fully graded with one degree: a1 has degree 10, not 00
+    (lambda: make_V_lambda(3), trivial_subgroup(GROUP), [(0, 0)] * 4, (0, 0, 1)),
+    # V_2 with one degree mod H = <11>: a1's degree 10 is not in H
+    (lambda: make_V_lambda(2), h2_subgroup(), [(0, 0)] * 3, (0, 0, 1)),
+    # E_2 with v_1 dropped into the even sector
+    (lambda: make_sl2_graded(2, "E"), h2_subgroup(), [(0, 0)] * 3, (0, 0, 1)),
+    # E+_2 with its first two degrees swapped
+    (lambda: make_sl2_graded(2, "E+"), trivial_subgroup(GROUP),
+     [(1, 1), (0, 0), (0, 1)], (0, 1, 2)),
+]
+
+
+@pytest.mark.parametrize("case", range(len(INHOMOGENEOUS)))
+def test_regrade_raises_the_constructors_homogeneity_error(case):
+    make, hsub, degrees, where = INHOMOGENEOUS[case]
+    module = make()
+    with pytest.raises(ModuleValidationError) as got:
+        regrade(module, hsub, degrees)
+    with pytest.raises(ModuleValidationError) as want:
+        GradedModule(module.algebra, hsub, degrees, module.action)
+    assert got.value.kind == want.value.kind == "homogeneity"
+    assert got.value.witness == want.value.witness == where
+    assert str(got.value) == str(want.value)
+
+
+def test_regrade_rejects_a_wrong_number_of_degrees():
+    V = make_V_lambda(2)
+    with pytest.raises(InvalidInput):
+        regrade(V, h2_subgroup(), [(0, 0)] * 4)
 
 
 def test_catalog_modules_validate(catalog):

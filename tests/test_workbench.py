@@ -1,3 +1,4 @@
+import re
 from fractions import Fraction
 
 import pytest
@@ -10,9 +11,11 @@ from liecolour import (
     is_graded_irreducible,
     linalg,
     submodule_to_module,
+    trivial_subgroup,
 )
 from liecolour import workbench
 from liecolour.errors import InvalidVariant
+from liecolour.gmodule import GradedModule
 from liecolour.workbench import (
     GROUP,
     Sl2Family,
@@ -21,6 +24,7 @@ from liecolour.workbench import (
     catalog_modules,
     classify_lambda,
     classify_sl2c,
+    h2_subgroup,
     make_bd_model,
     make_sl2_graded,
     make_V_lambda,
@@ -54,6 +58,41 @@ def test_graded_variant_shapes():
         make_sl2_graded(2, "U++")
     with pytest.raises(InvalidVariant):
         make_sl2_graded(2, "bogus")
+
+
+@pytest.mark.parametrize("lam", range(9))
+def test_even_odd_gradings_share_v_lambda(lam):
+    # E and O regrade V_lambda's action: same tuple, same F_p view, and the
+    # module the validating constructor builds from V's action
+    V = make_V_lambda(lam)
+    for variant, flip in (("E", False), ("O", True)):
+        m = make_sl2_graded(lam, variant)
+        assert m.action is V.action and m.fp_view is V.fp_view
+        degrees = workbench._even_odd_degrees(lam, flip=flip)
+        assert m == GradedModule(V.algebra, h2_subgroup(), degrees, V.action)
+
+
+@pytest.mark.parametrize("lam", range(0, 9, 2))
+def test_parity_variants_share_eplus(lam):
+    # E+ is built once, in the symmetrized basis; E-, O+ and O- are its
+    # parity shifts, holding its action tuple and F_p view, and each equals
+    # the module the constructor builds from the conjugated action
+    V = make_V_lambda(lam)
+    basis, degs = workbench._plus_basis(lam)
+    inv = linalg.invert(F4, basis)
+    mats = [linalg.mat_mul(inv, linalg.mat_mul(a, basis)) for a in V.action]
+    eplus = make_sl2_graded(lam, "E+")
+    for variant, shift in workbench._SHIFTS.items():
+        m = make_sl2_graded(lam, variant)
+        assert m.action is eplus.action and m.fp_view is eplus.fp_view
+        degrees = [GROUP.add(d, shift) for d in degs]
+        assert m == GradedModule(V.algebra, trivial_subgroup(GROUP), degrees, mats)
+
+
+def test_parity_variant_of_odd_weight_names_the_variant():
+    for variant in ("E+", "E-", "O+", "O-"):
+        with pytest.raises(InvalidVariant, match=re.escape(variant)):
+            make_sl2_graded(1, variant)
 
 
 def test_family_dimension_table():
