@@ -141,8 +141,9 @@ def cmd_lift(args):
     orders = [
         jsonio.read_int(x.strip(), "group order") for x in args.group.split(",") if x.strip()
     ]
-    group = AbelianGroup(orders)
-    report = loopfunctor.iterate_lift(module, group)
+    if AbelianGroup(orders) != module.algebra.group:
+        raise InvalidInput("lift group must be the algebra's grading group")
+    report = loopfunctor.iterate_lift(module)
     print(jsonio.dump(report.to_json()))
     return EXIT_OK
 

@@ -27,6 +27,11 @@ rows, span invariance) and store their output as given (_derived).
 regrade gives a valid module's action new degrees: its one check is the
 constructor's homogeneity check, with the same error.  The regradings
 (coarsen, parity_shift, regrade) keep the action tuple and its F_p view.
+
+A Submodule is its parent and its rows.  Whether it is graded is read off
+the rows (`homogeneous`), never stored, and one check (_checked_span:
+independent rows, invariant span) serves Submodule.validate,
+submodule_to_module and graded_quotient.
 """
 
 from __future__ import annotations
@@ -193,25 +198,21 @@ class Submodule:
 
     parent: GradedModule
     rows: tuple
-    homogeneous: bool
 
     @property
     def dim(self):
         return len(self.rows)
 
-    def validate(self):
+    @property
+    def homogeneous(self):
+        """Every row lies in one sector (always so when the parent is
+        ungraded).  For echelon rows this holds exactly when the span is the
+        sum of its sector parts, a graded submodule."""
         V = self.parent
-        basis = linalg.row_span(V.field, self.rows, V.dim)
-        if basis.rank != len(self.rows):
-            raise InvalidSubmodule("basis rows are dependent")
-        for mat in V.action:
-            for r in self.rows:
-                if basis.reduce(mat_vec(mat, r)):
-                    raise InvalidSubmodule("span is not invariant under the action")
-        if self.homogeneous and not V.is_ungraded():
-            for r in self.rows:
-                if len({V.degrees[i] for i in r}) > 1:
-                    raise InvalidSubmodule("basis row mixes sectors")
+        return V.is_ungraded() or all(len({V.degrees[i] for i in r}) <= 1 for r in self.rows)
+
+    def validate(self):
+        _checked_span(self)
 
     def to_json(self):
         V = self.parent
@@ -326,9 +327,9 @@ def spin(module, vectors) -> Submodule:
     """Smallest submodule containing the (sparse) vectors.
 
     The action is homogeneous (checked where the module entered, kept by
-    every transform), so if the module is graded and every input is
-    homogeneous, so are their images and the reduced echelon rows of their
-    span: the result is a graded submodule.
+    every transform), so if every input is homogeneous, so are their images
+    and the reduced echelon rows of their span: the result is a graded
+    submodule.  Other inputs may span one too; `homogeneous` reads the rows.
     """
     vecs = [v for v in vectors if v]
 
@@ -336,10 +337,27 @@ def spin(module, vectors) -> Submodule:
         return (mat_vec(mat, v) for mat in module.action)
 
     basis = RowBasis(module.field, module.dim).close(vecs, images)
-    homogeneous = module.is_ungraded() or all(
-        len({module.degrees[i] for i in v}) == 1 for v in vecs
-    )
-    return Submodule(parent=module, rows=tuple(basis.rows), homogeneous=homogeneous)
+    return Submodule(parent=module, rows=tuple(basis.rows))
+
+
+def _checked_span(sub):
+    """The one check of a submodule: its rows are independent and their
+    span is invariant.  Returns the echelon basis of the span and, per
+    action matrix, the coordinates on that basis of each row's image."""
+    V = sub.parent
+    basis = linalg.row_span(V.field, sub.rows, V.dim)
+    if basis.rank != len(sub.rows):
+        raise InvalidSubmodule("basis rows are dependent")
+    images = []
+    for mat in V.action:
+        coords = []
+        for r in sub.rows:
+            resid, c = basis.reduce(mat_vec(mat, r), coords=True)
+            if resid:
+                raise InvalidSubmodule("span is not invariant under the action")
+            coords.append(c)
+        images.append(coords)
+    return basis, images
 
 
 def submodule_to_module(sub):
@@ -353,30 +371,17 @@ def submodule_to_module(sub):
     """
     V = sub.parent
     f = V.field
+    basis, images = _checked_span(sub)
+    if not sub.homogeneous:
+        raise InvalidSubmodule("restriction needs homogeneous basis rows")
     rows = list(sub.rows)
     n = len(rows)
-    basis = linalg.row_span(f, rows, V.dim)
-    if basis.rank != n:
-        raise InvalidSubmodule("basis rows are dependent")
     at_pivots = [{k: r[p] for k, p in enumerate(basis.pivots) if p in r} for r in rows]
-    to_rows = None
     if at_pivots != identity(f, n):
         to_rows = linalg.transpose(linalg.invert(f, at_pivots), n)
-    degrees = []
-    for r in rows:
-        sectors = {V.degrees[i] for i in r}
-        if len(sectors) != 1 and not V.is_ungraded():
-            raise InvalidSubmodule("restriction needs homogeneous basis rows")
-        degrees.append(sectors.pop() if sectors else V.quo.zero())
-    mats = []
-    for mat in V.action:
-        cols = []
-        for r in rows:
-            resid, coords = basis.reduce(mat_vec(mat, r), coords=True)
-            if resid:
-                raise InvalidSubmodule("span is not invariant under the action")
-            cols.append(coords if to_rows is None else mat_vec(to_rows, coords))
-        mats.append(linalg.transpose(cols, n))
+        images = [[mat_vec(to_rows, c) for c in coords] for coords in images]
+    mats = [linalg.transpose(coords, n) for coords in images]
+    degrees = [V.degrees[min(r)] for r in rows]
     module = GradedModule._derived(V.algebra, V.quo, degrees, mats)
     return module, rows
 
@@ -714,7 +719,7 @@ def is_graded_irreducible(module) -> IrreducibilityVerdict:
 
 def shrink_to_irreducible(sub) -> Submodule:
     """A graded irreducible submodule inside `sub`, found by restricting and
-    descending into reducibility witnesses; keeps the homogeneous flag."""
+    descending into reducibility witnesses."""
     return _shrink_and_restrict(sub)[0]
 
 
@@ -730,7 +735,7 @@ def _shrink_and_restrict(sub):
             return sub, restricted, rows
         lifted = [linalg.vec_mat(w, rows) for w in verdict.witness.rows]
         basis = linalg.row_span(f, lifted, module.dim)
-        sub = Submodule(parent=module, rows=tuple(basis.rows), homogeneous=sub.homogeneous)
+        sub = Submodule(parent=module, rows=tuple(basis.rows))
 
 
 def decompose(module):
@@ -781,12 +786,10 @@ def graded_quotient(module, sub) -> GradedModule:
     """Quotient by a graded submodule, on the canonical complement basis."""
     if sub.parent is not module and sub.parent != module:
         raise InvalidSubmodule("submodule belongs to a different module")
-    sub.validate()
-    if not sub.homogeneous and not module.is_ungraded():
+    basis, _ = _checked_span(sub)
+    if not sub.homogeneous:
         raise InvalidSubmodule("quotient needs a homogeneous submodule")
-    f = module.field
     d = module.dim
-    basis = linalg.row_span(f, sub.rows, d)
     pivots = set(basis.pivots)
     comp = [i for i in range(d) if i not in pivots]
     # a residual vanishes at every pivot, so its entries sit on comp
@@ -802,11 +805,8 @@ def graded_quotient(module, sub) -> GradedModule:
     return GradedModule._derived(module.algebra, module.quo, degrees, mats)
 
 
-def submodule_from_rows(module, rows, homogeneous=None) -> Submodule:
-    f = module.field
-    basis = linalg.row_span(f, rows, module.dim)
-    if homogeneous is None:
-        homogeneous = not module.is_ungraded()
-    sub = Submodule(parent=module, rows=tuple(basis.rows), homogeneous=homogeneous)
+def submodule_from_rows(module, rows) -> Submodule:
+    basis = linalg.row_span(module.field, rows, module.dim)
+    sub = Submodule(parent=module, rows=tuple(basis.rows))
     sub.validate()
     return sub

@@ -199,7 +199,7 @@ class LiftReport:
         }
 
 
-def iterate_lift(module, group=None) -> LiftReport:
+def iterate_lift(module) -> LiftReport:
     """Walk the composition series from the ungraded end up to Gamma.
 
     The input must be an ungraded irreducible module (H = Gamma); each step
@@ -209,12 +209,9 @@ def iterate_lift(module, group=None) -> LiftReport:
     certified (the irreducible loop or the shrunk restriction), so it is
     not checked again.
     """
-    g = module.algebra.group if group is None else group
-    if g != module.algebra.group:
-        raise InvalidInput("lift group must be the algebra's grading group")
     if not module.is_ungraded():
         raise InvalidInput("iterate_lift starts from an ungraded module")
-    series = jordan_holder(g)
+    series = jordan_holder(module.algebra.group)
     report = LiftReport(chain=series)
     current = module
     for k, sub in enumerate(series.chain[1:]):

@@ -216,7 +216,7 @@ def _make_u_family(lam, variant):
         })
     ungraded = coarsen(rc, full_subgroup(GROUP))
     # restricted on the given rows, so the catalog formulas match coordinates
-    return submodule_to_module(Submodule(ungraded, rows, False))[0]
+    return submodule_to_module(Submodule(ungraded, rows))[0]
 
 
 @dataclass(frozen=True)
@@ -383,14 +383,14 @@ def classify_lambda(lam) -> LambdaReport:
             notes.append("loopE and loopO are not isomorphic")
     # recoloured side: recolouring scales each sector's columns by a constant,
     # which commutes with every degree-0 map, so Hom and the partition above
-    # are unchanged; only irreducibility over colour sl2 is re-checked
-    sig = discolouring_sigma()
-    for c in classes:
-        if not is_graded_irreducible(recolour_module(c, sig)).irreducible:
-            notes.append("recoloured class is not graded irreducible")
+    # are unchanged.  Graded irreducibility carries over too: recolouring
+    # multiplies each block P_s rho(x_a) P_t by sigma^-1(a, t) != 0, so the
+    # Burnside algebra with its sector projections, and every graded
+    # invariant subspace, stay the same; and each class is a parity shift of
+    # the module that the last lift step certified, so none is checked again
     # ungraded classification
     if even:
-        u = coarsen(recolour_module(catalog["E+"], sig), full_subgroup(GROUP))
+        u = coarsen(recolour_module(catalog["E+"], discolouring_sigma()), full_subgroup(GROUP))
         if not is_graded_irreducible(u).irreducible:
             notes.append("recoloured E+ is not ungraded irreducible")
         if u.dim != lam + 1:

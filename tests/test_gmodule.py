@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from liecolour import (
     Character,
@@ -36,7 +37,7 @@ from liecolour.errors import (
     ModuleValidationError,
     NotCompletelyReducible,
 )
-from liecolour.gmodule import GradedModule, _field_roots
+from liecolour.gmodule import GradedModule, Submodule, _field_roots
 from liecolour.loopfunctor import loop
 from liecolour.workbench import (
     GROUP,
@@ -235,11 +236,94 @@ def test_graded_quotient_examples():
 
 def test_graded_quotient_rejects_non_invariant_span():
     V2 = make_V_lambda(2)
-    from liecolour.gmodule import Submodule
-
-    bad = Submodule(parent=V2, rows=(_unit(3, 0),), homogeneous=True)
+    bad = Submodule(parent=V2, rows=(_unit(3, 0),))
     with pytest.raises(InvalidSubmodule):
         graded_quotient(V2, bad)
+
+
+def test_spin_and_submodule_from_rows_agree_on_an_ungraded_module():
+    # every subspace of an ungraded module is graded
+    V2 = make_V_lambda(2)
+    spun = spin(V2, [_unit(3, 0)])
+    from_rows = submodule_from_rows(V2, spun.rows)
+    assert spun.homogeneous and from_rows.homogeneous
+
+
+def test_homogeneity_is_read_off_the_rows_of_a_spin():
+    L = loop(make_sl2_graded(2, "E"), trivial_subgroup(GROUP)).module
+    assert L.degrees[0] != L.degrees[2] and L.degrees[0] != L.degrees[4]
+    # e_0 + e_2 meets two sectors, yet spins to the whole module
+    whole = spin(L, [{0: F4.one, 2: F4.one}])
+    assert whole.dim == 6 and whole.homogeneous
+    assert graded_quotient(L, whole).dim == 0
+    # e_0 + e_4 spins to a copy of the source that is not graded
+    mixed = spin(L, [{0: F4.one, 4: F4.one}])
+    assert mixed.dim == 3 and not mixed.homogeneous
+    with pytest.raises(InvalidSubmodule, match="quotient needs a homogeneous submodule"):
+        graded_quotient(L, mixed)
+
+
+def _spin_battery():
+    cat = catalog_modules(3)
+    step = jordan_holder(GROUP).chain[1]
+    pool = list(cat.values())
+    pool += [loop(make_V_lambda(lam), step).module for lam in range(4)]
+    pool += [loop(cat[f"{v}{lam}"], trivial_subgroup(GROUP)).module for lam in (1, 2) for v in "EO"]
+    pairs = (("E+2", "E-2"), ("E+2", "E+2"), ("E1", "O1"), ("loopE1", "loopO1"),
+             ("U++1", "U-+1"), ("V1", "V2"))
+    pool += [direct_sum(cat[a], cat[b]) for a, b in pairs]
+    return pool
+
+
+SPIN_BATTERY = _spin_battery()
+
+
+@settings(derandomize=True, max_examples=80, deadline=None)
+@given(st.data())
+def test_homogeneous_exactly_when_the_span_is_the_sum_of_its_sector_parts(data):
+    V = data.draw(st.sampled_from(SPIN_BATTERY), label="module")
+    entry = st.builds(
+        lambda a, b: F4.num([a, b]), st.integers(-2, 2), st.integers(-1, 1)
+    ).filter(lambda x: not x.is_zero())
+    vector = st.dictionaries(st.integers(0, V.dim - 1), entry, min_size=1, max_size=3)
+    sub = spin(V, data.draw(st.lists(vector, min_size=1, max_size=2), label="vectors"))
+    # the span is graded iff it holds the sector parts of its rows
+    parts = [
+        {i: x for i, x in r.items() if i in idx}
+        for r in sub.rows
+        for idx in V.sector_indices().values()
+    ]
+    graded = linalg.row_span(F4, list(sub.rows) + parts, V.dim).rank == sub.dim
+    assert sub.homogeneous == graded
+
+
+def _submodule_faults():
+    L = loop(make_sl2_graded(2, "E"), trivial_subgroup(GROUP)).module
+    witness = is_graded_irreducible(L).witness
+    return {
+        # one row twice
+        "dependent": Submodule(L, witness.rows + witness.rows[:1]),
+        # one row of an irreducible submodule of dimension 3
+        "not invariant": Submodule(L, witness.rows[:1]),
+    }
+
+
+@pytest.mark.parametrize(
+    "fault, message",
+    [("dependent", "basis rows are dependent"),
+     ("not invariant", "span is not invariant under the action")],
+)
+def test_every_submodule_check_gives_the_same_message(fault, message):
+    sub = _submodule_faults()[fault]
+    checks = (
+        sub.validate,
+        lambda: submodule_to_module(sub),
+        lambda: graded_quotient(sub.parent, sub),
+    )
+    for check in checks:
+        with pytest.raises(InvalidSubmodule) as got:
+            check()
+        assert str(got.value) == message
 
 
 def test_intertwiners_and_is_isomorphic():

@@ -387,6 +387,15 @@ def test_cli_lift(tmp_path, capsys):
     assert [s["outcome"] for s in blob["steps"]] == ["gradable", "loop"]
 
 
+@pytest.mark.parametrize("orders", ["2,3", "4"])
+def test_cli_lift_rejects_a_group_that_is_not_the_algebras(tmp_path, capsys, orders):
+    v1 = _write(tmp_path, "v1.json", jsonio.module_to_json(make_V_lambda(1)))
+    assert main(["lift", v1, "--group", orders]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "invalid input: lift group must be the algebra's grading group\n"
+
+
 def test_cli_classify(tmp_path, capsys):
     out = tmp_path / "report.json"
     assert main(["classify-sl2", "--max-lambda", "0", "--out", str(out)]) == 0

@@ -182,7 +182,7 @@ def test_catalog_modules_validate(catalog):
 def _reverse_order_restriction():
     looped = loop(make_sl2_graded(2, "E"), trivial_subgroup(GROUP)).module
     echelon = decompose(looped)[0]
-    reverse = Submodule(looped, tuple(reversed(echelon.rows)), echelon.homogeneous)
+    reverse = Submodule(looped, tuple(reversed(echelon.rows)))
     reverse.validate()
     return echelon, reverse
 
@@ -205,7 +205,7 @@ def test_restriction_on_reverse_order_rows():
 
 def test_restriction_rejects_dependent_rows():
     echelon, _ = _reverse_order_restriction()
-    doubled = Submodule(echelon.parent, echelon.rows + echelon.rows[:1], True)
+    doubled = Submodule(echelon.parent, echelon.rows + echelon.rows[:1])
     with pytest.raises(InvalidSubmodule):
         submodule_to_module(doubled)
 

@@ -9,7 +9,11 @@ from liecolour import (
     field,
     full_subgroup,
     is_graded_irreducible,
+    iterate_lift,
+    jordan_holder,
     linalg,
+    loop,
+    recolour_module,
     submodule_to_module,
     trivial_subgroup,
 )
@@ -24,6 +28,7 @@ from liecolour.workbench import (
     catalog_modules,
     classify_lambda,
     classify_sl2c,
+    discolouring_sigma,
     h2_subgroup,
     make_bd_model,
     make_sl2_graded,
@@ -202,7 +207,7 @@ def test_ungraded_eplus_in_diagonalizing_basis():
         u[lam - j] = u[lam - j] + 1 - I * ((-1) ** j)
         rows.append(linalg.mat_vec(inv, linalg.sparse(u)))
     # restricted on the given (non-echelon) rows u_j, not an echelon basis
-    mod, _ = submodule_to_module(Submodule(flat, rows, False))
+    mod, _ = submodule_to_module(Submodule(flat, rows))
     for j in range(lam + 1):
         sign = (-1) ** (j + 1)
         assert mod.matrix(2)[j][j] == Fraction(sign * (lam - 2 * j), 2)
@@ -283,3 +288,25 @@ def test_classify_counts_a_catalog_class_the_lift_misses(monkeypatch):
     assert row.equivalence_classes == 2
     assert "catalog module E+ not reproduced by the lift" in row.notes
     assert "lift class 0 matches no catalog module" in row.notes
+
+
+@pytest.mark.parametrize("lam", range(9))
+def test_recoloured_lift_classes_are_graded_irreducible(lam):
+    # classify_lambda does not certify these: recolouring scales each block
+    # P_s rho(x_a) P_t by a nonzero constant, which keeps every graded
+    # invariant subspace, so the lift's verdict carries over
+    sigma = discolouring_sigma()
+    for c in iterate_lift(make_V_lambda(lam)).classes:
+        verdict = is_graded_irreducible(recolour_module(c, sigma))
+        assert verdict.irreducible and verdict.closure_dim == c.dim ** 2
+
+
+@pytest.mark.parametrize("lam", [1, 3, 5, 7])
+def test_the_witness_of_a_reducible_odd_loop_survives_recolouring(lam):
+    # the first lift step's loop, graded by Gamma/<(0, 1)>, on which sigma
+    # is constant on every coset
+    step = jordan_holder(GROUP).chain[1]
+    looped = loop(make_V_lambda(lam), step).module
+    witness = is_graded_irreducible(looped).witness
+    assert witness.homogeneous and 0 < witness.dim < looped.dim
+    Submodule(recolour_module(looped, discolouring_sigma()), witness.rows).validate()
