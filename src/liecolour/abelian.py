@@ -1,8 +1,9 @@
 """Finite abelian groups given as explicit products of cyclic factors.
 
-All grading groups in this package are tiny (|G| <= ~64), so subgroups are
-stored as explicit element sets and every structural question (closure,
-cosets, characters, composition series) is answered by enumeration.
+All grading groups in this package are small (JSON files are capped at
+|G| <= jsonio.MAX_GROUP_ORDER = 256), so subgroups are stored as explicit
+element sets and every structural question (closure, cosets, characters,
+composition series) is answered by enumeration.
 Elements are plain tuples of residues.
 """
 

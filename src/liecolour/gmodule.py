@@ -11,9 +11,10 @@ Gamma/H): the module is absolutely irreducible iff the unital algebra these
 generate is all of End(V).  Its dimension is the sum over sectors V_t of
 the dimension of the words in the action on V_t (see modp).  It is
 computed mod p first; a full-rank answer mod p certifies the exact answer,
-anything else falls back to exact witness search (which skips the unit
-vectors whose spin mod p is already the whole space) and, as a last resort,
-the same sector closure over Q(zeta_m).
+anything else falls back to exact witness search and, as a last resort,
+the same sector closure over Q(zeta_m).  The witness search and decompose
+share one scan of candidate vectors (_proper_spins), which skips the unit
+vectors whose spin mod p is already the whole space.
 
 Modules are validated where they enter the program, and only there: the
 GradedModule constructor (user code and the catalog formulas) and JSON
@@ -652,26 +653,18 @@ def _candidate_vectors(module):
     yield from _commutant_kernel_vectors(module)
 
 
-def _whole_spin_filter(module):
-    """A test of candidate vectors: True for a multiple of a unit vector
-    whose spin mod p is all of F_p^d, which proves that its exact spin is
-    the whole module (modp.whole_spin_test)."""
+def _proper_spins(module, skip=None):
+    """The exact spins of the candidate vectors that are proper submodules,
+    in candidate order.  A vector that `skip` rejects is not spun, nor is a
+    unit vector whose spin mod p is the whole module, which proves that its
+    exact spin is too (modp.whole_spin_test)."""
     whole = modp.whole_spin_test(module.field, module.fp_view)
-    return lambda v: len(v) == 1 and whole(next(iter(v)))
-
-
-def _proper_graded_submodule(module):
-    """The first candidate vector's spin that is a proper submodule, or
-    None; vectors whose spin mod p shows it is the whole module are not
-    spun exactly."""
-    whole = _whole_spin_filter(module)
     for v in _candidate_vectors(module):
-        if whole(v):
+        if (skip is not None and skip(v)) or whole(v):
             continue
         sub = spin(module, [v])
-        if 0 < sub.dim < module.dim:
-            return sub
-    return None
+        if sub.dim < module.dim:
+            yield sub
 
 
 def is_graded_irreducible(module) -> IrreducibilityVerdict:
@@ -692,7 +685,7 @@ def is_graded_irreducible(module) -> IrreducibilityVerdict:
     parts = [idx for idx in module.sector_indices().values() if idx]
     if modp.certifies_full_closure(f, module.fp_view, parts):
         return IrreducibilityVerdict(True, closure_dim=d * d)
-    witness = _proper_graded_submodule(module)
+    witness = next(_proper_spins(module), None)
     if witness is not None:
         witness.validate()
         return IrreducibilityVerdict(False, witness=witness)
@@ -741,18 +734,17 @@ def _shrink_and_restrict(sub):
 def decompose(module):
     """Split a completely reducible module into graded irreducible summands.
 
-    Greedy assembly over minimal submodules generated by the candidate
-    vectors: unit vectors first, then (only if those do not fill the module,
-    since a unit vector can meet several summands at once) kernel vectors
-    of commutant elements.  An irreducible candidate never partially
-    overlaps the accumulated span, so when the module is completely
-    reducible this terminates with a direct sum; otherwise
-    NotCompletelyReducible is raised.
-
-    Only the first whole-module spin is shrunk: each is the identity rows,
-    so shrinking again repeats a summand already added or discarded.  After
-    it, a vector whose spin mod p shows it is the whole module is not spun
-    exactly.
+    Greedy assembly over minimal submodules inside the proper spins of the
+    candidate vectors (_proper_spins): unit vectors first, then (only if
+    those do not fill the module, since a unit vector can meet several
+    summands at once) kernel vectors of commutant elements.  A vector inside
+    the accumulated span is not spun.  An irreducible candidate never
+    partially overlaps the accumulated span, so when the module is
+    completely reducible this terminates with a direct sum; otherwise
+    NotCompletelyReducible is raised.  When no candidate spins to a proper
+    submodule, the module is its own summand if is_graded_irreducible says
+    so, and that call's InconclusiveIrreducibility is raised when it has no
+    verdict.
     """
     f = module.field
     d = module.dim
@@ -760,25 +752,19 @@ def decompose(module):
         return []
     summands = []
     accum = RowBasis(f, d)
-    whole = None  # the filter, from the first whole-module spin on
-    for v in _candidate_vectors(module):
-        if accum.contains(v) or (whole is not None and whole(v)):
-            continue
-        spun = spin(module, [v])
-        if spun.dim == d:
-            if whole is not None:
-                continue
-            whole = _whole_spin_filter(module)
+    # a lambda, not accum.contains: accum is rebound below
+    for spun in _proper_spins(module, lambda v: accum.contains(v)):
         sub = shrink_to_irreducible(spun)
         probe = accum.copy()
-        added = [probe.add(r) for r in sub.rows]
-        if all(added):
+        if all([probe.add(r) for r in sub.rows]):
             summands.append(sub)
             accum = probe
             if accum.rank == d:
                 return summands
         # an irreducible candidate either lies inside the span or misses it
         # entirely; partial overlaps cannot happen, so a skip is safe
+    if not summands and is_graded_irreducible(module).irreducible:
+        return [Submodule(parent=module, rows=tuple(identity(f, d)))]
     raise NotCompletelyReducible(f"direct sum stalled at dimension {accum.rank} of {d}")
 
 

@@ -119,8 +119,10 @@ runs only when no E_ii shows.  A spin sums d products per entry, as a
 product of two matrices does.
 
 A full spin mod p also settles an exact spin (the lattice argument behind
-the MeatAxe's spinning; Parker 1984): whole_spin_test lets gmodule's
-witness search skip the unit vectors whose exact spin is the whole module.
+the MeatAxe's spinning; Parker 1984): whole_spin_test is the filter of
+the one scan of candidate spins that gmodule's witness search and
+decompose share, and skips the unit vectors whose exact spin is the whole
+module.
 Let the action's entries be p-integral (a view raises ValueError
 otherwise, and nothing is certified), let O be Z[zeta_m] localised at the
 prime P = (p, zeta - omega), a discrete valuation ring with O/P = F_p and
@@ -667,14 +669,15 @@ def certifies_full_closure(f, view, parts):
 
 
 def whole_spin_test(f, view):
-    """A test of unit vectors under the action of the FpView `view` over f:
-    test(i) is True if e_i spins to all of F_p^d, which proves that its
-    exact spin is all of f^d (the lattice argument of the module
-    docstring).  False is no certificate: a proper spin mod p, or, for
-    every i, a denominator 0 mod p or a d past the int64 bound."""
+    """A test of sparse candidate vectors under the action of the FpView
+    `view` over f: test(v) is True if v is a multiple of one unit vector
+    e_i that spins to all of F_p^d, which proves that the exact spin of v
+    is all of f^d (the lattice argument of the module docstring).  False is
+    no certificate: any other vector, a proper spin mod p, or, for every v,
+    a denominator 0 mod p or a d past the int64 bound."""
     d = view.dim
     got = _first_image(f, view, d)
     if got is None:
-        return lambda i: False
+        return lambda v: False
     fp, p = got
-    return lambda i: _spans_all(fp, p, d, i)
+    return lambda v: len(v) == 1 and _spans_all(fp, p, d, next(iter(v)))

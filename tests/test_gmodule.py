@@ -404,15 +404,9 @@ def _greedy_decompose(module):
     raise NotCompletelyReducible(f"direct sum stalled at dimension {accum.rank} of {d}")
 
 
-def test_decompose_matches_the_greedy_reference_with_fewer_shrinks(monkeypatch):
-    shrinks = []
-    shrink = gmodule.shrink_to_irreducible
-
-    def counted(sub):
-        shrinks.append(sub)
-        return shrink(sub)
-
-    monkeypatch.setattr(gmodule, "shrink_to_irreducible", counted)
+def _decompose_battery():
+    """Loops of the criterion-5 battery, sums of two catalog modules and a
+    non-split extension."""
     step = jordan_holder(GROUP).chain[1]
     modules = [loop(make_V_lambda(lam), step).module for lam in range(5)]
     modules += [
@@ -424,8 +418,27 @@ def test_decompose_matches_the_greedy_reference_with_fewer_shrinks(monkeypatch):
     modules += [direct_sum(cat[a], cat[b]) for a, b in pairs]
     zero = [[F4.zero] * 2 for _ in range(2)]
     modules.append(_bd_ungraded(zero, [[F4.zero, F4.one], [F4.zero, F4.zero]], zero, zero))
+    return modules
+
+
+def _recording(monkeypatch, name):
+    """Replace gmodule.<name> by a wrapper that appends its first argument
+    to the returned list."""
+    calls = []
+    real = getattr(gmodule, name)
+
+    def recorded(arg, *rest):
+        calls.append(arg)
+        return real(arg, *rest)
+
+    monkeypatch.setattr(gmodule, name, recorded)
+    return calls
+
+
+def test_decompose_matches_the_greedy_reference_with_fewer_shrinks(monkeypatch):
+    shrinks = _recording(monkeypatch, "shrink_to_irreducible")
     counts = []
-    for m in modules:
+    for m in _decompose_battery():
         got = []
         for run in (_greedy_decompose, decompose):
             del shrinks[:]
@@ -439,6 +452,25 @@ def test_decompose_matches_the_greedy_reference_with_fewer_shrinks(monkeypatch):
         assert after <= before
         counts.append((before, after))
     assert sum(a for _, a in counts) < sum(b for b, _ in counts)
+
+
+def test_decompose_shrinks_only_proper_spins_and_solves_one_commutant(monkeypatch):
+    """decompose shrinks proper submodules only, never a spin that is the
+    whole module, and computes each module's commutant at most once (the
+    odd V_lambda loops reach the commutant kernel vectors)."""
+    shrinks = _recording(monkeypatch, "shrink_to_irreducible")
+    commutants = _recording(monkeypatch, "commutant")
+    reached = 0
+    for m in _decompose_battery():
+        del shrinks[:], commutants[:]
+        try:
+            decompose(m)
+        except NotCompletelyReducible:
+            pass
+        assert shrinks and all(sub.dim < m.dim for sub in shrinks)
+        assert len(commutants) <= 1
+        reached += len(commutants)
+    assert reached >= 2
 
 
 def test_denominators_divisible_by_p_give_no_certificate_but_exact_verdicts():
@@ -681,6 +713,12 @@ def test_irreducible_over_q_i_but_not_absolutely_is_inconclusive(name):
     assert str(exc) == (
         "closure rank 2 < 4 and commutant dimension 2, but no proper graded submodule "
         "found (the module is reducible over C and may be irreducible over Q(zeta_4))"
+    )
+    # no candidate splits it, so decompose has the same lack of a verdict
+    with pytest.raises(InconclusiveIrreducibility) as split:
+        decompose(module)
+    assert (str(split.value), split.value.closure_rank, split.value.commutant_dim) == (
+        str(exc), exc.closure_rank, exc.commutant_dim
     )
 
 

@@ -726,10 +726,10 @@ def test_a_unit_vector_that_the_filter_skips_spins_to_the_whole_module(data):
         elif kind == "conjugate":
             module = _sector_conjugate(module, data)
         view = module.fp_view
-    d = module.dim
+    d, one = module.dim, module.field.one
     whole = modp.whole_spin_test(module.field, view)
     for i in range(d):
-        if whole(i):
+        if whole({i: one}):
             assert _exact_spin_dim(module, i) == d, i
 
 
@@ -797,7 +797,7 @@ def test_decompose_gives_the_summands_of_exact_spins(monkeypatch):
     candidate vector is spun exactly."""
     battery = _reducible_battery()
     filtered = {name: [s.rows for s in gmodule.decompose(M)] for name, M in battery.items()}
-    monkeypatch.setattr(gmodule, "_whole_spin_filter", lambda module: lambda v: False)
+    monkeypatch.setattr(modp, "whole_spin_test", lambda f, view: lambda v: False)
     exact = {name: [s.rows for s in gmodule.decompose(M)] for name, M in battery.items()}
     assert filtered == exact
     assert sum(len(rows) > 1 for rows in exact.values()) >= 30
