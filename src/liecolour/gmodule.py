@@ -422,11 +422,12 @@ def intertwiners(V, W):
     (_intertwiner_system), whichever path produced it:
     modp.certified_hom when it has a certificate (Hom = 0 by full column
     rank mod p, or a basis solved by spinning V mod p, with dim W_s
-    unknowns per spin generator in sector s, and checked exactly against
-    every action matrix), otherwise linalg.nullspace itself on the dense
-    system (a denominator divisible by p, a spin basis singular under
-    another embedding or prime, last columns that differ between them, no
-    lift that passes the exact check).
+    unknowns per spin generator in sector s, under one embedding of zeta_m
+    and lifted to Q, or under every embedding when that lift fails, and
+    checked exactly against every action matrix), otherwise
+    linalg.nullspace itself on the dense system (a denominator divisible by
+    p, a spin basis singular under another embedding or prime, last columns
+    that differ between them, no lift that passes the exact check).
     """
     if V.algebra != W.algebra:
         raise InvalidInput("modules over different algebras")
@@ -627,14 +628,14 @@ def _divisors(n):
     return sorted(out)
 
 
-def _commutant_kernel_vectors(module):
-    """Homogeneous vectors spanning kernels of (M - c) for non-scalar
-    commutant elements M and verified eigenvalues c."""
+def _commutant_kernel_vectors(module, end):
+    """Homogeneous vectors spanning kernels of (M - c) for the non-scalar
+    elements M of the commutant basis `end` and verified eigenvalues c."""
     f = module.field
     d = module.dim
     out = []
     eye = identity(f, d)
-    for M in commutant(module):
+    for M in end:
         if M == mat_scale(eye, M[0].get(0, f.zero)):
             continue
         mu = linalg.min_poly(f, M)
@@ -645,21 +646,26 @@ def _commutant_kernel_vectors(module):
     return out
 
 
-def _candidate_vectors(module):
+def _candidate_vectors(module, end=None):
     """Vectors to spin in search of submodules: the unit vectors, then the
-    commutant kernel vectors, which are computed only if reached."""
+    commutant kernel vectors, which are computed only if reached.  The
+    commutant basis is then appended to the list `end`, when given."""
     for i in range(module.dim):
         yield {i: module.field.one}
-    yield from _commutant_kernel_vectors(module)
+    basis = commutant(module)
+    if end is not None:
+        end.extend(basis)
+    yield from _commutant_kernel_vectors(module, basis)
 
 
-def _proper_spins(module, skip=None):
+def _proper_spins(module, skip=None, end=None):
     """The exact spins of the candidate vectors that are proper submodules,
     in candidate order.  A vector that `skip` rejects is not spun, nor is a
     unit vector whose spin mod p is the whole module, which proves that its
-    exact spin is too (modp.whole_spin_test)."""
+    exact spin is too (modp.whole_spin_test).  `end` goes to
+    _candidate_vectors."""
     whole = modp.whole_spin_test(module.field, module.fp_view)
-    for v in _candidate_vectors(module):
+    for v in _candidate_vectors(module, end):
         if (skip is not None and skip(v)) or whole(v):
             continue
         sub = spin(module, [v])
@@ -685,7 +691,8 @@ def is_graded_irreducible(module) -> IrreducibilityVerdict:
     parts = [idx for idx in module.sector_indices().values() if idx]
     if modp.certifies_full_closure(f, module.fp_view, parts):
         return IrreducibilityVerdict(True, closure_dim=d * d)
-    witness = next(_proper_spins(module), None)
+    end = []
+    witness = next(_proper_spins(module, end=end), None)
     if witness is not None:
         witness.validate()
         return IrreducibilityVerdict(False, witness=witness)
@@ -694,8 +701,9 @@ def is_graded_irreducible(module) -> IrreducibilityVerdict:
     if rank_exact == d * d:
         return IrreducibilityVerdict(True, closure_dim=d * d)
     # by the density theorem a graded irreducible module whose commutant is
-    # the scalars has the full closure
-    dim_end = len(commutant(module))
+    # the scalars has the full closure; the scan, run to its end, has put
+    # the commutant basis in `end`
+    dim_end = len(end)
     why = (f"the commutant is the scalars, so one exists over Q(zeta_{f.m})" if dim_end == 1
            else f"the module is reducible over C and may be irreducible over Q(zeta_{f.m})")
     raise InconclusiveIrreducibility(

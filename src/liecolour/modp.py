@@ -26,8 +26,8 @@ maps phi: V -> W with phi rho_V(x_k) = rho_W(x_k) phi are solved as follows.
    spin whenever the span closes below d = dim V, so reducible V is covered.
    The word tree records each basis vector b_i as a generator g or as
    rho_V(x_k) b_j.
-2. Under every embedding zeta -> omega^k, gcd(k, m) = 1, and every prime,
-   the tree gives the basis B (columns b_i), which must be invertible
+2. Under an embedding zeta -> omega^k, gcd(k, m) = 1, at a prime p, the
+   tree gives the basis B (columns b_i), which must be invertible
    (fp_rref; singular B is no certificate), and C_k = B^-1 rho_V(x_k) B.
    The unknowns are u_g in W_{deg g}, one block per generator; pushing them
    along the tree gives U_i = phi(b_i) as a linear function of u.  phi is
@@ -35,33 +35,53 @@ maps phi: V -> W with phi rho_V(x_k) = rho_W(x_k) phi are solved as follows.
    and j: K d dim W rows, sum_g dim W_{deg g} columns.  phi is fixed by u
    (u_g = phi(g)) and every solution is one, so the nullity of this system
    is dim Hom(V, W) mod p.  A homogeneous b_i makes phi = (U_i)_i B^-1
-   degree 0.  When both actions are rational, every embedding gives the
-   same system, which is solved once.
+   degree 0.
 3. Each solution is mapped back to phi = (U_i)_i B^-1, flattened row-major
    (entry (r, c) at r dim V + c, the order of the intertwiner system's
    variables, whose other entries vanish) and brought to the canonical
    form: each vector 1 at its own last nonzero column and 0 at the others'
    last columns, which must agree across embeddings and primes.
-4. The phi(m) images of each entry determine its power-basis coordinates
-   mod p (a Vandermonde solve), and rational reconstruction (Wang 1981;
-   Monagan, ISSAC 2004) lifts them to Q, adding primes p = 1 (mod m) with
-   CRT, up to _MAX_PRIMES, while a coordinate does not reconstruct or a
-   candidate fails the exact check phi rho_V(x_k) = rho_W(x_k) phi.
+4. At each prime the first embedding (k = 1) is solved first, and its
+   basis is read as power-basis coordinate 0 of each entry, every other
+   coordinate 0: combined by CRT with the earlier primes' first-embedding
+   bases, it is lifted to Q by rational reconstruction (Wang 1981;
+   Monagan, ISSAC 2004) and returned if every candidate passes the exact
+   check phi rho_V(x_k) = rho_W(x_k) phi.  Only when that rational
+   candidate fails are the other phi(m) - 1 embeddings solved, unless both
+   actions are rational mod p, when every embedding gives the same system
+   and the rational candidate was the whole attempt.  Their phi(m) images
+   of each entry determine its power-basis coordinates mod p (a
+   Vandermonde solve), which are combined by CRT with the earlier primes'
+   and lifted to Q(zeta_m) the same way.  Primes p = 1 (mod m) are added,
+   up to _MAX_PRIMES, while no candidate passes.
 
 A basis returned is exact, complete, and the very basis linalg.nullspace
-returns for the intertwiner system:
+returns for the intertwiner system, from one embedding or from all:
 
 * Hom(V, W) is the nullspace of an integer system over Z[zeta_m] (the
-  intertwiner system with denominators cleared), and the system mod p
-  defines Hom(V mod p, W mod p), which step 2 solves; the rank mod p is at
-  most the exact rank, so the exact Hom dimension is at most the number of
-  solutions mod p;
-* each candidate is 1 at its own last column and 0 at the other last
-  columns, so the candidates are independent and, being exact solutions as
-  many as the dimension mod p, a basis of the exact Hom space;
+  intertwiner system with denominators cleared).  One embedding is the
+  reduction of that system modulo one prime ideal P = (p, zeta - omega^k),
+  which defines Hom(V mod P, W mod P), the space step 2 solves; the rank
+  mod P is at most the exact rank, so the h solutions under any one
+  embedding bound the exact Hom dimension from above;
+* h exact intertwiners in canonical form, each 1 at its own last column
+  and 0 at the other last columns, are independent, so they are a basis
+  of the exact Hom space;
 * a space has one basis of that form, and linalg.nullspace's is one (the
   last nonzero entry of each vector is its free column: an entry of the
-  reduced form is 0 left of its row's pivot).
+  reduced form is 0 left of its row's pivot), so the full path returns
+  the same basis as the rational candidate would;
+* a wrong guess, a rational candidate for a basis that is not rational
+  included, fails the reconstruction or the exact check and is never
+  returned.
+
+The rational candidate is what the paper's modules need.  In V_lambda each
+rho(x_k) has entries all in Q or all in iQ, so complex conjugation maps it
+to +-rho(x_k), a twist by a character; twisting V and W by the same
+character leaves Hom(V, W) unchanged, so Hom(V, W) is conjugation-stable
+and its canonical basis is rational.  A conjugate by a matrix with
+non-rational entries (the benchmark's dense conjugates, or V_1 conjugated
+by diag(1, i)) can give a basis that is not, which takes every embedding.
 
 int64 arithmetic: every entry is reduced into [0, p), and every
 contraction sums at most L = max(d dim W, phi(m)) products of two entries
@@ -545,20 +565,40 @@ def _hom_solutions(act_v, act_w, tree, unknowns, p, first):
 def _lift(f, residues, modulus, d):
     """Candidate maps (sparse rows) from the coordinates mod `modulus` of
     their entries, residues[t, s, r d + c] for coordinate t of entry (r, c)
-    of candidate s; None if a coordinate does not reconstruct."""
+    of candidate s (the coordinates past len(residues) are 0); None if a
+    coordinate does not reconstruct."""
     count, size = residues.shape[1:]
+    pad = [0] * (f.degree - len(residues))
     maps = [[{} for _ in range(size // d)] for _ in range(count)]
     for s, j in sorted(set(zip(*np.nonzero(residues)[1:]))):
         coeffs = [_rational(int(u), modulus) for u in residues[:, s, j]]
         if None in coeffs:
             return None
         r, c = divmod(int(j), d)
-        maps[s][r][c] = f.num(coeffs)
+        maps[s][r][c] = f.num(coeffs + pad)
     return maps
 
 
 def _intertwines(phi, act_v, act_w):
     return all(linalg.mat_mul(phi, a) == linalg.mat_mul(b, phi) for a, b in zip(act_v, act_w))
+
+
+def _checked_lift(f, residues, modulus, d, act_v, act_w):
+    """_lift's candidate maps if each of them intertwines the exact actions,
+    else None."""
+    maps = _lift(f, residues, modulus, d)
+    if maps is not None and all(_intertwines(phi, act_v, act_w) for phi in maps):
+        return maps
+    return None
+
+
+def _crt(residues, coords, modulus, p):
+    """The residues mod modulus * p that are `residues` mod modulus (None
+    when modulus is 1) and `coords` mod p."""
+    if residues is None:
+        return coords
+    step = (coords - residues % p) * pow(modulus, -1, p) % p
+    return residues.astype(object) + modulus * step.astype(object)
 
 
 def certified_hom(f, view_v, view_w, deg_v, deg_w):
@@ -570,11 +610,14 @@ def certified_hom(f, view_v, view_w, deg_v, deg_w):
 
     The basis, when given, is the one linalg.nullspace returns for the
     intertwiner system.  When every action matrix is zero it is the unit
-    maps, given at once.  [] is certified by full column rank mod p.  None
-    is returned for a denominator divisible by a prime used, a singular
-    spin basis, last columns that differ between embeddings or primes, or
-    no candidate basis that reconstructs and passes the exact check within
-    _MAX_PRIMES primes.
+    maps, given at once.  [] is certified by full column rank mod p.  At
+    each prime the first embedding is solved and its basis lifted to Q
+    with the earlier primes' first-embedding bases; the other embeddings
+    are solved only when that rational candidate fails.  None is returned
+    for a denominator divisible by a prime used, a singular spin basis,
+    last columns that differ between embeddings or primes, or no candidate
+    basis that reconstructs and passes the exact check within _MAX_PRIMES
+    primes.
     """
     act_v, act_w = view_v.action, view_w.action
     d, e = len(deg_v), len(deg_w)
@@ -589,7 +632,7 @@ def certified_hom(f, view_v, view_w, deg_v, deg_w):
     sectors = {}
     for r, s in enumerate(deg_w):
         sectors.setdefault(s, []).append(r)
-    tree = unknowns = last = residues = None
+    tree = unknowns = last = rational = residues = None
     modulus = 1
     for i in range(_MAX_PRIMES):
         p = prime_for(m, i)
@@ -598,9 +641,6 @@ def certified_hom(f, view_v, view_w, deg_v, deg_w):
         omega = order_m_root(m, p)
         images = []
         for k in units:
-            if images and view_v.rational(p) and view_w.rational(p):
-                images.append(images[0])  # the same system under every embedding
-                continue
             w = pow(omega, k, p)
             try:
                 fv, fw = view_v.images(p, w), view_w.images(p, w)
@@ -622,17 +662,26 @@ def certified_hom(f, view_v, view_w, deg_v, deg_w):
             elif cols != last:
                 return None
             images.append(basis)
-        coords = _power_coordinates(images, p, omega, units)
-        if residues is None:
-            residues = coords
+            if len(images) == 1:
+                # the rational candidate: this basis as power-basis coordinate 0
+                rational = _crt(rational, basis[None], modulus, p)
+                maps = _checked_lift(f, rational, modulus * p, d, act_v, act_w)
+                if maps is not None:
+                    return maps
+                if view_v.rational(p) and view_w.rational(p):
+                    break  # every embedding gives this system
+        if len(images) == 1:  # rational actions, or phi(m) = 1: coordinate 0
+            coords = np.zeros((len(units), *basis.shape), dtype=np.int64)
+            coords[0] = basis
         else:
-            # CRT: keep residues mod modulus, lift to mod modulus * p
-            step = (coords - residues % p) * pow(modulus, -1, p) % p
-            residues = residues.astype(object) + modulus * step.astype(object)
+            coords = _power_coordinates(images, p, omega, units)
+        residues = _crt(residues, coords, modulus, p)
         modulus *= p
-        maps = _lift(f, residues, modulus, d)
-        if maps is not None and all(_intertwines(phi, act_v, act_w) for phi in maps):
-            return maps
+        # with every coordinate past the first 0, this is the rational candidate
+        if residues[1:].any():
+            maps = _checked_lift(f, residues, modulus, d, act_v, act_w)
+            if maps is not None:
+                return maps
     return None
 
 

@@ -703,11 +703,14 @@ def _one_operator(rows):
 
 
 @pytest.mark.parametrize("name", sorted(NOT_ABSOLUTELY_IRREDUCIBLE))
-def test_irreducible_over_q_i_but_not_absolutely_is_inconclusive(name):
+def test_irreducible_over_q_i_but_not_absolutely_is_inconclusive(name, monkeypatch):
     module = _one_operator(NOT_ABSOLUTELY_IRREDUCIBLE[name])
+    commutants = _recording(monkeypatch, "commutant")
     with pytest.raises(InconclusiveIrreducibility) as caught:
         is_graded_irreducible(module)
     exc = caught.value
+    # the witness search's commutant also gives the dimension in the message
+    assert len(commutants) == 1
     # the closure is Q(i)[x] and so is the commutant: a field of degree 2
     assert (exc.closure_rank, exc.commutant_dim) == (2, 2)
     assert str(exc) == (

@@ -406,9 +406,10 @@ NO_CERTIFICATE = {
     "rank drop": (lambda: [{0: _q(P4), 1: F4.one}], True),
     # 10^13 exceeds the reconstruction bound of _MAX_PRIMES primes
     "height beyond every prime": (lambda: [{0: F4.one, 1: _q(-10**13)}], True),
-    # zeta - w vanishes under zeta -> w but not under zeta -> w^3 = -w
+    # zeta - w vanishes under zeta -> w, whose rational candidate fails the
+    # exact check, but not under zeta -> w^3 = -w, which has other last columns
     "pivots differ between embeddings": (
-        lambda: [{0: F4.zeta() - modp.order_m_root(4, P4), 1: F4.one}], False),
+        lambda: [{0: F4.zeta() - modp.order_m_root(4, P4), 1: F4.one}], True),
 }
 
 
@@ -435,6 +436,73 @@ def test_heights_beyond_one_prime_are_lifted_by_crt():
     for V, W in (_realising(rows, 3), _realising_dually(rows, 3)):
         assert _certified(V, W) == _exact_maps(V, W) == intertwiners(V, W)
         assert len(_exact_maps(V, W)) == 1
+
+
+def _solves_per_call(monkeypatch):
+    """Wrap modp.certified_hom and modp._hom_solutions: the returned list
+    gets, per certified_hom call, [result, primes of its solves]."""
+    calls = []
+    real_hom, real_solve = modp.certified_hom, modp._hom_solutions
+
+    def hom(*args):
+        call = [None, []]
+        calls.append(call)
+        call[0] = real_hom(*args)
+        return call[0]
+
+    def solve(act_v, act_w, tree, unknowns, p, first):
+        calls[-1][1].append(p)
+        return real_solve(act_v, act_w, tree, unknowns, p, first)
+
+    monkeypatch.setattr(modp, "certified_hom", hom)
+    monkeypatch.setattr(modp, "_hom_solutions", solve)
+    return calls
+
+
+def test_a_rational_hom_basis_is_solved_under_one_embedding(monkeypatch):
+    """Every Hom basis of classify_lambda(0..8) is rational, so each
+    certified_hom call that is not answered at once solves one embedding
+    per prime it uses."""
+    calls = _solves_per_call(monkeypatch)
+    for lam in range(9):
+        assert classify_lambda(lam).passed
+    solved = [primes for _, primes in calls if primes]
+    assert len(solved) >= 100
+    assert all(len(primes) == len(set(primes)) for primes in solved)
+    assert all(out is not None for out, _ in calls)
+
+
+def _conjugate(V, P):
+    """P rho_V P^-1 as a module of V's algebra and grading."""
+    P_inv = linalg.invert(V.field, P)
+    conj = [linalg.mat_mul(linalg.mat_mul(P, a), P_inv) for a in V.action]
+    return GradedModule(V.algebra, V.hsub, V.degrees, conj)
+
+
+def test_a_hom_basis_that_is_not_rational_is_solved_under_every_embedding(monkeypatch):
+    """V_1 and its conjugate by diag(1, i), and V_2 and a dense conjugate
+    by a Gaussian unimodular P: the only intertwiners are not rational, so
+    the rational candidate of the first embedding fails and the second
+    embedding of Q(i) is solved at the same prime."""
+    f = make_V_lambda(1).field
+    i = f.zeta()
+    assert f.m == 4 and i * i == -f.one
+    g = lambda a, b: f.num([a, b])  # a + b i
+    upper = [{0: f.one, 1: g(1, 1), 2: g(0, -2)}, {1: f.one, 2: g(2, 1)}, {2: f.one}]
+    lower = [{0: f.one}, {0: g(-1, 2), 1: f.one}, {0: g(1, 0), 1: g(0, 1), 2: f.one}]
+    cases = [(make_V_lambda(1), [{0: f.one}, {1: i}]),
+             (make_V_lambda(2), linalg.mat_mul(upper, lower))]
+    calls = _solves_per_call(monkeypatch)
+    for V, P in cases:
+        W = _conjugate(V, P)
+        del calls[:]
+        maps = _certified(V, W)
+        assert maps is not None and maps == _exact_maps(V, W) and len(maps) == 1
+        assert not all(x.is_rational() for row in maps[0] for x in row.values())
+        assert calls[0][1] == [P4, P4]
+    # Hom(V_1, P V_1 P^-1) is spanned by P, scaled to 1 at its last entry
+    V1, P = cases[0]
+    assert _certified(V1, _conjugate(V1, P)) == [[{0: -i}, {1: f.one}]]
 
 
 def _entry(data, f, p, kind):
