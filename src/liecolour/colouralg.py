@@ -207,20 +207,14 @@ class ColourAlgebra:
             return True
         if not isinstance(other, ColourAlgebra):
             return NotImplemented
-        if (
-            self.group != other.group
-            or self.epsilon != other.epsilon
-            or self.basis != other.basis
-        ):
-            return False
-        keys = set(self._table) | set(other._table)
-        zero = self.field.zero
-        for key in keys:
-            a, b = self._table.get(key, {}), other._table.get(key, {})
-            for k in set(a) | set(b):
-                if a.get(k, zero) != b.get(k, zero):
-                    return False
-        return True
+        # both tables are complete and store no zero: the constructor drops
+        # zeros, and _complete and discolour scale by roots of unity
+        return (
+            self.group == other.group
+            and self.epsilon == other.epsilon
+            and self.basis == other.basis
+            and self._table == other._table
+        )
 
     def __repr__(self):
         return f"ColourAlgebra(dim={len(self.basis)}, group={self.group})"

@@ -589,9 +589,10 @@ def _root_candidates(f, mu):
             denom = math.lcm(denom, x.rational_value().denominator)
         const = abs(int(mu[0].rational_value() * denom))
         lead = abs(int(mu[-1].rational_value() * denom))
-        if 0 < const <= 10**6:
+        if 0 < const <= 10**6 and lead <= 10**6:
+            leads = _divisors(lead)
             for pdiv in _divisors(const):
-                for qdiv in _divisors(lead):
+                for qdiv in leads:
                     for sign in (1, -1):
                         yield f.from_rational(Fraction(sign * pdiv, qdiv))
     if f.degree <= 2:
@@ -678,11 +679,13 @@ def is_graded_irreducible(module) -> IrreducibilityVerdict:
 
     Irreducible verdicts always come with closure dimension dim^2 (full
     rank mod p already implies full rank exactly), so they hold over C too;
-    reducible verdicts carry an exactly verified proper graded submodule
-    over Q(zeta_m).  A closure below dim^2 with no submodule found raises
-    InconclusiveIrreducibility with the closure rank and the commutant
-    dimension: the module is then reducible over C, and may be irreducible
-    over Q(zeta_m), though not when its commutant is the scalars.
+    reducible verdicts carry an exact proper graded submodule over
+    Q(zeta_m), the spin of one vector, whose rows RowBasis.close made
+    independent and closed under the action.  A closure below dim^2 with
+    no submodule found raises InconclusiveIrreducibility with the closure
+    rank and the commutant dimension: the module is then reducible over C,
+    and may be irreducible over Q(zeta_m), though not when its commutant is
+    the scalars.
     """
     d = module.dim
     if d == 0:
@@ -694,7 +697,6 @@ def is_graded_irreducible(module) -> IrreducibilityVerdict:
     end = []
     witness = next(_proper_spins(module, end=end), None)
     if witness is not None:
-        witness.validate()
         return IrreducibilityVerdict(False, witness=witness)
     # exact authority: the mod-p rank may have dropped on an unlucky prime
     rank_exact = _closure_rank_exact(f, module.action, parts, d)
@@ -746,13 +748,15 @@ def decompose(module):
     candidate vectors (_proper_spins): unit vectors first, then (only if
     those do not fill the module, since a unit vector can meet several
     summands at once) kernel vectors of commutant elements.  A vector inside
-    the accumulated span is not spun.  An irreducible candidate never
-    partially overlaps the accumulated span, so when the module is
-    completely reducible this terminates with a direct sum; otherwise
-    NotCompletelyReducible is raised.  When no candidate spins to a proper
-    submodule, the module is its own summand if is_graded_irreducible says
-    so, and that call's InconclusiveIrreducibility is raised when it has no
-    verdict.
+    the accumulated span is not spun.  Each candidate is shrunk to a graded
+    irreducible S, and S meets the accumulated span, a graded submodule, in
+    a graded submodule of S: 0 or S.  So S's first row decides whether S is
+    a new summand, whose rows are then added to the span as they are, and
+    when the module is completely reducible this terminates with a direct
+    sum; otherwise NotCompletelyReducible is raised.  When no candidate
+    spins to a proper submodule, the module is its own summand if
+    is_graded_irreducible says so, and that call's
+    InconclusiveIrreducibility is raised when it has no verdict.
     """
     f = module.field
     d = module.dim
@@ -760,17 +764,14 @@ def decompose(module):
         return []
     summands = []
     accum = RowBasis(f, d)
-    # a lambda, not accum.contains: accum is rebound below
-    for spun in _proper_spins(module, lambda v: accum.contains(v)):
+    for spun in _proper_spins(module, accum.contains):
         sub = shrink_to_irreducible(spun)
-        probe = accum.copy()
-        if all([probe.add(r) for r in sub.rows]):
+        if not accum.contains(sub.rows[0]):
+            for r in sub.rows:
+                accum.add(r)
             summands.append(sub)
-            accum = probe
             if accum.rank == d:
                 return summands
-        # an irreducible candidate either lies inside the span or misses it
-        # entirely; partial overlaps cannot happen, so a skip is safe
     if not summands and is_graded_irreducible(module).irreducible:
         return [Submodule(parent=module, rows=tuple(identity(f, d)))]
     raise NotCompletelyReducible(f"direct sum stalled at dimension {accum.rank} of {d}")

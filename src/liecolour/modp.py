@@ -14,8 +14,8 @@ one-sided guarantee is used as a sound fast path, with three certificates:
   Q(zeta_m) and checked exactly against every action matrix.
 
 These are the interface.  False or None means "no certificate" (a rank
-dropped, a denominator is 0 mod p, the lift failed), never the opposite
-verdict; the caller then computes exactly.
+dropped, a denominator is 0 mod p, p is past the int64 bound, the lift
+failed), never the opposite verdict; the caller then computes exactly.
 
 Hom by spinning (the MeatAxe homomorphism method; Lux & Pahlings,
 Representations of Groups: A Computational Approach, CUP 2010).  Degree-0
@@ -83,15 +83,6 @@ and its canonical basis is rational.  A conjugate by a matrix with
 non-rational entries (the benchmark's dense conjugates, or V_1 conjugated
 by diag(1, i)) can give a basis that is not, which takes every embedding.
 
-int64 arithmetic: every entry is reduced into [0, p), and every
-contraction sums at most L = max(d dim W, phi(m)) products of two entries
-(the images of the power basis, B^-1 rho_V B, C_k^T U, rho_W U, the
-solutions' images U_i u, (U_i u)_i B^-1, the spin's reductions: each sums
-over d, dim W, phi(m) or at most d dim W unknowns) and is reduced mod p at
-once.  certified_hom gives no certificate unless L p^2 < 2^63, which
-holds whenever d dim W <= 2^20 and m <= 1024 (the JSON reader's cap; the
-primes used are then below 2^21).
-
 The closure is computed one sector block at a time.  The Burnside algebra
 A of a graded module is generated by the action matrices and the diagonal
 grading operators T_chi.  The T_chi span the sector projections P_s, over Q
@@ -110,9 +101,8 @@ The closure and the spin of step 1 grow one incremental echelon,
 _FpEchelon (the Meat-Axe spinning form; Parker 1984), whose rows are each
 1 at their own pivot and 0 at the others': a vector is reduced by one
 product, vec[pivots] @ rows, which sums up to ncols products of entries in
-[0, p).  So the closure needs ncols (p - 1)^2 < 2^63, where ncols, the size
-of a block V_t -> V_s, is at most (largest sector) d <= d^2;
-certifies_full_closure gives no certificate past that bound.
+[0, p); ncols, the size of a block V_t -> V_s, is at most
+(largest sector) d <= d^2.
 
 Most closures are decided without closure_rank, by a rank-one idempotent
 E_ii (1 at (i, i), 0 elsewhere) in the algebra A mod p, the rank-one case
@@ -124,8 +114,7 @@ of Norton's irreducibility test (Holt & Rees, J. Austral. Math. Soc. A 57,
   rho(x_a) rho(x_b) through V_t -> V_s -> V_t, is diagonal, D, and its
   entry at i occurs once on D's diagonal: P_t D P_t is in A, and
   E_ii = P_t q(P_t D P_t) for the Lagrange polynomial q that is 1 at that
-  entry and 0 at the others.  Such a product sums at most d products of
-  entries in [0, p), within the closure's bound above.
+  entry and 0 at the others.
 * If the spins of e_i under the matrices and under their transposes are
   both F_p^d, then A e_i = F_p^d and e_i^T A = (F_p^d)^T (a spin of a
   homogeneous vector is graded, so the projections add nothing to it).
@@ -135,8 +124,7 @@ of Norton's irreducibility test (Holt & Rees, J. Austral. Math. Soc. A 57,
   of F_p^d either way, so the dimension is below d^2.
 
 So the answer is closure_rank(...) == d^2 in every case; closure_rank
-runs only when no E_ii shows.  A spin sums d products per entry, as a
-product of two matrices does.
+runs only when no E_ii shows.
 
 A full spin mod p also settles an exact spin (the lattice argument behind
 the MeatAxe's spinning; Parker 1984): whole_spin_test is the filter of
@@ -156,10 +144,23 @@ of F_p^d therefore forces dim S = d.
 Each GradedModule holds one FpView in a slot, made on first use: the
 entries of its action reduced mod each prime that certifies_full_closure,
 certified_hom (for V and for W) and whole_spin_test have used, and
-certified_hom's spin tree of V.  Every regrading (parity_shift, coarsen,
-regrade) gives the module it derives the same action tuple and the same
-view.  A view refers to no module, and nothing module-global refers to a
-view, so it is dropped with the last module that holds it.
+certified_hom's spin tree of V, spun at its first prime and embedding, the
+only ones it spins at.  Every regrading (parity_shift, coarsen, regrade)
+gives the module it derives the same action tuple and the same view.  A
+view refers to no module, and nothing module-global refers to a view, so
+it is dropped with the last module that holds it.
+
+int64 arithmetic is bounded in one place, the view: FpView._entries
+raises ValueError, as for a denominator divisible by p, when
+max(d^2, c) (p - 1)^2 >= 2^63, for c the coordinates it stores per entry,
+and every certificate then reads "no certificate".  Every entry is
+reduced into [0, p), and every contraction in this module sums at most
+that many products of two entries before it is reduced mod p: c for an
+image, ncols <= d^2 for _FpEchelon.add, d for a closure block, a
+rank-one product or a spin, and at most d dim W for _hom_solutions, whose
+two views are reduced at the same prime, so the larger one's bound covers
+d dim W.  At the primes prime_for gives, about 2^20, every certificate
+stops at d of about 2,900.
 """
 
 from __future__ import annotations
@@ -215,15 +216,16 @@ class FpView:
     entries are kept as one int64 array: flat index, then the coordinates,
     or the first alone when every entry is rational mod p), so each image is
     one product with the powers of omega.  What is computed is kept as long
-    as the view (see the module docstring)."""
+    as the view, and every image is within the int64 bound (see the module
+    docstring)."""
 
-    __slots__ = ("action", "dim", "_reduced", "_trees")
+    __slots__ = ("action", "dim", "_reduced", "_tree")
 
     def __init__(self, action, dim):
         self.action = action
         self.dim = dim
         self._reduced = {}  # p -> the reduced entries
-        self._trees = {}  # (p, omega) -> _spin_tree of the image
+        self._tree = None  # _spin_tree of the image certified_hom spins
 
     def _entries(self, p):
         red = self._reduced.get(p)
@@ -236,6 +238,8 @@ class FpView:
                         inv = pow(x.den, -1, p)  # ValueError when p divides x.den
                         rows.append([at + j, *(c * inv % p for c in x.nums)])
             red = np.array(rows, dtype=np.int64) if rows else np.zeros((0, 2), dtype=np.int64)
+            if max(n * n, red.shape[1] - 1) * (p - 1) ** 2 >= 1 << 63:
+                raise ValueError(f"F_{p} products of a {n}-dimensional action overflow int64")
             if not np.count_nonzero(red[:, 2:]):
                 red = red[:, :2].copy()
             self._reduced[p] = red
@@ -243,7 +247,8 @@ class FpView:
 
     def images(self, p, omega):
         """The image under zeta -> omega, an int64 array (K, d, d) with
-        entries in [0, p); ValueError when p divides a denominator."""
+        entries in [0, p); ValueError when p divides a denominator or p is
+        past the int64 bound."""
         red = self._entries(p)
         out = np.zeros((len(self.action), self.dim, self.dim), dtype=np.int64)
         if red.size:
@@ -257,11 +262,12 @@ class FpView:
         return self._entries(p).shape[1] == 2
 
     def tree(self, p, omega):
-        key = (p, omega)
-        tree = self._trees.get(key)
-        if tree is None:
-            tree = self._trees[key] = _spin_tree(self.images(p, omega), p, self.dim)
-        return tree
+        """_spin_tree of the image under zeta -> omega mod p, spun on the
+        first call; certified_hom calls it at its first prime and embedding
+        only."""
+        if self._tree is None:
+            self._tree = _spin_tree(self.images(p, omega), p, self.dim)
+        return self._tree
 
 
 class _FpEchelon:
@@ -579,15 +585,12 @@ def _lift(f, residues, modulus, d):
     return maps
 
 
-def _intertwines(phi, act_v, act_w):
-    return all(linalg.mat_mul(phi, a) == linalg.mat_mul(b, phi) for a, b in zip(act_v, act_w))
-
-
 def _checked_lift(f, residues, modulus, d, act_v, act_w):
     """_lift's candidate maps if each of them intertwines the exact actions,
     else None."""
     maps = _lift(f, residues, modulus, d)
-    if maps is not None and all(_intertwines(phi, act_v, act_w) for phi in maps):
+    if maps is not None and all(linalg.mat_mul(phi, a) == linalg.mat_mul(b, phi)
+                                for phi in maps for a, b in zip(act_v, act_w)):
         return maps
     return None
 
@@ -636,15 +639,13 @@ def certified_hom(f, view_v, view_w, deg_v, deg_w):
     modulus = 1
     for i in range(_MAX_PRIMES):
         p = prime_for(m, i)
-        if max(d * e, f.degree) * p * p >= 1 << 63:
-            return None  # beyond the int64 bound of the module docstring
         omega = order_m_root(m, p)
         images = []
         for k in units:
             w = pow(omega, k, p)
             try:
                 fv, fw = view_v.images(p, w), view_w.images(p, w)
-            except ValueError:  # a denominator is 0 mod p
+            except ValueError:  # a denominator is 0 mod p, or the int64 bound
                 return None
             first = tree is None
             if first:
@@ -685,17 +686,14 @@ def certified_hom(f, view_v, view_w, deg_v, deg_w):
     return None
 
 
-def _first_image(f, view, width):
+def _first_image(f, view):
     """(image, p): the action's image under f's first prime p and embedding,
-    or None when p divides a denominator or width (p - 1)^2 >= 2^63, for a
-    caller whose products sum at most `width` products of entries in
-    [0, p) (the int64 bound of the module docstring)."""
+    or None when the view raises ValueError (a denominator is 0 mod p, or p
+    is past the int64 bound of the module docstring)."""
     p, omega = fp_for_field(f)
-    if width * (p - 1) ** 2 >= 1 << 63:
-        return None
     try:
         return view.images(p, omega), p
-    except ValueError:  # a denominator is 0 mod p
+    except ValueError:
         return None
 
 
@@ -707,7 +705,7 @@ def certifies_full_closure(f, view, parts):
     from _rank_one_index the answer is two spins of e_i; without one it is
     closure_rank's (see the module docstring)."""
     d = view.dim
-    got = _first_image(f, view, max(map(len, parts), default=0) * d)
+    got = _first_image(f, view)
     if got is None:
         return False
     fp, p = got
@@ -723,9 +721,9 @@ def whole_spin_test(f, view):
     e_i that spins to all of F_p^d, which proves that the exact spin of v
     is all of f^d (the lattice argument of the module docstring).  False is
     no certificate: any other vector, a proper spin mod p, or, for every v,
-    a denominator 0 mod p or a d past the int64 bound."""
+    a view that raises ValueError."""
     d = view.dim
-    got = _first_image(f, view, d)
+    got = _first_image(f, view)
     if got is None:
         return lambda v: False
     fp, p = got

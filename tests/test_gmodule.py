@@ -1,4 +1,6 @@
+import itertools
 import random
+import time
 from fractions import Fraction
 
 import numpy as np
@@ -454,6 +456,31 @@ def test_decompose_matches_the_greedy_reference_with_fewer_shrinks(monkeypatch):
     assert sum(a for _, a in counts) < sum(b for b, _ in counts)
 
 
+def test_witnesses_and_summands_pass_submodule_validation():
+    """is_graded_irreducible and decompose return the spins they build as
+    they are: every witness and every summand passes Submodule.validate,
+    on the decompose battery and on the sums of two modules of one family
+    (one algebra and grading) of the catalog."""
+    cat = catalog_modules(2)
+    pairs = [(cat[a], cat[b]) for a, b in itertools.combinations_with_replacement(cat, 2)
+             if cat[a].algebra == cat[b].algebra and cat[a].hsub == cat[b].hsub]
+    modules = _decompose_battery() + [direct_sum(a, b) for a, b in pairs]
+    witnesses = summands = 0
+    for m in modules:
+        verdict = is_graded_irreducible(m)
+        if not verdict.irreducible:
+            verdict.witness.validate()
+            witnesses += 1
+        try:
+            split = decompose(m)
+        except NotCompletelyReducible:
+            continue
+        for sub in split:
+            sub.validate()
+        summands += len(split)
+    assert witnesses >= len(pairs) and summands >= 2 * len(pairs)
+
+
 def test_decompose_shrinks_only_proper_spins_and_solves_one_commutant(monkeypatch):
     """decompose shrinks proper submodules only, never a spin that is the
     whole module, and computes each module's commutant at most once (the
@@ -723,6 +750,29 @@ def test_irreducible_over_q_i_but_not_absolutely_is_inconclusive(name, monkeypat
     assert (str(split.value), split.value.closure_rank, split.value.commutant_dim) == (
         str(exc), exc.closure_rank, exc.commutant_dim
     )
+
+
+def _two_eigenvalues(n):
+    """x acting on Q(i)^2 as P diag(1, 2) P^-1, P = [[1, 1], [n, n + 1]]:
+    reducible, but no unit vector spins to a proper submodule, and the
+    commutant element that splits it has minimal polynomial
+    (x - 1/n)(x - 1/(n + 1)), whose leading coefficient, cleared of
+    denominators, is n (n + 1)."""
+    return _one_operator([{0: 1 - n, 1: 1}, {0: -n * n - n, 1: n + 2}])
+
+
+def test_a_large_leading_coefficient_does_not_stall_the_root_search():
+    # the rational-root search skips a leading coefficient past 10^6 as it
+    # skips such a constant, instead of trial-dividing it for each divisor
+    # of the constant; n = 10^3 is still split, by the numeric roots
+    start = time.perf_counter()
+    verdict = is_graded_irreducible(_two_eigenvalues(10**3))
+    assert time.perf_counter() - start < 2
+    assert not verdict.irreducible and verdict.witness.dim == 1
+    start = time.perf_counter()
+    with pytest.raises(InconclusiveIrreducibility):
+        is_graded_irreducible(_two_eigenvalues(10**9))
+    assert time.perf_counter() - start < 2
 
 
 def test_cli_reports_an_irreducible_but_not_absolutely_irreducible_module(tmp_path, capsys):

@@ -207,20 +207,58 @@ def test_spin_tree_starts_a_generator_for_each_closed_block():
     assert modp.fp_rank(np.array(basis), p) == d
 
 
+def _primes_near_2_30(m):
+    """A stand-in for prime_for at this m, with 2^30 in place of 2^20: the
+    (i+1)-th smallest prime p > 2^30 with p = 1 (mod m)."""
+
+    @functools.lru_cache(maxsize=None)
+    def prime(_, i=0):
+        p = prime(m, i - 1) + m if i else (1 << 30) + 1 + (-(1 << 30)) % m
+        while _prime_factors(p) != {p}:
+            p += m
+        return p
+
+    return prime
+
+
 def test_closure_past_the_int64_bound_gives_no_certificate(monkeypatch):
     V, graded = make_V_lambda(2), catalog_modules(2)["E+2"]
     f = V.field
     parts = {name: [idx for idx in M.sector_indices().values() if idx]
              for name, M in (("V", V), ("graded", graded))}
     assert modp.certifies_full_closure(f, V.fp_view, parts["V"])
-    # a prime p = 1 (mod 4) near 2^30: 3 x 3 (p - 1)^2 > 2^63 for V, one
-    # sector of 3, but 1 x 3 (p - 1)^2 < 2^63 for E+2, sectors of 1
-    big = (1 << 30) + 1
-    while _prime_factors(big) != {big}:
-        big += f.m
-    monkeypatch.setattr(modp, "fp_for_field", lambda _: (big, modp.order_m_root(f.m, big)))
-    assert not modp.certifies_full_closure(f, V.fp_view, parts["V"])
     assert modp.certifies_full_closure(f, graded.fp_view, parts["graded"])
+    # at a prime p = 1 (mod 4) near 2^30, 3^2 (p - 1)^2 > 2^63: the view's
+    # one bound refuses both, whatever their sectors (V has one of 3, E+2
+    # three of 1)
+    monkeypatch.setattr(modp, "prime_for", _primes_near_2_30(f.m))
+    assert not modp.certifies_full_closure(f, V.fp_view, parts["V"])
+    assert not modp.certifies_full_closure(f, graded.fp_view, parts["graded"])
+
+
+def test_one_int64_bound_stops_every_certificate(monkeypatch):
+    """At a prime p near 2^30, max(d^2, phi(m)) (p - 1)^2 < 2^63 holds for
+    d = 2 and fails for d = 3: a view of dimension 3 gets no certificate
+    from any of the three certificate functions, one of dimension 2 does."""
+
+    def certificates(M):
+        f, view = M.field, M.fp_view
+        parts = [idx for idx in M.sector_indices().values() if idx]
+        return (modp.certifies_full_closure(f, view, parts),
+                modp.whole_spin_test(f, view)({0: f.one}),
+                modp.certified_hom(f, view, view, M.degrees, M.degrees))
+
+    identity = [[{0: F4.one}, {1: F4.one}]]
+    assert certificates(make_V_lambda(1)) == (True, True, identity)
+    assert certificates(make_V_lambda(2))[:2] == (True, True)
+    monkeypatch.setattr(modp, "prime_for", _primes_near_2_30(F4.m))
+    p = modp.fp_for_field(F4)[0]
+    assert 1 << 30 < p and 4 * (p - 1) ** 2 < 1 << 63 <= 9 * (p - 1) ** 2
+    assert certificates(make_V_lambda(1)) == (True, True, identity)
+    assert certificates(make_V_lambda(2)) == (False, False, None)
+    V = make_V_lambda(2)
+    with pytest.raises(ValueError, match="overflow int64"):
+        V.fp_view.images(p, modp.order_m_root(F4.m, p))
 
 
 # ---------------------------------------------------------------------------
@@ -930,7 +968,7 @@ def test_one_classification_row_reduces_each_action_once_per_prime(monkeypatch):
         return entries(self, p)
 
     def counting_tree(self, p, omega):
-        if (p, omega) not in self._trees:
+        if self._tree is None:
             spun.append((self.action, p, omega))
         return tree(self, p, omega)
 
