@@ -24,7 +24,7 @@ print("== lifting the weight modules ==")
 for lam in range(4):
     report = iterate_lift(make_V_lambda(lam))
     steps = " -> ".join(
-        f"{'grade' if s.gradable else 'loop'}(dim {s.dim})" for s in report.steps
+        f"{'grade' if s.gradable else 'loop'}(dim {s.module.dim})" for s in report.steps
     )
     dims = [c.dim for c in report.classes]
     print(f"lambda={lam}: {steps}; final classes {dims}")

@@ -86,22 +86,21 @@ class ColourAlgebra:
         return self.field.from_rational(c)
 
     def _complete(self, table):
+        """The supplied pairs in lexicographic order (so _validate reports
+        the first one that breaks the grading), then every missing (i, j):
+        -eps(deg_i, deg_j) times a supplied (j, i), or {}."""
         n = len(self.basis)
-        full = {}
+        full = dict(sorted(table.items()))
         for i in range(n):
             for j in range(n):
-                if (i, j) in table:
-                    full[(i, j)] = table[(i, j)]
-        for i in range(n):
-            for j in range(n):
-                if (i, j) in full or (j, i) not in full:
+                if (i, j) in full:
                     continue
-                # [[x_i, x_j]] = -eps(deg_i, deg_j) [[x_j, x_i]]
-                sign = -self.epsilon.eval(self.basis[i][1], self.basis[j][1])
-                full[(i, j)] = {k: sign * c for k, c in full[(j, i)].items()}
-        for i in range(n):
-            for j in range(n):
-                full.setdefault((i, j), {})
+                if (j, i) in table:
+                    # [[x_i, x_j]] = -eps(deg_i, deg_j) [[x_j, x_i]]
+                    sign = -self.epsilon.eval(self.basis[i][1], self.basis[j][1])
+                    full[(i, j)] = {k: sign * c for k, c in table[(j, i)].items()}
+                else:
+                    full[(i, j)] = {}
         return full
 
     def dim(self):
@@ -122,8 +121,8 @@ class ColourAlgebra:
         zero = self.field.zero
         for (i, j), row in self._table.items():
             want = self.group.add(self.basis[i][1], self.basis[j][1])
-            for k, c in row.items():
-                if not c.is_zero() and self.basis[k][1] != want:
+            for k in row:
+                if self.basis[k][1] != want:
                     raise AlgebraValidationError(
                         "grading",
                         (i, j, k),

@@ -3,7 +3,8 @@
 A module stores one action matrix per algebra basis element, as sparse rows
 (see linalg), together with a grading subgroup H <= Gamma: per-vector
 degrees live in Gamma/H, H = {0} is the fully graded case and H = Gamma
-encodes an ungraded module.
+encodes an ungraded module: the one-sector case, which the general code
+serves as it is.
 
 Irreducibility uses the Burnside criterion on the action matrices and the
 sector projections (the span of the grading operators for characters of
@@ -158,7 +159,7 @@ class GradedModule:
         """Raise ModuleValidationError("homogeneity", (k, r, c)) at the first
         entry (r, c) of rho(x_k) that leaves its sector (none when ungraded)."""
         if self.is_ungraded():
-            return
+            return  # one sector; skipping saves a quotient addition per entry
         alg = self.algebra
         for k, mat in enumerate(self.action):
             shift = self.quo.rep(alg.degree(k))
@@ -207,10 +208,10 @@ class Submodule:
     @property
     def homogeneous(self):
         """Every row lies in one sector (always so when the parent is
-        ungraded).  For echelon rows this holds exactly when the span is the
-        sum of its sector parts, a graded submodule."""
+        ungraded: it has one sector).  For echelon rows this holds exactly
+        when the span is the sum of its sector parts, a graded submodule."""
         V = self.parent
-        return V.is_ungraded() or all(len({V.degrees[i] for i in r}) <= 1 for r in self.rows)
+        return all(len({V.degrees[i] for i in r}) <= 1 for r in self.rows)
 
     def validate(self):
         _checked_span(self)
@@ -332,12 +333,10 @@ def spin(module, vectors) -> Submodule:
     and the reduced echelon rows of their span: the result is a graded
     submodule.  Other inputs may span one too; `homogeneous` reads the rows.
     """
-    vecs = [v for v in vectors if v]
-
     def images(v):
         return (mat_vec(mat, v) for mat in module.action)
 
-    basis = RowBasis(module.field, module.dim).close(vecs, images)
+    basis = RowBasis(module.field, module.dim).close(vectors, images)
     return Submodule(parent=module, rows=tuple(basis.rows))
 
 
@@ -393,12 +392,8 @@ def submodule_to_module(sub):
 
 def _intertwiner_system(V, W):
     """Nonzero constraint rows and variable layout for degree-0 maps M: V -> W."""
-    graded = not V.is_ungraded()
-    variables = []
-    for r in range(W.dim):
-        for c in range(V.dim):
-            if not graded or W.degrees[r] == V.degrees[c]:
-                variables.append((r, c))
+    variables = [(r, c) for r in range(W.dim) for c in range(V.dim)
+                 if W.degrees[r] == V.degrees[c]]
     index = {rc: t for t, rc in enumerate(variables)}
     rows = []
     for A, B in zip(V.action, W.action):
@@ -433,8 +428,6 @@ def intertwiners(V, W):
         raise InvalidInput("modules over different algebras")
     if V.hsub != W.hsub:
         raise InvalidInput("modules graded by different quotients")
-    if not set(V.degrees) & set(W.degrees):
-        return []  # no degree-0 entry: no variable
     f = V.field
     maps = modp.certified_hom(f, V.fp_view, W.fp_view, V.degrees, W.degrees)
     if maps is not None:
@@ -474,9 +467,7 @@ def is_isomorphic(V, W) -> bool:
         raise InvalidInput("modules over different algebras")
     if V.hsub != W.hsub:
         raise InvalidInput("modules graded by different quotients")
-    if V.dim != W.dim:
-        return False
-    if not V.is_ungraded() and V.sector_dims() != W.sector_dims():
+    if V.sector_dims() != W.sector_dims():
         return False
     if V.dim == 0:
         return True
@@ -601,20 +592,14 @@ def _root_candidates(f, mu):
             numeric = np.roots(list(reversed(coeffs)))
         except Exception:
             numeric = []
+        # z = x_0 + x_1 zeta: the real parts of the embedded power basis give
+        # the one equation for phi(m) = 1, and for phi(m) = 2 (zeta is not
+        # real) the imaginary parts the second
         basis = f.complex_embedding()
+        arr = np.array([[b.real for b in basis], [b.imag for b in basis]][:f.degree])
         for z in numeric:
-            if f.degree == 1:
-                cand = [Fraction(float(z.real)).limit_denominator(1 << 30)]
-            else:
-                arr = np.array(
-                    [[b.real for b in basis], [b.imag for b in basis]], dtype=float
-                )
-                try:
-                    sol = np.linalg.solve(arr, np.array([z.real, z.imag]))
-                except np.linalg.LinAlgError:
-                    continue
-                cand = [Fraction(float(x)).limit_denominator(1 << 30) for x in sol]
-            yield f.num(cand)
+            sol = np.linalg.solve(arr, np.array([z.real, z.imag][:f.degree]))
+            yield f.num([Fraction(float(x)).limit_denominator(1 << 30) for x in sol])
 
 
 def _divisors(n):
@@ -751,9 +736,11 @@ def decompose(module):
     the accumulated span is not spun.  Each candidate is shrunk to a graded
     irreducible S, and S meets the accumulated span, a graded submodule, in
     a graded submodule of S: 0 or S.  So S's first row decides whether S is
-    a new summand, whose rows are then added to the span as they are, and
-    when the module is completely reducible this terminates with a direct
-    sum; otherwise NotCompletelyReducible is raised.  When no candidate
+    a new summand, whose rows are then added to the span as they are.  When
+    the scan ends before the summands fill the module, NotCompletelyReducible
+    is raised.  That is no proof: the candidates may miss the summands of a
+    completely reducible module (a dense conjugate of V_1 (+) V_3, say), so
+    the answer carries no certificate.  When no candidate
     spins to a proper submodule, the module is its own summand if
     is_graded_irreducible says so, and that call's
     InconclusiveIrreducibility is raised when it has no verdict.

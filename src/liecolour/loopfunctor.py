@@ -167,23 +167,9 @@ def _lift_step(module, refiner) -> BijectionOutcome:
 
 
 @dataclass
-class LiftStep:
-    gradable: bool
-    dim: int
-    sector_dims: list
-
-    def to_json(self):
-        return {
-            "outcome": "gradable" if self.gradable else "loop",
-            "dim": self.dim,
-            "sector_dims": list(self.sector_dims),
-        }
-
-
-@dataclass
 class LiftReport:
     chain: object  # CompositionSeries
-    steps: list = dc_field(default_factory=list)
+    steps: list = dc_field(default_factory=list)  # one BijectionOutcome per link
     final: Optional[GradedModule] = None
     classes: list = dc_field(default_factory=list)
 
@@ -207,7 +193,7 @@ def iterate_lift(module) -> LiftReport:
     The input is certified irreducible once, by bijection_F at the first
     step; every later step starts from the module the step before
     certified (the irreducible loop or the shrunk restriction), so it is
-    not checked again.
+    not checked again.  Each step's outcome is its record in the report.
     """
     if not module.is_ungraded():
         raise InvalidInput("iterate_lift starts from an ungraded module")
@@ -217,13 +203,7 @@ def iterate_lift(module) -> LiftReport:
     for k, sub in enumerate(series.chain[1:]):
         outcome = (bijection_F if k == 0 else _lift_step)(current, sub)
         current = outcome.module
-        report.steps.append(
-            LiftStep(
-                gradable=outcome.gradable,
-                dim=current.dim,
-                sector_dims=current.sector_dims(),
-            )
-        )
+        report.steps.append(outcome)
     report.final = current
     report.classes = iso_classes_of_module(current)
     return report
@@ -249,8 +229,6 @@ def iso_classes_of_module(module):
     return classes
 
 
-def iso_classes(outcome):
-    """All isomorphism classes inside the equivalence class of an outcome."""
-    if isinstance(outcome, BijectionOutcome):
-        return iso_classes_of_module(outcome.module)
-    return iso_classes_of_module(outcome)
+def iso_classes(module):
+    """All isomorphism classes inside the equivalence class of a module."""
+    return iso_classes_of_module(module)

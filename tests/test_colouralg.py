@@ -69,6 +69,20 @@ def test_non_integer_bracket_index_is_invalid_input(constants, index):
         ColourAlgebra(GROUP, sl2c_factor(), basis, constants)
 
 
+@pytest.mark.parametrize("constants", [
+    {(1, 2): {1: 1}, (0, 1): {0: 1}},
+    {(2, 1): {1: 1}, (0, 1): {0: 1}},
+], ids=["supplied-pair", "filled-pair"])
+def test_grading_error_reports_the_first_supplied_pair(constants):
+    # both tables break the grading at (0, 1) and at (1, 2) or its
+    # antisymmetric partner: the pair reported is (0, 1), however the
+    # constants are ordered and whichever of (i, j), (j, i) is supplied
+    with pytest.raises(AlgebraValidationError) as err:
+        ColourAlgebra(GROUP, sl2c_factor(), [("a1", (1, 0)), ("a2", (0, 1)), ("a3", (1, 1))],
+                      constants)
+    assert (err.value.kind, err.value.witness) == ("grading", (0, 1, 0))
+
+
 def test_jacobi_violation_caught_with_witness():
     # one even element acting on an odd one whose square feeds back: with
     # [h,x] = x and [[x,x]] = h the cyclic sum on (h,x,x) is -2h != 0

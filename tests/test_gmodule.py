@@ -669,6 +669,18 @@ def test_field_roots_numeric_branch():
     assert _same_roots(_field_roots(F4, mu), roots)
 
 
+@pytest.mark.parametrize("m", [1, 2, 3])
+def test_field_roots_numeric_branch_past_the_rational_cap(m):
+    # (x - 2)(x - 1/1000003) has a rational leading coefficient 1000003
+    # past the rational branch's 10^6 cap, so 2 is a small candidate and
+    # 1/1000003 is found only by the numeric roots, reconstructed over
+    # Q(zeta_m) with phi(m) = 1 (m = 1, 2) or 2 (m = 3)
+    f = field(m)
+    roots = [f.from_rational(2), f.from_rational(Fraction(1, 1000003))]
+    mu = [roots[0] * roots[1], -(roots[0] + roots[1]), f.one]
+    assert _same_roots(_field_roots(f, mu), roots)
+
+
 def _exhaustive_roots(mu):
     """Every distinct candidate _field_roots tries that is a root, in the
     order tried, without stopping at deg roots."""

@@ -305,6 +305,38 @@ def test_cli_names_the_file_and_the_missing_field(tmp_path, capsys, case):
     assert err == f"invalid input: {tmp_path / lacking}: missing field {key!r}\n"
 
 
+def _short_action(tmp):
+    blob = jsonio.module_to_json(make_sl2_graded(2, "E"))
+    blob["action"] = [flat[:-1] for flat in blob["action"]]
+    return _write(tmp, "short.json", blob)
+
+
+# files that decode but hold the wrong thing: (argv, the message's tail)
+WRONG_CONTENT = {
+    "not an object": lambda tmp: (
+        ["verify", _write(tmp, "list.json", [1, 2])], "list.json: expected a JSON object"),
+    "short action array": lambda tmp: (
+        ["verify", _short_action(tmp)], "action array has wrong length"),
+    "algebra for a module": lambda tmp: (
+        ["irreducible", _write(tmp, "a.json", jsonio.algebra_to_json(make_sl2c()))],
+        "a.json: expected module file, not algebra file"),
+    "module for an algebra": lambda tmp: (
+        ["discolour", _write(tmp, "m.json", jsonio.module_to_json(make_sl2_graded(2, "E"))),
+         "--sigma", "paper-sl2"],
+        "m.json: expected algebra file, not module file"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(WRONG_CONTENT))
+def test_cli_exits_2_on_a_file_of_the_wrong_content(tmp_path, capsys, case):
+    argv, tail = WRONG_CONTENT[case](tmp_path)
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("invalid input:") and captured.err.count("\n") == 1
+    assert captured.err.endswith(f"{tail}\n")
+
+
 def test_cli_verify_accepts_decimal_integer_strings(tmp_path):
     blob = jsonio.module_to_json(make_sl2_graded(2, "E"))
     blob["algebra"]["epsilon"]["m"] = "4"

@@ -156,6 +156,16 @@ def test_iterate_lift_certifies_each_module_once(monkeypatch, lam):
     assert rep.final == current and rep.classes == classes
 
 
+@pytest.mark.parametrize("lam", range(9))
+def test_iterate_lift_keeps_one_record_per_step(lam):
+    # each step's record is the outcome itself: it starts from the module
+    # the step before ended at, and the last one ends at the report's final
+    rep = iterate_lift(make_V_lambda(lam))
+    for before, after in zip(rep.steps, rep.steps[1:]):
+        assert after.source is before.module
+    assert rep.final is rep.steps[-1].module
+
+
 def test_iterate_lift_trivial_module_of_abelian_algebra():
     abelian = make_algebra(
         GROUP, sl2c_factor(), [("x", (0, 0)), ("y", (1, 0))], {}
