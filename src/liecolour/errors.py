@@ -74,8 +74,8 @@ class InconclusiveIrreducibility(LieColourError):
 
 
 class InconclusiveIsomorphism(LieColourError):
-    """Hom(V, W) is nonzero, but no invertible element was found in it, so
-    neither answer is certified."""
+    """Hom(V, W) has dimension >= 2, but no invertible element was found in
+    it, so neither answer is certified."""
 
 
 class NotCompletelyReducible(LieColourError):

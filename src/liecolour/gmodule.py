@@ -456,12 +456,14 @@ def is_isomorphic(V, W) -> bool:
     """Graded isomorphism test (ungraded isomorphism when H = Gamma).
 
     True is certified by an invertible degree-0 intertwiner, False by
-    different (sector) dimensions or Hom(V, W) = 0.  Otherwise, when no
-    basis map is invertible, seeded combinations sum c_k M_k with c_k in
-    1..100 dim V are tried: det is a nonzero polynomial of degree dim V in
-    the c_k if an isomorphism exists, so by Schwartz-Zippel each is singular
-    with probability at most 1/100.  If none is invertible there is no
-    certificate either way, and InconclusiveIsomorphism is raised.
+    different (sector) dimensions, Hom(V, W) = 0, or Hom(V, W) = K M with M
+    singular (every element of Hom is then a multiple of M, so none is
+    invertible).  When dim Hom >= 2, seeded combinations sum c_k M_k with
+    c_k in 1..100 dim V are tried: det is a nonzero polynomial of degree
+    dim V in the c_k if an isomorphism exists, so by Schwartz-Zippel each
+    is singular with probability at most 1/100.  If none is invertible
+    there is no certificate either way, and InconclusiveIsomorphism is
+    raised.
     """
     if V.algebra != W.algebra:
         raise InvalidInput("modules over different algebras")
@@ -475,8 +477,8 @@ def is_isomorphic(V, W) -> bool:
     if not maps:
         return False
     f = V.field
-    if any(linalg.is_invertible(f, m) for m in maps):
-        return True
+    if len(maps) == 1:
+        return linalg.is_invertible(f, maps[0])
     rng = random.Random(0)
     for _ in range(_COMBINATIONS):
         acc = linalg.zeros(V.dim)
@@ -537,7 +539,8 @@ def _closure_rank_exact(f, mats, parts, d):
 
 
 def _field_roots(f, mu):
-    """Verified roots in Q(zeta_m) of a monic polynomial over it.
+    """Verified roots in Q(zeta_m) of a monic polynomial of degree >= 1 over
+    it (a minimal polynomial).
 
     Tries small rational-times-root-of-unity candidates, rational-root
     candidates when the polynomial is rational, and (for phi(m) <= 2)
@@ -547,8 +550,6 @@ def _field_roots(f, mu):
     deg distinct roots, since a polynomial of degree deg has no more.
     """
     deg = len(mu) - 1
-    if deg <= 0:
-        return []
 
     def value(c):
         acc = mu[-1]
@@ -626,9 +627,9 @@ def _commutant_kernel_vectors(module, end):
             continue
         mu = linalg.min_poly(f, M)
         for c in _field_roots(f, mu):
-            kernel = linalg.nullspace(f, mat_sub(M, mat_scale(eye, c)), d)
-            if 0 < len(kernel) < d:
-                out.extend(kernel)
+            # c is a verified root of M's minimal polynomial, so M - c is
+            # singular, and nonzero as M is not scalar: 0 < len(kernel) < d
+            out.extend(linalg.nullspace(f, mat_sub(M, mat_scale(eye, c)), d))
     return out
 
 

@@ -34,7 +34,6 @@ class LoopModule:
 
     module: GradedModule
     source: GradedModule
-    refiner: object  # subgroup K, the new (finer) grading subgroup
     bookkeeping: tuple  # per basis vector: (source index, coset rep of K)
 
     @property
@@ -85,7 +84,7 @@ def loop(module, refiner, sector_order=None) -> LoopModule:
         mats.append(mat)
     looped = GradedModule._derived(module.algebra, quo_fine, degrees, mats)
     return LoopModule(
-        module=looped, source=module, refiner=refiner, bookkeeping=tuple(bookkeeping)
+        module=looped, source=module, bookkeeping=tuple(bookkeeping)
     )
 
 
@@ -108,7 +107,6 @@ class BijectionOutcome:
     module: GradedModule  # the representative, graded by Gamma/K
     loop: LoopModule
     source: GradedModule
-    embedding: Optional[list] = None  # columns: module coordinates inside V
 
     def to_json(self):
         return {
@@ -151,19 +149,12 @@ def _lift_step(module, refiner) -> BijectionOutcome:
         raise InconclusiveIrreducibility(
             "proper graded submodule of the loop is not a copy of the source"
         )
-    embedding = _forget_labels(lm, rows)
     # the forgetful map restricted to an irreducible proper submodule is an
     # isomorphism onto the source, so the embedding matrix must be square
     # and invertible; this is asserted rather than assumed
-    if not linalg.is_invertible(module.field, embedding):
+    if not linalg.is_invertible(module.field, _forget_labels(lm, rows)):
         raise InconclusiveIrreducibility("loop bookkeeping did not invert")
-    return BijectionOutcome(
-        gradable=True,
-        module=restricted,
-        loop=lm,
-        source=module,
-        embedding=embedding,
-    )
+    return BijectionOutcome(gradable=True, module=restricted, loop=lm, source=module)
 
 
 @dataclass

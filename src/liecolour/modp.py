@@ -197,9 +197,7 @@ def order_m_root(m, p):
         raise InvalidInput(f"{p} != 1 mod {m}")
     for g in range(2, p):
         w = pow(g, (p - 1) // m, p)
-        if w == 1 and m > 1:
-            continue
-        if all(pow(w, m // q, p) != 1 for q in _prime_factors(m)) or m == 1:
+        if all(pow(w, m // q, p) != 1 for q in _prime_factors(m)):
             return w
     raise InvalidInput("no root found")  # unreachable for prime p
 
@@ -456,10 +454,6 @@ def _rational(u, modulus):
     """The fraction a/b = u (mod modulus) with |a|, b <= sqrt(modulus/2),
     or None (Wang's rational reconstruction; such a fraction is unique)."""
     bound = isqrt(modulus // 2)
-    if u <= bound:
-        return u
-    if modulus - u <= bound:
-        return u - modulus
     r0, r1, t0, t1 = modulus, u, 0, 1
     while r1 > bound:
         q = r0 // r1
@@ -510,14 +504,14 @@ def _spin_tree(mats, p, d):
     return tree
 
 
-def _hom_solutions(act_v, act_w, tree, unknowns, p, first):
+def _hom_solutions(act_v, act_w, tree, unknowns, p):
     """Hom(V, W) mod p under one embedding (steps 2 and 3 of the module
     docstring), from the F_p action arrays act_v (K, d, d) and act_w
     (K, e, e): its basis flattened row-major in canonical form, with the
     last nonzero column of each vector, or None if the tree's basis B is
     singular.  `unknowns[i]` lists the W indices of the unknowns of
-    generator i.  With `first`, a full column rank, found by fp_rank, gives
-    an empty basis at once."""
+    generator i.  A full column rank, found by fp_rank, gives an empty basis
+    at once; otherwise the pivots are read off the rows it reduced."""
     d, e = len(tree), act_w.shape[1]
     n = sum(len(idx) for idx in unknowns.values())
     B = np.zeros((d, d), dtype=np.int64)
@@ -543,13 +537,10 @@ def _hom_solutions(act_v, act_w, tree, unknowns, p, first):
     acted = act_w.reshape(K * e, e) @ U.transpose(1, 0, 2).reshape(e, d * n) % p
     acted = acted.reshape(K, e, d, n).transpose(0, 2, 1, 3)
     rows = ((pushed.reshape(K, d, e, n) - acted) % p).reshape(K * d * e, n)
-    if first:
-        rank = fp_rank(rows, p)
-        if rank == n:
-            return np.zeros((0, e * d), dtype=np.int64), []
-        pivots = [int(row.nonzero()[0][0]) for row in rows[:rank]]
-    else:
-        pivots = fp_rref(rows, p)
+    rank = fp_rank(rows, p)
+    if rank == n:
+        return np.zeros((0, e * d), dtype=np.int64), []
+    pivots = [int(row.nonzero()[0][0]) for row in rows[:rank]]
     free = [c for c in range(n) if c not in set(pivots)]
     h = len(free)
     null = np.zeros((n, h), dtype=np.int64)
@@ -647,21 +638,18 @@ def certified_hom(f, view_v, view_w, deg_v, deg_w):
                 fv, fw = view_v.images(p, w), view_w.images(p, w)
             except ValueError:  # a denominator is 0 mod p, or the int64 bound
                 return None
-            first = tree is None
-            if first:
+            if tree is None:
                 tree = view_v.tree(p, w)
                 unknowns = {t: sectors.get(deg_v[c], []) for t, (g, c) in enumerate(tree)
                             if g is None}
-            solved = _hom_solutions(fv, fw, tree, unknowns, p, first)
-            if solved is None:
+            solved = _hom_solutions(fv, fw, tree, unknowns, p)
+            if solved is None or last is not None and solved[1] != last:
                 return None
-            basis, cols = solved
-            if first and not cols:
+            basis, last = solved
+            if not last:
+                # only the first solve can get here: every later one matched
+                # its nonempty last columns
                 return []
-            if last is None:
-                last = cols
-            elif cols != last:
-                return None
             images.append(basis)
             if len(images) == 1:
                 # the rational candidate: this basis as power-basis coordinate 0

@@ -1,3 +1,4 @@
+import collections
 import itertools
 import random
 import time
@@ -13,6 +14,7 @@ from liecolour import (
     commutant,
     decompose,
     direct_sum,
+    discolour_module,
     field,
     full_subgroup,
     graded_quotient,
@@ -22,7 +24,9 @@ from liecolour import (
     iso_labels,
     jordan_holder,
     linalg,
+    make_group,
     parity_shift,
+    regrade,
     spin,
     submodule_from_rows,
     submodule_to_module,
@@ -35,6 +39,7 @@ from liecolour.colouralg import ColourAlgebra
 from liecolour.errors import (
     InconclusiveIrreducibility,
     InconclusiveIsomorphism,
+    InvalidInput,
     InvalidSubmodule,
     ModuleValidationError,
     NotCompletelyReducible,
@@ -44,6 +49,7 @@ from liecolour.loopfunctor import loop
 from liecolour.workbench import (
     GROUP,
     catalog_modules,
+    discolouring_sigma,
     h2_subgroup,
     make_sl2_graded,
     make_V_lambda,
@@ -376,6 +382,9 @@ def _bd_ungraded(*mats):
     return GradedModule(alg, full_subgroup(alg.group), [alg.group.zero()] * dim, list(mats))
 
 
+ZERO_2 = [[F4.zero] * 2 for _ in range(2)]
+
+
 def test_decompose_stalls_on_a_non_split_extension():
     from liecolour.errors import NotCompletelyReducible
 
@@ -598,6 +607,81 @@ def test_isomorphism_without_a_certificate_is_inconclusive():
         is_isomorphic(direct_sum(a, a), direct_sum(a, b))
 
 
+def test_a_one_dimensional_hom_with_a_singular_generator_certifies_not_isomorphic():
+    # Q1 -> N and Q2 -> N: Hom is spanned by one map in each direction, and
+    # every element is a multiple of it, so a singular generator decides
+    N = [[F4.zero, F4.one], [F4.zero, F4.zero]]
+    a, b = _bd_ungraded(ZERO_2, N, ZERO_2, ZERO_2), _bd_ungraded(ZERO_2, ZERO_2, N, ZERO_2)
+    for V, W in ((a, b), (b, a)):
+        [M] = intertwiners(V, W)
+        assert not linalg.is_invertible(F4, M)
+        assert is_isomorphic(V, W) is False
+
+
+def _comparable(a, b):
+    return a.algebra == b.algebra and a.hsub == b.hsub
+
+
+def _isomorphism_battery():
+    """The direct sums a (+) b of the first 40 modules of catalog_modules(4)
+    (a no later than b, one algebra and grading), paired when two sums
+    share their algebra, grading and sector dimensions."""
+    first = list(catalog_modules(4).values())[:40]
+    sums = [direct_sum(a, b) for a, b in itertools.combinations_with_replacement(first, 2)
+            if _comparable(a, b)]
+    return [(s, t) for s, t in itertools.combinations(sums, 2)
+            if _comparable(s, t) and s.sector_dims() == t.sector_dims()]
+
+
+def test_isomorphism_is_inconclusive_only_on_a_hom_of_dimension_two():
+    pairs = _isomorphism_battery()
+    assert len(pairs) == 155
+    verdicts = collections.Counter()
+    for V, W in pairs:
+        dim_hom = len(intertwiners(V, W))
+        try:
+            verdicts[is_isomorphic(V, W), dim_hom <= 1] += 1
+        except InconclusiveIsomorphism:
+            verdicts["inconclusive", dim_hom] += 1
+    # dim Hom <= 1 always decides; 16 pairs with dim Hom = 2 stay open
+    assert verdicts == {(True, False): 56, (False, True): 83, ("inconclusive", 2): 16}
+
+
+CATALOG_2 = list(catalog_modules(2).values())
+
+
+def _comparable_pair(data):
+    V = data.draw(st.sampled_from(CATALOG_2), label="V")
+    W = data.draw(st.sampled_from([m for m in CATALOG_2 if _comparable(m, V)]), label="W")
+    return V, W
+
+
+def _verdict(V, W):
+    try:
+        return is_isomorphic(V, W)
+    except InconclusiveIsomorphism:
+        return "inconclusive"
+
+
+@settings(derandomize=True, max_examples=25, deadline=None)
+@given(st.data())
+def test_a_direct_sum_is_isomorphic_to_its_swap(data):
+    V, W = _comparable_pair(data)
+    VW, WV = direct_sum(V, W), direct_sum(W, V)
+    # the identity blocks give dim Hom >= 2: the seeded combinations answer
+    assert len(intertwiners(VW, WV)) >= 2
+    assert is_isomorphic(VW, WV)
+
+
+@settings(derandomize=True, max_examples=25, deadline=None)
+@given(st.data())
+def test_one_twist_on_both_sides_keeps_the_verdict(data):
+    V, W = _comparable_pair(data)
+    ch = data.draw(st.sampled_from(dual_characters(V.algebra.group)), label="character")
+    for a, b in ((V, W), (direct_sum(V, V), direct_sum(V, W))):
+        assert _verdict(twist(a, ch), twist(b, ch)) == _verdict(a, b)
+
+
 def _shifts_and_twists(module):
     return [parity_shift(module, h) for h in GROUP.elements()] + [
         twist(module, ch) for ch in dual_characters(GROUP)
@@ -797,3 +881,79 @@ def test_cli_reports_an_irreducible_but_not_absolutely_irreducible_module(tmp_pa
     out, err = capsys.readouterr()
     assert out == ""
     assert err.startswith("mismatch: closure rank 2 < 4 and commutant dimension 2,")
+
+
+def _zero_bd_module():
+    return _bd_ungraded([], [], [], [])
+
+
+def _inhomogeneous_spin():
+    L = loop(make_sl2_graded(2, "E"), trivial_subgroup(GROUP)).module
+    return spin(L, [{0: F4.one, 4: F4.one}])
+
+
+def _bd_seed():
+    return catalog_modules(2)["bd_seed"]
+
+
+Z3 = make_group([3])
+
+PUBLIC_INPUT_ERRORS = {
+    "module on a subgroup of another group": (
+        lambda: GradedModule(_bd_seed().algebra, full_subgroup(Z3), [], [[]] * 4),
+        InvalidInput, "grading subgroup is not inside the algebra's group"),
+    "module with a matrix missing": (
+        lambda: _bd_ungraded(ZERO_2, ZERO_2, ZERO_2),
+        InvalidInput, "need one action matrix per algebra basis element"),
+    "module with a short matrix": (
+        lambda: _bd_ungraded(ZERO_2, ZERO_2, ZERO_2, ZERO_2[:1]),
+        InvalidInput, "action matrix has wrong shape"),
+    "regrade by a subgroup of another group": (
+        lambda: regrade(make_V_lambda(2), full_subgroup(Z3), [(0, 0)] * 3),
+        InvalidInput, "grading subgroup is not inside the algebra's group"),
+    "coarsen along a smaller subgroup": (
+        lambda: coarsen(make_V_lambda(2), trivial_subgroup(GROUP)),
+        InvalidInput, "can only coarsen along a larger subgroup"),
+    "twist by a character of another group": (
+        lambda: twist(make_V_lambda(2), dual_characters(Z3)[1]),
+        InvalidInput, "character on a different group"),
+    "direct sum over two algebras": (
+        lambda: direct_sum(make_V_lambda(2), _bd_seed()),
+        InvalidInput, "direct sum needs matching algebra and grading"),
+    "discolour an ungraded module": (
+        lambda: discolour_module(make_V_lambda(2), discolouring_sigma()),
+        InvalidInput, "multiplier is not constant on grading cosets"),
+    "restrict to inhomogeneous rows": (
+        lambda: submodule_to_module(_inhomogeneous_spin()),
+        InvalidSubmodule, "restriction needs homogeneous basis rows"),
+    "intertwiners over two algebras": (
+        lambda: intertwiners(make_V_lambda(2), _bd_seed()),
+        InvalidInput, "modules over different algebras"),
+    "intertwiners of two gradings": (
+        lambda: intertwiners(make_V_lambda(2), make_sl2_graded(2, "E+")),
+        InvalidInput, "modules graded by different quotients"),
+    "isomorphism over two algebras": (
+        lambda: is_isomorphic(make_V_lambda(2), _bd_seed()),
+        InvalidInput, "modules over different algebras"),
+    "irreducibility of the zero module": (
+        lambda: is_graded_irreducible(_zero_bd_module()),
+        InvalidInput, "irreducibility of the zero module is undefined"),
+    "quotient by another module's submodule": (
+        lambda: graded_quotient(make_V_lambda(2), spin(make_V_lambda(1), [{0: F4.one}])),
+        InvalidSubmodule, "submodule belongs to a different module"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(PUBLIC_INPUT_ERRORS))
+def test_public_input_errors_name_the_fault(case):
+    build, error, message = PUBLIC_INPUT_ERRORS[case]
+    with pytest.raises(error) as raised:
+        build()
+    assert type(raised.value) is error and str(raised.value) == message
+
+
+def test_the_zero_module_is_isomorphic_to_itself_and_has_no_summands():
+    zero = _zero_bd_module()
+    assert zero.dim == 0
+    assert is_isomorphic(zero, _zero_bd_module()) is True
+    assert decompose(zero) == []

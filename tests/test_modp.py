@@ -464,6 +464,34 @@ def test_each_fallback_returns_the_exact_basis(name, monkeypatch):
     assert maps == _exact_maps(V, W) and len(maps) == 1
 
 
+def test_order_m_root_has_exact_order_m():
+    for m in range(1, 1025):
+        p = modp.prime_for(m)
+        w = modp.order_m_root(m, p)
+        # the order is the least divisor k of m with w^k = 1
+        assert min(k for k in range(1, m + 1) if m % k == 0 and pow(w, k, p) == 1) == m
+
+
+def _rational_by_search(u, modulus):
+    """The fraction a/b = u (mod modulus) with |a|, b <= sqrt(modulus/2),
+    found by trying every b, or None."""
+    bound = isqrt(modulus // 2)
+    found = set()
+    for b in range(1, bound + 1):
+        a = u * b % modulus
+        a = a - modulus if a > modulus // 2 else a
+        if abs(a) <= bound:
+            found.add(Fraction(a, b))
+    assert len(found) <= 1
+    return found.pop() if found else None
+
+
+@pytest.mark.parametrize("modulus", [97, 1009])
+def test_rational_reconstruction_equals_a_search(modulus):
+    for u in range(modulus):
+        assert modp._rational(u, modulus) == _rational_by_search(u, modulus), u
+
+
 def test_heights_beyond_one_prime_are_lifted_by_crt():
     # the solution (1/1009, 1000003, 1) needs three primes: one prime
     # reconstructs numerators and denominators up to 724 only
@@ -488,9 +516,9 @@ def _solves_per_call(monkeypatch):
         call[0] = real_hom(*args)
         return call[0]
 
-    def solve(act_v, act_w, tree, unknowns, p, first):
+    def solve(act_v, act_w, tree, unknowns, p):
         calls[-1][1].append(p)
-        return real_solve(act_v, act_w, tree, unknowns, p, first)
+        return real_solve(act_v, act_w, tree, unknowns, p)
 
     monkeypatch.setattr(modp, "certified_hom", hom)
     monkeypatch.setattr(modp, "_hom_solutions", solve)
