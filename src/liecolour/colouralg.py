@@ -29,7 +29,7 @@ from .grading import multiplier_inverse, twisted_factor
 
 
 class ColourAlgebra:
-    __slots__ = ("group", "epsilon", "field", "basis", "_table")
+    __slots__ = ("group", "epsilon", "field", "basis", "_table", "_generators")
 
     def __init__(self, group, epsilon, basis, constants):
         """`basis` is a list of (name, degree); `constants` maps (i, j) to
@@ -59,6 +59,7 @@ class ColourAlgebra:
                     row[k] = c
             table[(i, j)] = row
         self._table = self._complete(table)
+        self._generators = None
         self._validate()
 
     @classmethod
@@ -67,6 +68,7 @@ class ColourAlgebra:
         self = cls.__new__(cls)
         self.group, self.epsilon, self.field = group, epsilon, epsilon.field
         self.basis, self._table = basis, table
+        self._generators = None
         return self
 
     @property
@@ -142,20 +144,65 @@ class ColourAlgebra:
                             f"[[x{i},x{j}]] != -eps [[x{j},x{i}]] at basis {k}",
                         )
         # eps-Jacobi as the representation identity of ad (module docstring)
-        ad = [[{} for _ in range(n)] for _ in range(n)]
-        for (i, k), row in self._table.items():
-            for u, c in row.items():
-                ad[i][u][k] = c
         # imported here, not at the top: linalg brings in numpy, and loading
         # it before gmodule moves the peak RSS of every process by ~0.4 MiB
         from .linalg import representation_defect
 
-        bad = representation_defect(self, ad, n)
+        bad = representation_defect(self, self._adjoint(), n)
         if bad is not None:
             i, j, k = bad
             raise AlgebraValidationError(
                 "jacobi", (i, j, k), f"eps-Jacobi fails on triple ({i},{j},{k})"
             )
+
+    def _adjoint(self):
+        """The matrices ad(x_i), sparse rows: column k of ad(x_i) is [[x_i, x_k]]."""
+        n = len(self.basis)
+        ad = [[{} for _ in range(n)] for _ in range(n)]
+        for (i, k), row in self._table.items():
+            for u, c in row.items():
+                ad[i][u][k] = c
+        return ad
+
+    # -- generators -------------------------------------------------------------
+
+    @property
+    def generators(self):
+        """Basis indices that generate the algebra as a Lie colour algebra,
+        found on first use and kept: in basis order, an index is dropped
+        whenever the subalgebra that the other kept indices generate is
+        still the whole algebra.
+
+        The subalgebra generated by basis elements x_t, t in T, is L, their
+        span closed under every ad(x_t): the homogeneous u with ad(u) L in L
+        include the x_t and are closed under the bracket, as
+        ad([[u, v]]) = ad(u) ad(v) - eps ad(v) ad(u), so they include the
+        iterated brackets of the x_t, which span L; so [[L, L]] is in L.
+
+        In a module rho([[s, t]]) = rho(s) rho(t) - eps rho(t) rho(s), so
+        rho of the generators generates the same unital associative algebra
+        as rho of the whole basis (see the modp docstring)."""
+        if self._generators is None:
+            # imported here for the reason _validate gives
+            from .linalg import RowBasis, mat_vec
+
+            n = len(self.basis)
+            ad = self._adjoint()
+
+            def generated(idx):
+                def images(v):
+                    return (mat_vec(ad[t], v) for t in idx)
+
+                units = [{t: self.field.one} for t in idx]
+                return RowBasis(self.field, n).close(units, images).rank
+
+            kept = list(range(n))
+            for i in range(n):
+                rest = [t for t in kept if t != i]
+                if generated(rest) == n:
+                    kept = rest
+            self._generators = tuple(kept)
+        return self._generators
 
     # -- algebra operations -----------------------------------------------------
 

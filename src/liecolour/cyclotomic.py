@@ -164,15 +164,6 @@ def _reduced(f, nums, den):
     return CycloNum(f, nums, den)
 
 
-def _cancel(u, v, a, b, shift):
-    """a*u - b*x^shift*v for integer coefficient lists, trimmed."""
-    out = [a * c for c in u]
-    out += [0] * (len(v) + shift - len(out))
-    for i, c in enumerate(v, shift):
-        out[i] -= b * c
-    return _poly_trim(out)
-
-
 class CycloNum:
     """An element of Q(zeta_m): power-basis numerators `nums` over `den`."""
 
@@ -279,41 +270,20 @@ class CycloNum:
     __rmul__ = __mul__
 
     def inverse(self):
-        """Multiplicative inverse via the extended Euclidean algorithm."""
+        """Multiplicative inverse: of a rational at once, of any other
+        element mod primes p = 1 (mod m) and checked exactly (fpfield.inverse)."""
         if self.is_zero():
             raise ZeroDivisionError("inverse of zero cyclotomic number")
-        f = self.field
         nums, den = self.nums, self.den
         if self.is_rational():
             n = nums[0]
             if n < 0:
                 n, den = -n, -den
-            return CycloNum(f, (den,) + nums[1:], n)
-        # extended gcd of the numerator polynomial a and Phi_m over Q, on
-        # integer rows (r, s) with r = s*a mod Phi_m up to a rational factor:
-        # each step cancels the leading term of r0 against r1 and divides the
-        # row by its content, so the entries stay small integers
-        r0, s0 = list(f.poly), []
-        r1, s1 = _poly_trim(list(nums)), [1]
-        while len(r1) > 1:
-            while len(r0) >= len(r1):
-                shift = len(r0) - len(r1)
-                l0, l1 = r0[-1], r1[-1]
-                r0 = _cancel(r0, r1, l1, l0, shift)
-                s0 = _cancel(s0, s1, l1, l0, shift)
-                g = gcd(*r0, *s0)
-                if g != 1:
-                    r0 = [c // g for c in r0]
-                    s0 = [c // g for c in s0]
-            if not r0:
-                raise ArithmeticError("cyclotomic polynomial not coprime to element")
-            r0, s0, r1, s1 = r1, s1, r0, s0
-        # a^-1 = s1 / c, so (a / den)^-1 = den * s1 / c
-        c = r1[0]
-        if c < 0:
-            c, den = -c, -den
-        s1 += [0] * (f.degree - len(s1))
-        return _reduced(f, tuple([den * s for s in s1]), c)
+            return CycloNum(self.field, (den,) + nums[1:], n)
+        # imported here, not at the top: fpfield brings in numpy (see colouralg)
+        from .fpfield import inverse
+
+        return inverse(self)
 
     def __truediv__(self, other):
         other = self._coerce(other)

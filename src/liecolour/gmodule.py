@@ -6,14 +6,15 @@ degrees live in Gamma/H, H = {0} is the fully graded case and H = Gamma
 encodes an ungraded module: the one-sector case, which the general code
 serves as it is.
 
-Irreducibility uses the Burnside criterion on the action matrices and the
-sector projections (the span of the grading operators for characters of
-Gamma/H): the module is absolutely irreducible iff the unital algebra these
-generate is all of End(V).  Its dimension is the sum over sectors V_t of
-the dimension of the words in the action on V_t (see modp).  It is
-computed mod p first; a full-rank answer mod p certifies the exact answer,
-anything else falls back to exact witness search and, as a last resort,
-the same sector closure over Q(zeta_m).  The witness search and decompose
+Irreducibility uses the Burnside criterion on the action matrices of the
+algebra's generating set (generator_action) and the sector projections
+(the span of the grading operators for characters of Gamma/H): the module
+is absolutely irreducible iff the unital algebra these generate is all of
+End(V).  Its dimension is the sum over sectors V_t of the dimension of the
+words in the action on V_t (see modp).  It is computed mod p first; a
+full-rank answer mod p certifies the exact answer, anything else falls
+back to exact witness search and, as a last resort, the same sector
+closure over Q(zeta_m).  The witness search and decompose
 share one scan of candidate vectors (_proper_spins), which skips the unit
 vectors whose spin mod p is already the whole space.
 
@@ -116,12 +117,21 @@ class GradedModule:
         return self.algebra.field
 
     @property
+    def generator_action(self):
+        """The action matrices of the algebra's generators
+        (ColourAlgebra.generators), in their order.  They generate the same
+        matrix algebra as the whole action, so they have the same invariant
+        subspaces, closure and intertwiners."""
+        return tuple(self.action[k] for k in self.algebra.generators)
+
+    @property
     def fp_view(self):
-        """The action's modp.FpView (its entries mod p and Hom spin tree),
-        made on first use and kept with the module; every regrading hands it
-        on with the action tuple (see the modp docstring)."""
+        """The modp.FpView of generator_action (its entries mod p and Hom
+        spin tree), made on first use and kept with the module; every
+        regrading hands it on with the action tuple (see the modp
+        docstring)."""
         if self._fp is None:
-            self._fp = modp.FpView(self.action, self.dim)
+            self._fp = modp.FpView(self.generator_action, self.dim)
         return self._fp
 
     def is_ungraded(self):
@@ -332,9 +342,13 @@ def spin(module, vectors) -> Submodule:
     every transform), so if every input is homogeneous, so are their images
     and the reduced echelon rows of their span: the result is a graded
     submodule.  Other inputs may span one too; `homogeneous` reads the rows.
+    The span is closed under generator_action, which has the same invariant
+    subspaces as the whole action.
     """
+    mats = module.generator_action
+
     def images(v):
-        return (mat_vec(mat, v) for mat in module.action)
+        return (mat_vec(mat, v) for mat in mats)
 
     basis = RowBasis(module.field, module.dim).close(vectors, images)
     return Submodule(parent=module, rows=tuple(basis.rows))
@@ -391,12 +405,13 @@ def submodule_to_module(sub):
 # ---------------------------------------------------------------------------
 
 def _intertwiner_system(V, W):
-    """Nonzero constraint rows and variable layout for degree-0 maps M: V -> W."""
+    """Nonzero constraint rows and variable layout for degree-0 maps M: V -> W
+    that intertwine generator_action, which is to intertwine the action."""
     variables = [(r, c) for r in range(W.dim) for c in range(V.dim)
                  if W.degrees[r] == V.degrees[c]]
     index = {rc: t for t, rc in enumerate(variables)}
     rows = []
-    for A, B in zip(V.action, W.action):
+    for A, B in zip(V.generator_action, W.generator_action):
         cols_a = linalg.transpose(A, V.dim)
         for r in range(W.dim):
             for c in range(V.dim):
@@ -419,10 +434,12 @@ def intertwiners(V, W):
     rank mod p, or a basis solved by spinning V mod p, with dim W_s
     unknowns per spin generator in sector s, under one embedding of zeta_m
     and lifted to Q, or under every embedding when that lift fails, and
-    checked exactly against every action matrix), otherwise
-    linalg.nullspace itself on the dense system (a denominator divisible by
-    p, a spin basis singular under another embedding or prime, last columns
-    that differ between them, no lift that passes the exact check).
+    checked exactly), otherwise linalg.nullspace itself on the dense system
+    (a denominator divisible by p, a spin basis singular under another
+    embedding or prime, last columns that differ between them, no lift that
+    passes the exact check).  Both paths, and the exact check, use
+    generator_action, the matrices of the algebra's generating set: a map
+    that intertwines them intertwines the whole action.
     """
     if V.algebra != W.algebra:
         raise InvalidInput("modules over different algebras")
@@ -667,7 +684,10 @@ def is_graded_irreducible(module) -> IrreducibilityVerdict:
     rank mod p already implies full rank exactly), so they hold over C too;
     reducible verdicts carry an exact proper graded submodule over
     Q(zeta_m), the spin of one vector, whose rows RowBasis.close made
-    independent and closed under the action.  A closure below dim^2 with
+    independent and closed under the action.  The closure mod p, the spins
+    and the exact closure all use generator_action, the matrices of the
+    algebra's generating set, which generate the same matrix algebra as
+    the whole action (see the modp docstring).  A closure below dim^2 with
     no submodule found raises InconclusiveIrreducibility with the closure
     rank and the commutant dimension: the module is then reducible over C,
     and may be irreducible over Q(zeta_m), though not when its commutant is
@@ -685,7 +705,7 @@ def is_graded_irreducible(module) -> IrreducibilityVerdict:
     if witness is not None:
         return IrreducibilityVerdict(False, witness=witness)
     # exact authority: the mod-p rank may have dropped on an unlucky prime
-    rank_exact = _closure_rank_exact(f, module.action, parts, d)
+    rank_exact = _closure_rank_exact(f, module.generator_action, parts, d)
     if rank_exact == d * d:
         return IrreducibilityVerdict(True, closure_dim=d * d)
     # by the density theorem a graded irreducible module whose commutant is

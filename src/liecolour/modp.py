@@ -11,15 +11,36 @@ one-sided guarantee is used as a sound fast path, with three certificates:
 * `certified_hom` with no solution mod p: full column rank mod p of its
   Hom system certifies that the exact Hom space is zero;
 * `certified_hom` otherwise: a Hom basis solved mod p, lifted to
-  Q(zeta_m) and checked exactly against every action matrix.
+  Q(zeta_m) and checked exactly against every matrix of the view.
 
 These are the interface.  False or None means "no certificate" (a rank
 dropped, a denominator is 0 mod p, p is past the int64 bound, the lift
 failed), never the opposite verdict; the caller then computes exactly.
 
+The action they take is rho of the algebra's generating set
+(ColourAlgebra.generators, gmodule's generator_action), not of its whole
+basis, and both kinds of certificate stay sound:
+
+* the same algebra: a module is a valid representation (its constructor
+  or JSON loader checked it, and every transform keeps it), so
+  rho([[s, t]]) = rho(s) rho(t) - eps rho(t) rho(s), and rho of the
+  generating set generates the same unital associative algebra over
+  Q(zeta_m) as rho of the basis.  So they have the same invariant
+  subspaces, spins, closure dimension and Hom(V, W);
+* one-sided mod p: the algebra that the generating set's images generate
+  mod p lies in the reduction of the one that all the images generate,
+  so its dimension is still at most the exact closure dimension, and the
+  Hom system of the generating set still has nullity at least the exact
+  dim Hom.  "Full rank mod p" and the exact check of a lifted basis prove
+  what they proved with every basis element.  A prime at which another
+  basis element's expression in the generating set has a denominator
+  divisible by p (a generator's image that vanishes mod p, say) can only
+  withhold a certificate.
+
 Hom by spinning (the MeatAxe homomorphism method; Lux & Pahlings,
 Representations of Groups: A Computational Approach, CUP 2010).  Degree-0
-maps phi: V -> W with phi rho_V(x_k) = rho_W(x_k) phi are solved as follows.
+maps phi: V -> W with phi rho_V(x_k) = rho_W(x_k) phi for x_k in the
+algebra's generating set are solved as follows.
 
 1. V is spun once mod p, under the first prime and embedding, from unit
    vectors (homogeneous): the next unit vector outside the span starts a new
@@ -142,13 +163,14 @@ contains e_i, and with it the spin of e_i mod p.  A spin mod p that is all
 of F_p^d therefore forces dim S = d.
 
 Each GradedModule holds one FpView in a slot, made on first use: the
-entries of its action reduced mod each prime that certifies_full_closure,
-certified_hom (for V and for W) and whole_spin_test have used, and
-certified_hom's spin tree of V, spun at its first prime and embedding, the
-only ones it spins at.  Every regrading (parity_shift, coarsen, regrade)
-gives the module it derives the same action tuple and the same view.  A
-view refers to no module, and nothing module-global refers to a view, so
-it is dropped with the last module that holds it.
+entries of its generator_action reduced mod each prime that
+certifies_full_closure, certified_hom (for V and for W) and
+whole_spin_test have used, and certified_hom's spin tree of V, spun at its
+first prime and embedding, the only ones it spins at.  Every regrading
+(parity_shift, coarsen, regrade) gives the module it derives the same
+action tuple, algebra and view.  A view refers to no module, and nothing
+module-global refers to a view, so it is dropped with the last module that
+holds it.
 
 int64 arithmetic is bounded in one place, the view: FpView._entries
 raises ValueError, as for a denominator divisible by p, when
@@ -160,46 +182,26 @@ image, ncols <= d^2 for _FpEchelon.add, d for a closure block, a
 rank-one product or a spin, and at most d dim W for _hom_solutions, whose
 two views are reduced at the same prime, so the larger one's bound covers
 d dim W.  At the primes prime_for gives, about 2^20, every certificate
-stops at d of about 2,900.
+stops at d of about 2,900.  A Hom basis's power-basis coordinates
+(fpfield._power_coordinates) sum phi(m) <= c products.
 """
 
 from __future__ import annotations
 
 from collections import Counter
-from fractions import Fraction
-from functools import lru_cache
-from math import gcd, isqrt
+from math import gcd
 
 import numpy as np
 
 from . import linalg
-from .abelian import _prime_factors
-from .errors import InvalidInput
-
-
-@lru_cache(maxsize=None)
-def prime_for(m, i=0):
-    """The (i+1)-th smallest prime p > 2^20 with p = 1 (mod m)."""
-    if i:
-        p = prime_for(m, i - 1) + m
-    else:
-        base = 1 << 20
-        p = base + 1 + ((-base) % m)
-    while _prime_factors(p) != {p}:
-        p += m
-    return p
-
-
-@lru_cache(maxsize=None)
-def order_m_root(m, p):
-    """Deterministic element of exact multiplicative order m in F_p."""
-    if (p - 1) % m:
-        raise InvalidInput(f"{p} != 1 mod {m}")
-    for g in range(2, p):
-        w = pow(g, (p - 1) // m, p)
-        if all(pow(w, m // q, p) != 1 for q in _prime_factors(m)):
-            return w
-    raise InvalidInput("no root found")  # unreachable for prime p
+from .fpfield import (
+    _crt,
+    _power_coordinates,
+    _rational,
+    _root_powers,
+    order_m_root,
+    prime_for,
+)
 
 
 def fp_for_field(f):
@@ -450,34 +452,6 @@ def fp_rank(rows, p):
 _MAX_PRIMES = 4
 
 
-def _rational(u, modulus):
-    """The fraction a/b = u (mod modulus) with |a|, b <= sqrt(modulus/2),
-    or None (Wang's rational reconstruction; such a fraction is unique)."""
-    bound = isqrt(modulus // 2)
-    r0, r1, t0, t1 = modulus, u, 0, 1
-    while r1 > bound:
-        q = r0 // r1
-        r0, r1 = r1, r0 - q * r1
-        t0, t1 = t1, t0 - q * t1
-    if abs(t1) > bound or gcd(r1, t1) != 1:
-        return None
-    return Fraction(r1, t1)
-
-
-def _power_coordinates(images, p, omega, units):
-    """Power-basis coordinates mod p of elements given by their images under
-    zeta -> omega^k for k in units: images[t] holds the images under
-    units[t], and the result has the same shape, coordinate t first."""
-    n = len(units)
-    vandermonde = np.array(
-        [[pow(omega, k * i, p) for i in range(n)] for k in units], dtype=np.int64
-    )
-    stacked = np.stack(images)
-    system = np.hstack([vandermonde, stacked.reshape(n, -1)])
-    fp_rref(system, p)  # the Vandermonde block is invertible: it becomes I
-    return system[:, n:].reshape(stacked.shape)
-
-
 def _spin_tree(mats, p, d):
     """Word tree of a basis of F_p^d spun from unit vectors under the d x d
     F_p matrices `mats`: entry i is (None, c) when basis vector i is the unit
@@ -586,15 +560,6 @@ def _checked_lift(f, residues, modulus, d, act_v, act_w):
     return None
 
 
-def _crt(residues, coords, modulus, p):
-    """The residues mod modulus * p that are `residues` mod modulus (None
-    when modulus is 1) and `coords` mod p."""
-    if residues is None:
-        return coords
-    step = (coords - residues % p) * pow(modulus, -1, p) % p
-    return residues.astype(object) + modulus * step.astype(object)
-
-
 def certified_hom(f, view_v, view_w, deg_v, deg_w):
     """Basis of the degree-0 maps phi: V -> W (sparse rows) with
     phi rho_V(x_k) = rho_W(x_k) phi for the exact actions of the FpViews
@@ -663,7 +628,7 @@ def certified_hom(f, view_v, view_w, deg_v, deg_w):
             coords = np.zeros((len(units), *basis.shape), dtype=np.int64)
             coords[0] = basis
         else:
-            coords = _power_coordinates(images, p, omega, units)
+            coords = _power_coordinates(m, images, p, _root_powers(m, p))
         residues = _crt(residues, coords, modulus, p)
         modulus *= p
         # with every coordinate past the first 0, this is the rational candidate

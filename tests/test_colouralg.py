@@ -15,6 +15,7 @@ from liecolour import (
     recolour,
     trivial_multiplier,
 )
+from liecolour import linalg
 from liecolour.colouralg import ColourAlgebra
 from liecolour.errors import AlgebraValidationError, InvalidInput
 from liecolour.grading import parity_split, twisted_factor
@@ -440,3 +441,88 @@ def test_jacobi_check_matches_the_triple_loop_on_perturbed_gl3():
         got = _agree(z2, eps, basis, bad)
         kinds[got[0] if got else "valid"] += 1
     assert kinds["jacobi"] >= 20, kinds
+
+
+# ---------------------------------------------------------------------------
+# generating sets
+# ---------------------------------------------------------------------------
+
+def _generated_dim(alg, idx):
+    """Dimension of the subalgebra that the basis elements idx generate, as
+    the span of idx closed under the bracket of every pair of span rows."""
+    f, n = alg.field, alg.dim()
+    span = linalg.RowBasis(f, n)
+    for t in idx:
+        span.add({t: f.one})
+    grew = True
+    while grew:
+        grew = False
+        rows = [linalg.dense(f, r, n) for r in span.rows]
+        for x in rows:
+            for y in rows:
+                if span.add(linalg.sparse(alg.bracket(x, y))):
+                    grew = True
+    return span.rank
+
+
+def _gl(n):
+    from liecolour import AbelianGroup
+
+    z2 = AbelianGroup([2])
+    basis = [(f"E{a}{b}", (0,)) for a in range(n) for b in range(n)]
+    return ColourAlgebra(z2, CommutationFactor(z2, F4, [[0]]), basis, _gl_constants(n))
+
+
+_ALGEBRAS = {
+    "sl2c": make_sl2c,
+    "sl2_discoloured": make_sl2_discoloured,
+    "bd_model": lambda: make_bd_model()[0],
+    "gl2": lambda: _gl(2),
+    "gl3": lambda: _gl(3),
+    "abelian": lambda: make_algebra(
+        GROUP, sl2c_factor(), [("x", (0, 0)), ("y", (1, 0)), ("z", (0, 1))], {}
+    ),
+}
+
+
+@pytest.mark.parametrize("name", list(_ALGEBRAS))
+def test_generators_generate_and_none_can_be_dropped(name):
+    alg = _ALGEBRAS[name]()
+    gens = alg.generators
+    assert list(gens) == sorted(set(gens))
+    assert _generated_dim(alg, gens) == alg.dim()
+    for t in gens:
+        assert _generated_dim(alg, [u for u in gens if u != t]) < alg.dim(), t
+
+
+def test_generators_of_the_catalog_algebras():
+    assert make_sl2c().generators == (1, 2)
+    assert make_sl2_discoloured().generators == (1, 2)
+    bd = make_bd_model()[0]
+    assert [bd.basis[t][0] for t in bd.generators] == ["Q1", "Q2"]
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_gl_keeps_an_element_of_nonzero_trace(n):
+    # [[gl_n, gl_n]] = sl_n, so the identity is no bracket: a generating set
+    # holds a diagonal unit E_aa
+    alg = _gl(n)
+    assert any(divmod(t, n)[0] == divmod(t, n)[1] for t in alg.generators)
+
+
+def test_an_abelian_algebra_keeps_every_index():
+    assert _ALGEBRAS["abelian"]().generators == (0, 1, 2)
+
+
+@pytest.mark.parametrize(
+    "make", [make_sl2c, make_sl2_discoloured, lambda: make_bd_model()[0]],
+    ids=["sl2c", "sl2_discoloured", "bd_model"],
+)
+def test_discolouring_keeps_the_generators(make):
+    # sigma scales each bracket by a nonzero root of unity, so every
+    # subalgebra generated by basis elements is unchanged
+    alg = make()
+    for exps in product((0, 2), repeat=4):
+        sigma = Multiplier(GROUP, F4, [exps[:2], exps[2:]])
+        assert discolour(alg, sigma).generators == alg.generators, exps
+        assert recolour(alg, sigma).generators == alg.generators, exps

@@ -1,11 +1,12 @@
 import math
 import random
+import time
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from liecolour import field
+from liecolour import field, fpfield
 from liecolour.jsonio import num_from_json
 from liecolour.errors import InvalidInput
 
@@ -111,6 +112,48 @@ def test_inverse_roundtrip_random(m):
             continue
         assert a.inverse() * a == 1
         done += 1
+
+
+def _dense_num(f, rng):
+    return f.num([Fraction(rng.randint(-3, 3), rng.randint(1, 3)) for _ in range(f.degree)])
+
+
+@pytest.mark.parametrize("m", [5, 9, 15, 16, 60, 105])
+def test_inverse_of_dense_elements(m):
+    # 105 is the first m whose cyclotomic polynomial has a coefficient -2
+    rng = random.Random(3000 + m)
+    f = field(m)
+    for _ in range(5):
+        a = _dense_num(f, rng)
+        assert a.inverse() * a == 1
+
+
+def test_inverse_skips_a_prime_that_divides_the_denominator_or_the_norm():
+    f = field(4)
+    p = fpfield.prime_for(4)
+    a, b = next((a, b) for a in range(1, 1025) for b in range(1, 1025) if a * a + b * b == p)
+    on_a_root = f.num([a, b])  # its norm a^2 + b^2 is p: zero at a root mod p
+    over_p = f.num([Fraction(1, p), Fraction(2, p)])
+    for x in (on_a_root, over_p, on_a_root * over_p):
+        assert x.inverse() * x == 1
+    assert on_a_root.inverse() == f.num([Fraction(a, p), Fraction(-b, p)])
+
+
+def test_an_inverse_at_m_512_takes_under_half_a_second():
+    f = field(512)
+    a = _dense_num(f, random.Random(512))
+    start = time.perf_counter()
+    inv = a.inverse()
+    assert time.perf_counter() - start < 0.5
+    assert inv * a == 1
+
+
+def test_rational_vector_brings_a_vector_over_one_denominator():
+    modulus = fpfield.prime_for(4) * fpfield.prime_for(4, 1)
+    want = [Fraction(1, 3), Fraction(-2, 5), Fraction(7, 15), Fraction(0), Fraction(4, 9)]
+    residues = [q.numerator * pow(q.denominator, -1, modulus) % modulus for q in want]
+    nums, den = fpfield._rational_vector(residues, modulus)
+    assert [Fraction(a, den) for a in nums] == want and den == 45
 
 
 def test_reduction_is_canonical():

@@ -40,6 +40,7 @@ from liecolour.workbench import (
     catalog_modules,
     classify_lambda,
     discolouring_sigma,
+    make_bd_model,
     make_V_lambda,
     sl2c_factor,
 )
@@ -971,7 +972,7 @@ def test_a_view_is_dropped_with_its_module():
     """Nothing outside the module holds its view: once the module is gone,
     so is the view that its reductions and spin tree filled."""
     T = twist(catalog_modules(3)["loopE3"], dual_characters(GROUP)[1])
-    action = T.action
+    action = T.fp_view.action
 
     def views():
         return [o for o in gc.get_objects() if isinstance(o, modp.FpView) and o.action is action]
@@ -1006,3 +1007,143 @@ def test_one_classification_row_reduces_each_action_once_per_prime(monkeypatch):
     # the tuples are held in the lists, so their ids stay distinct
     assert len(reduced) == len({(id(a), p) for a, p in reduced})
     assert len(spun) == len({(id(a), p, w) for a, p, w in spun})
+
+
+# ---------------------------------------------------------------------------
+# the generator action against the whole action
+# ---------------------------------------------------------------------------
+
+def _oracle_modules(tmp_path):
+    """catalog_modules(4), the block-model modules and the seed-2 dense
+    conjugates of perfbench/inputs.py, by name."""
+    modules = dict(catalog_modules(4))
+    _, seed, lm = make_bd_model()
+    modules.update({"bd seed": seed, "bd loop": lm.module,
+                    "bd loop+loop": direct_sum(lm.module, lm.module)})
+    inputs = _perfbench_inputs()
+    inputs.write_inputs(2, str(tmp_path))
+    for stem in inputs.DENSE:
+        modules[f"{stem}_dense"] = jsonio.load_file(str(tmp_path / f"{stem}_dense.json"))[1]
+    return modules
+
+
+def _full_basis_maps(V, W):
+    """The degree-0 maps M with M rho_V(x) = rho_W(x) M for every basis
+    element x, as linalg.nullspace gives them for that system."""
+    variables = [(r, c) for r in range(W.dim) for c in range(V.dim)
+                 if W.degrees[r] == V.degrees[c]]
+    index = {rc: t for t, rc in enumerate(variables)}
+    rows = []
+    for A, B in zip(V.action, W.action):
+        for r in range(W.dim):
+            for c in range(V.dim):
+                row = {}
+                for t in range(V.dim):  # (M A)[r][c]
+                    if c in A[t] and (r, t) in index:
+                        linalg.axpy(row, A[t][c], {index[(r, t)]: V.field.one})
+                for t, b in B[r].items():  # (B M)[r][c]
+                    if (t, c) in index:
+                        linalg.axpy(row, -b, {index[(t, c)]: V.field.one})
+                if row:
+                    rows.append(row)
+    out = []
+    for sol in linalg.nullspace(V.field, rows, len(variables)):
+        mat = linalg.zeros(W.dim)
+        for t, x in sol.items():
+            r, c = variables[t]
+            mat[r][c] = x
+        out.append(mat)
+    return out
+
+
+def test_generator_spins_and_closures_equal_the_whole_action(tmp_path):
+    modules = _oracle_modules(tmp_path)
+    assert len(modules) == 68
+    spins = closures = 0
+    for name, V in modules.items():
+        f, d = V.field, V.dim
+        assert len(V.generator_action) == 2 < len(V.action), name
+
+        def images(v):
+            return (linalg.mat_vec(mat, v) for mat in V.action)
+
+        for i in range(d):
+            whole = linalg.RowBasis(f, d).close([{i: f.one}], images)
+            assert gmodule.spin(V, [{i: f.one}]).rows == tuple(whole.rows), (name, i)
+            spins += 1
+        parts = [idx for idx in V.sector_indices().values() if idx]
+        assert (_closure_rank_exact(f, V.generator_action, parts, d)
+                == _closure_rank_exact(f, V.action, parts, d)), name
+        closures += 1
+    assert (spins, closures) == (234, 68)
+
+
+def test_intertwiners_equal_the_whole_action_nullspace(tmp_path):
+    modules = _oracle_modules(tmp_path)
+    pairs = [(a, b) for a in modules for b in modules if _same_shape(modules[a], modules[b])]
+    assert len(pairs) == 210
+    differ = [(a, b) for a, b in pairs
+              if intertwiners(modules[a], modules[b]) != _full_basis_maps(modules[a], modules[b])]
+    assert differ == []
+
+
+def _scaled_sl2_modules():
+    """An sl2 in which the generator t = p a3 of the discoloured sl2 has
+    rho(t) = 0 mod p = prime_for(4): the basis (a1, a2, p a3), where
+    a1 = -(1/p) [[a2, p a3]] is the index that ColourAlgebra.generators
+    drops.  Its modules, from V_0..V_4: each V_lambda, its even/odd
+    grading, and the sums V_1 + V_1 and V_1 + V_2."""
+    p = modp.prime_for(4)
+    q = Fraction(1, p)
+    lie = make_V_lambda(0).algebra
+    alg = ColourAlgebra(GROUP, lie.epsilon, lie.basis,
+                        {(0, 1): {2: q}, (1, 2): {0: -p}, (2, 0): {1: -p}})
+    h2 = subgroup_from_generators(GROUP, [(1, 1)])
+    modules = {}
+    for lam in range(5):
+        a1, a2, a3 = make_V_lambda(lam).action
+        mats = [a1, a2, linalg.mat_scale(a3, alg.field.from_rational(p))]
+        V = GradedModule(alg, make_V_lambda(lam).hsub, [(0, 0)] * (lam + 1), mats)
+        modules[f"V{lam}"] = V
+        modules[f"E{lam}"] = gmodule.regrade(V, h2, [(0, j % 2) for j in range(lam + 1)])
+    modules["V1+V1"] = direct_sum(modules["V1"], modules["V1"])
+    modules["V1+V2"] = direct_sum(modules["V1"], modules["V2"])
+    return alg, modules
+
+
+def test_a_generator_that_vanishes_mod_p_withholds_certificates_only():
+    """Mod p the generator images of these modules are rho(a2) and 0, whose
+    algebra is commutative: the closure and Hom certificates are declined
+    where the whole action would give them, and every verdict and Hom
+    basis is still the exact one."""
+    alg, modules = _scaled_sl2_modules()
+    assert alg.generators == (1, 2)
+    f = alg.field
+    declined = []
+    for name, V in modules.items():
+        d = V.dim
+        parts = [idx for idx in V.sector_indices().values() if idx]
+        full = _closure_rank_exact(f, V.action, parts, d) == d * d
+        certified = modp.certifies_full_closure(f, V.fp_view, parts)
+        assert full or not certified, name
+        if full and not certified:
+            declined.append(name)
+        verdict = gmodule.is_graded_irreducible(V)
+        assert verdict.irreducible == full, name
+        if not full:
+            verdict.witness.validate()
+            assert 0 < verdict.witness.dim < d and verdict.witness.homogeneous, name
+    # E1 has two one-vector sectors, so its projections and rho(a2) still
+    # generate End(F_p^2)
+    assert declined == ["V1", "V2", "E2", "V3", "E3", "V4", "E4"]
+    pairs = [(a, b) for a in modules for b in modules if _same_shape(modules[a], modules[b])]
+    assert len(pairs) == 16
+    no_certificate = 0
+    for a, b in pairs:
+        V, W = modules[a], modules[b]
+        exact = _full_basis_maps(V, W)
+        maps = _certified(V, W)
+        assert maps is None or maps == exact, (a, b)
+        no_certificate += maps is None
+        assert intertwiners(V, W) == exact, (a, b)
+    assert no_certificate == 13
