@@ -185,6 +185,29 @@ def _inverse_mod(f, nums, den, p):
     return _power_coordinates(f.m, y, p, at_roots)
 
 
+def _inverse_height(x):
+    """A height bound H for the inverse y = den / alpha of x = alpha / den,
+    alpha = sum_j nums_j zeta^j: every coordinate a/b of y, in lowest
+    terms, has |a| <= H and b <= H, and so does every fraction that
+    _rational_vector forms on the way.
+
+    It is derived from the norm.  With s = sum_j |nums_j| >= |sigma(alpha)|
+    for each embedding sigma and n = phi(m): y = den adj(alpha) / N(alpha)
+    with adj(alpha) in Z[zeta], so each b divides |N(alpha)| <= s^n, which
+    bounds the denominators.  |N(alpha)| >= 1 gives |sigma(y)| <=
+    den s^(n-1) / |N(alpha)|.  Lagrange interpolation at the roots zeta_k
+    of Phi = Phi_m gives each coordinate as sum_k sigma_k(y) q_kj /
+    Phi'(zeta_k), with |q_kj| <= |Phi|_1 for the coefficients q_kj of
+    Phi / (X - zeta_k), and |Phi'(zeta_k)| = m / |g(zeta_k)| >= m / 2^(m-n)
+    for g = (X^m - 1) / Phi, a product of m - n factors zeta_k - w with
+    |w| = 1.  So |a| = |y_j| b <= n |Phi|_1 2^(m-n) den s^(n-1) / m."""
+    f = x.field
+    n, m = f.degree, f.m
+    s = sum(abs(c) for c in x.nums)
+    lagrange = (n * sum(abs(c) for c in f.poly) * x.den * s ** (n - 1)) << (m - n)
+    return max(s**n, -(-lagrange // m))
+
+
 def inverse(x):
     """The inverse of x, an element of Q(zeta_m) that is not rational: its
     coordinates are found mod the primes p = 1 (mod m) of prime_for by
@@ -194,8 +217,13 @@ def inverse(x):
     so at most twice the primes its coordinates need are used, with one
     reconstruction per doubling.  Only the primes that divide the
     denominator of x, or the norm of its numerator, are skipped, so a
-    candidate passes once the product of the primes is large enough."""
+    candidate passes once the product of the primes is large enough: past
+    2 H^2, for H the height bound of _inverse_height, the reconstruction is
+    unique and exact.  So once the product passes 2 H^2, one more
+    reconstruction is made, and ArithmeticError is raised if it fails: a
+    residue was wrong, and CRT would carry it into every later prime."""
     f = x.field
+    bound = 2 * _inverse_height(x) ** 2
     residues, modulus, used = None, 1, 0
     for i in count():
         p = prime_for(f.m, i)
@@ -205,13 +233,18 @@ def inverse(x):
         residues = _crt(residues, coords, modulus, p)
         modulus *= p
         used += 1
-        if used & (used - 1):
+        covered = modulus > bound
+        if used & (used - 1) and not covered:
             continue
         lifted = _rational_vector(residues.tolist(), modulus)
         if lifted is not None:
             y = _reduced(f, tuple(lifted[0]), lifted[1])
             if x * y == f.one:
                 return y
+        if covered:
+            raise ArithmeticError(
+                f"no inverse of {x} reconstructs from {used} primes past its height bound"
+            )
 
 
 def _crt(residues, coords, modulus, p):

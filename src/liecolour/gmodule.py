@@ -634,10 +634,10 @@ def _divisors(n):
 
 def _commutant_kernel_vectors(module, end):
     """Homogeneous vectors spanning kernels of (M - c) for the non-scalar
-    elements M of the commutant basis `end` and verified eigenvalues c."""
+    elements M of the commutant basis `end` and verified eigenvalues c, one
+    kernel at a time, each computed only if reached."""
     f = module.field
     d = module.dim
-    out = []
     eye = identity(f, d)
     for M in end:
         if M == mat_scale(eye, M[0].get(0, f.zero)):
@@ -646,30 +646,31 @@ def _commutant_kernel_vectors(module, end):
         for c in _field_roots(f, mu):
             # c is a verified root of M's minimal polynomial, so M - c is
             # singular, and nonzero as M is not scalar: 0 < len(kernel) < d
-            out.extend(linalg.nullspace(f, mat_sub(M, mat_scale(eye, c)), d))
-    return out
+            yield from linalg.nullspace(f, mat_sub(M, mat_scale(eye, c)), d)
+
+
+def _unit_vectors(module):
+    return ({i: module.field.one} for i in range(module.dim))
 
 
 def _candidate_vectors(module, end=None):
     """Vectors to spin in search of submodules: the unit vectors, then the
     commutant kernel vectors, which are computed only if reached.  The
     commutant basis is then appended to the list `end`, when given."""
-    for i in range(module.dim):
-        yield {i: module.field.one}
+    yield from _unit_vectors(module)
     basis = commutant(module)
     if end is not None:
         end.extend(basis)
     yield from _commutant_kernel_vectors(module, basis)
 
 
-def _proper_spins(module, skip=None, end=None):
-    """The exact spins of the candidate vectors that are proper submodules,
-    in candidate order.  A vector that `skip` rejects is not spun, nor is a
-    unit vector whose spin mod p is the whole module, which proves that its
-    exact spin is too (modp.whole_spin_test).  `end` goes to
-    _candidate_vectors."""
+def _proper_spins(module, candidates, skip=None):
+    """The exact spins of the vectors `candidates` yields that are proper
+    submodules, in that order.  A vector that `skip` rejects is not spun,
+    nor is a unit vector whose spin mod p is the whole module, which proves
+    that its exact spin is too (modp.whole_spin_test)."""
     whole = modp.whole_spin_test(module.field, module.fp_view)
-    for v in _candidate_vectors(module, end):
+    for v in candidates:
         if (skip is not None and skip(v)) or whole(v):
             continue
         sub = spin(module, [v])
@@ -696,12 +697,26 @@ def is_graded_irreducible(module) -> IrreducibilityVerdict:
     d = module.dim
     if d == 0:
         raise InvalidInput("irreducibility of the zero module is undefined")
-    f = module.field
-    parts = [idx for idx in module.sector_indices().values() if idx]
-    if modp.certifies_full_closure(f, module.fp_view, parts):
+    parts = _sector_parts(module)
+    if modp.certifies_full_closure(module.field, module.fp_view, parts):
         return IrreducibilityVerdict(True, closure_dim=d * d)
     end = []
-    witness = next(_proper_spins(module, end=end), None)
+    return _searched_verdict(module, parts, _candidate_vectors(module, end), end)
+
+
+def _sector_parts(module):
+    """The basis indices of each non-empty sector, as modp takes them."""
+    return [idx for idx in module.sector_indices().values() if idx]
+
+
+def _searched_verdict(module, parts, candidates, end):
+    """is_graded_irreducible past its mod-p certificate: the first proper
+    spin of the vectors `candidates` yields, else the exact closure, else
+    InconclusiveIrreducibility, whose commutant dimension is len(end) once
+    the candidates have run out: `end` is the commutant basis by then."""
+    d = module.dim
+    f = module.field
+    witness = next(_proper_spins(module, candidates), None)
     if witness is not None:
         return IrreducibilityVerdict(False, witness=witness)
     # exact authority: the mod-p rank may have dropped on an unlucky prime
@@ -709,8 +724,7 @@ def is_graded_irreducible(module) -> IrreducibilityVerdict:
     if rank_exact == d * d:
         return IrreducibilityVerdict(True, closure_dim=d * d)
     # by the density theorem a graded irreducible module whose commutant is
-    # the scalars has the full closure; the scan, run to its end, has put
-    # the commutant basis in `end`
+    # the scalars has the full closure
     dim_end = len(end)
     why = (f"the commutant is the scalars, so one exists over Q(zeta_{f.m})" if dim_end == 1
            else f"the module is reducible over C and may be irreducible over Q(zeta_{f.m})")
@@ -772,7 +786,7 @@ def decompose(module):
         return []
     summands = []
     accum = RowBasis(f, d)
-    for spun in _proper_spins(module, accum.contains):
+    for spun in _proper_spins(module, _candidate_vectors(module), accum.contains):
         sub = shrink_to_irreducible(spun)
         if not accum.contains(sub.rows[0]):
             for r in sub.rows:

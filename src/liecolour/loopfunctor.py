@@ -1,29 +1,83 @@
 """The loop construction and the lift from coarse to fine gradings.
 
-Given V graded by Gamma/H and K <= H with H/K of prime order, the loop
-module lives inside V (x) F[Gamma]: the sector at a coset c of K is
+Given V graded by Gamma/H and K <= H with H/K of prime order p, the loop
+module L lives inside V (x) F[Gamma/K]: the sector at a coset c of K is
 V_{pi(c)} (x) e_c, and an element of degree a sends v (x) e_c to
-(a.v) (x) e_{a+c}.  Exactly one of the following holds for irreducible V:
-the loop is graded irreducible (then V admits no finer grading), or it is
-reducible and any proper graded irreducible submodule is a regrading of V.
-That dichotomy decides the lift step; walking a composition series of
-Gamma lifts an ungraded irreducible all the way to a Gamma-graded one.
+(a.v) (x) e_{a+c}.  Two maps come with it:
+
+* the relabelling v (x) e_c -> v (x) e_{c-h}, for h in H, a degree-0
+  isomorphism L -> L[h] onto the parity shift (shift_intertwiner);
+* the forgetful map v (x) e_c -> v, which intertwines the actions and
+  takes the degree c to pi(c), that of V graded by Gamma/H.
+
+The lift step rests on the loop dichotomy of Mazorchuk and Zhao: for V
+graded irreducible, either L is graded irreducible (then V admits no
+Gamma/K-grading that coarsens to its own), or L is the direct sum of the p
+parity shifts W[h], h in H/K, of one Gamma/K-regrading W of V.  The
+projections onto those summands are p >= 2 independent degree-0 maps
+commuting with the action, so L is graded irreducible exactly when its
+degree-0 commutant End_0(L) is the scalars.  _lift_step decides the loop
+of a graded-irreducible V by this, with a certificate for each verdict:
+
+* irreducible: the closure dimension d^2.  It is certified mod p by
+  modp.rank_one_certificate when a rank-one idempotent shows, and when
+  none shows, by dim End_0(L) = 1: a Hom dimension is the same over every
+  extension of Q(zeta_m), so over C, too, L is no sum of p summands and is
+  graded irreducible; its Burnside algebra with the sector projections
+  then acts irreducibly with commutant C, so by the density theorem it is
+  all of End(L), of dimension d^2 over either field.  (When an idempotent
+  shows but its spins mod p are proper, is_graded_irreducible's scan and
+  exact closure answer, as for any module.);
+* gradable: a proper graded submodule S of L, the one is_graded_irreducible's
+  scan finds: the spin of the first unit vector whose spin is proper, else
+  of a kernel vector of a non-scalar element of End_0(L) (such a kernel is
+  a graded submodule).  When no idempotent shows, the unit vectors with a
+  proper spin are read off End_0(L) (_loop_verdict), not spun mod p one by
+  one.  S is restricted to a Gamma/K-graded module W, shrunk first when S
+  is larger than V, and the forgetful map W -> V is checked exactly to be
+  invertible.  It is then an isomorphism onto V graded by Gamma/H, and W
+  is graded irreducible: a Gamma/K-graded submodule of W is
+  Gamma/H-graded, so its image in V is 0 or V.
+
+The shift classes of a module M graded by Gamma/K (iso_classes_of_module)
+are the cosets of the stabilizer S = {h : M[h] ~ M}, a subgroup, since a
+degree-0 isomorphism M[a] -> M[b] is one M -> M[b - a], the same matrix.
+When the last step of iterate_lift was a loop, S contains the image of H,
+certified by the relabelling, which is checked exactly to be an invertible
+degree-0 intertwiner.  Walking a composition series of Gamma lifts an
+ungraded irreducible all the way to a Gamma-graded one.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field as dc_field
+from itertools import chain, compress
 from typing import Optional
 
-from . import linalg
-from .abelian import _prime_factors, jordan_holder, quotient, twist_reps
+from . import linalg, modp
+from .abelian import (
+    _prime_factors,
+    jordan_holder,
+    quotient,
+    subgroup_from_generators,
+    twist_reps,
+)
 from .errors import InconclusiveIrreducibility, InvalidInput, InvalidSubgroupStep
 from .gmodule import (
     GradedModule,
+    IrreducibilityVerdict,
+    _candidate_vectors,
+    _commutant_kernel_vectors,
+    _searched_verdict,
+    _sector_parts,
     _shrink_and_restrict,
+    _unit_vectors,
+    commutant,
     is_graded_irreducible,
+    is_isomorphic,
     iso_labels,
     parity_shift,
+    submodule_to_module,
     twist,
 )
 
@@ -89,14 +143,41 @@ def loop(module, refiner, sector_order=None) -> LoopModule:
 
 
 def shift_intertwiner(loopmod, h):
-    """The e-label relabelling showing loop^{+h} = loop for h in H."""
+    """The e-label relabelling v (x) e_c -> v (x) e_{c-h}, a permutation
+    matrix that is a degree-0 isomorphism loop -> parity_shift(loop, h) for
+    h in H: it commutes with the action, which moves every label alike, and
+    takes degree c to c - h, the degree of v (x) e_{c-h} shifted by h."""
     f = loopmod.module.field
     g = loopmod.module.algebra.group
     quo = loopmod.module.quo
+    position = {bk: t for t, bk in enumerate(loopmod.bookkeeping)}
     mat = linalg.zeros(loopmod.dim)
     for col, (i, rep) in enumerate(loopmod.bookkeeping):
-        mat[loopmod.index_of(i, quo.add(rep, g.reduce(h)))][col] = f.one
+        mat[position[(i, quo.add(rep, g.neg(h)))]][col] = f.one
     return mat
+
+
+def _is_isomorphism(V, W, mat):
+    """True if mat is an invertible degree-0 map V -> W that intertwines
+    generator_action, and with it the whole action; every check is exact."""
+    return (
+        all(W.degrees[r] == V.degrees[c] for r, row in enumerate(mat) for c in row)
+        and all(linalg.mat_mul(mat, a) == linalg.mat_mul(b, mat)
+                for a, b in zip(V.generator_action, W.generator_action))
+        and linalg.is_invertible(V.field, mat)
+    )
+
+
+def _loop_shifts(loopmod):
+    """Elements of the loop's stabilizer {h : loop[h] ~ loop} that the
+    relabelling certifies: the image of one h in H but not in K, which
+    generates H/K (of prime order), if shift_intertwiner(loopmod, h) checks
+    as an isomorphism; otherwise none."""
+    L = loopmod.module
+    h = next(h for h in loopmod.source.hsub.elements if not L.hsub.contains(h))
+    if _is_isomorphism(L, parity_shift(L, h), shift_intertwiner(loopmod, h)):
+        return [L.quo.rep(h)]
+    return []
 
 
 @dataclass
@@ -137,24 +218,62 @@ def bijection_F(module, refiner) -> BijectionOutcome:
 
 
 def _lift_step(module, refiner) -> BijectionOutcome:
-    """bijection_F on a module already certified graded irreducible."""
+    """bijection_F on a module already certified graded irreducible: the
+    loop is decided by the dichotomy (see the module docstring)."""
     lm = loop(module, refiner)
-    verdict = is_graded_irreducible(lm.module)
+    verdict = _loop_verdict(lm.module)
     if verdict.irreducible:
         return BijectionOutcome(
             gradable=False, module=lm.module, loop=lm, source=module
         )
-    _, restricted, rows = _shrink_and_restrict(verdict.witness)
+    restricted, rows = submodule_to_module(verdict.witness)
+    if restricted.dim > module.dim:
+        _, restricted, rows = _shrink_and_restrict(verdict.witness)
     if restricted.dim != module.dim:
         raise InconclusiveIrreducibility(
             "proper graded submodule of the loop is not a copy of the source"
         )
-    # the forgetful map restricted to an irreducible proper submodule is an
-    # isomorphism onto the source, so the embedding matrix must be square
-    # and invertible; this is asserted rather than assumed
+    # the forgetful map is an isomorphism onto the source exactly when this
+    # square matrix is invertible; that carries the source's graded
+    # irreducibility over to the restriction, and is asserted, not assumed
     if not linalg.is_invertible(module.field, _forget_labels(lm, rows)):
         raise InconclusiveIrreducibility("loop bookkeeping did not invert")
     return BijectionOutcome(gradable=True, module=restricted, loop=lm, source=module)
+
+
+def _loop_verdict(L):
+    """is_graded_irreducible's verdict on the loop L of a graded-irreducible
+    module, by the dichotomy (see the module docstring).  The rank-one
+    certificate mod p answers when it holds.  When a rank-one idempotent
+    shows but a spin of its unit vector mod p is proper,
+    is_graded_irreducible's scan runs as it is.  When none shows,
+    dim End_0(L) = 1 decides, and otherwise the unit vectors with a proper
+    spin are read off the commutant.  By the dichotomy a reducible L is,
+    over C, a sum of absolutely graded-irreducible summands, so by density
+    its Burnside algebra A is End_{End_0(L)}(L), and A e = L exactly when
+    End_0(L) e has dimension dim End_0(L) (a summand type of multiplicity k
+    takes rank k from e's components); both are ranks, the same over
+    Q(zeta_m).  Those unit vectors are spun first, then the commutant's
+    kernel vectors, then the other unit vectors: the scan's order, so the
+    witness is the one the scan finds, without a spin mod p of each unit
+    vector.  If no candidate splits, the exact closure answers, as there."""
+    d, f = L.dim, L.field
+    parts = _sector_parts(L)
+    answer = modp.rank_one_certificate(f, L.fp_view, parts)
+    if answer:
+        return IrreducibilityVerdict(True, closure_dim=d * d)
+    if answer is False:
+        end = []
+        return _searched_verdict(L, parts, _candidate_vectors(L, end), end)
+    end = commutant(L)
+    if len(end) == 1:
+        return IrreducibilityVerdict(True, closure_dim=d * d)
+    cols = [linalg.transpose(M, d) for M in end]
+    short = [linalg.row_span(f, [c[i] for c in cols], d).rank < len(end) for i in range(d)]
+    units = list(_unit_vectors(L))
+    candidates = chain(compress(units, short), _commutant_kernel_vectors(L, end),
+                       compress(units, [not s for s in short]))
+    return _searched_verdict(L, parts, candidates, end)
 
 
 @dataclass
@@ -196,24 +315,53 @@ def iterate_lift(module) -> LiftReport:
         current = outcome.module
         report.steps.append(outcome)
     report.final = current
-    report.classes = iso_classes_of_module(current)
+    last = report.steps[-1] if report.steps else None
+    shifts = _loop_shifts(last.loop) if last is not None and not last.gradable else []
+    report.classes = iso_classes_of_module(current, shifts)
     return report
-
-
-def _first_of_each_class(modules):
-    labels = iso_labels(modules)
-    return [m for i, m in enumerate(modules) if labels[i] == i]
 
 
 def twist_orbit(module):
     """Twists of the module by coset representatives of H-perp, deduplicated."""
     g = module.algebra.group
-    return _first_of_each_class([twist(module, ch) for ch in twist_reps(g, module.hsub)])
+    twists = [twist(module, ch) for ch in twist_reps(g, module.hsub)]
+    labels = iso_labels(twists)
+    return [m for i, m in enumerate(twists) if labels[i] == i]
 
 
-def iso_classes_of_module(module):
-    """Parity shifts over Gamma (mod the grading kernel), up to isomorphism."""
-    classes = _first_of_each_class([parity_shift(module, rep) for rep in module.quo.coset_reps])
+def _generated(module, elements):
+    """The coset reps of the subgroup of Gamma / H that `elements` generate,
+    for module.quo = Gamma / H."""
+    sub = subgroup_from_generators(module.algebra.group, [*module.hsub.generators, *elements])
+    return {module.quo.rep(e) for e in sub.elements}
+
+
+def iso_classes_of_module(module, stabilizer=()):
+    """Parity shifts over Gamma (mod the grading kernel), up to isomorphism:
+    the first shift of each class in coset order, sorted by sector
+    dimensions.
+
+    The classes are the cosets of S = {h : M[h] ~ M} (see the module
+    docstring).  `stabilizer` lists elements of S already certified;
+    is_isomorphic(M[h], M) decides each other h in no coset settled so
+    far, S is closed under addition at each member found, and each h
+    outside S rules out h + S.
+    """
+    quo = module.quo
+    inside, outside = _generated(module, stabilizer), set()
+    for h in quo.coset_reps:
+        if h in inside or h in outside:
+            continue
+        if is_isomorphic(parity_shift(module, h), module):
+            inside = _generated(module, [*inside, h])
+        else:
+            outside.add(h)
+        outside = {quo.add(o, s) for o in outside for s in inside}
+    classes, seen = [], set()
+    for h in quo.coset_reps:
+        if h not in seen:
+            seen.update(quo.add(h, s) for s in inside)
+            classes.append(parity_shift(module, h))
     # the candidates share their action matrices, so sector dimensions are
     # the whole sort key (the sort is stable)
     classes.sort(key=lambda m: m.sector_dims())

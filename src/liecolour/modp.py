@@ -5,9 +5,9 @@ order m, which exists whenever p = 1 mod m) can only lower ranks.  That
 one-sided guarantee is used as a sound fast path, with three certificates:
 
 * `certifies_full_closure`: a full closure mod p (found by two spins when
-  the algebra mod p shows a rank-one idempotent, by the closure rank
-  otherwise) certifies that the matrices generate the whole matrix algebra
-  over the exact field;
+  the algebra mod p shows a rank-one idempotent, `rank_one_certificate`,
+  by the closure rank otherwise) certifies that the matrices generate the
+  whole matrix algebra over the exact field;
 * `certified_hom` with no solution mod p: full column rank mod p of its
   Hom system certifies that the exact Hom space is zero;
 * `certified_hom` otherwise: a Hom basis solved mod p, lifted to
@@ -145,7 +145,9 @@ of Norton's irreducibility test (Holt & Rees, J. Austral. Math. Soc. A 57,
   of F_p^d either way, so the dimension is below d^2.
 
 So the answer is closure_rank(...) == d^2 in every case; closure_rank
-runs only when no E_ii shows.
+runs only when no E_ii shows.  rank_one_certificate is the two-spin half
+alone, for a caller that decides the other case without closure_rank
+(loopfunctor's lift step, by the commutant of the loop module).
 
 A full spin mod p also settles an exact spin (the lattice argument behind
 the MeatAxe's spinning; Parker 1984): whole_spin_test is the filter of
@@ -650,22 +652,34 @@ def _first_image(f, view):
         return None
 
 
-def certifies_full_closure(f, view, parts):
-    """True if the unital algebra that a graded action over f and its sector
-    projections generate has dimension d^2 mod p, which proves it is all of
-    End(f^d).  `view` is the action's FpView and `parts` the basis indices
-    of each non-empty sector, as closure_rank takes them.  With an index i
-    from _rank_one_index the answer is two spins of e_i; without one it is
-    closure_rank's (see the module docstring)."""
-    d = view.dim
+def rank_one_certificate(f, view, parts):
+    """certifies_full_closure's answer when _rank_one_index finds an index
+    i: two spins of e_i; None when no rank-one idempotent shows, so that
+    only closure_rank could answer.  False is no certificate, as is a view
+    that raises ValueError."""
     got = _first_image(f, view)
     if got is None:
         return False
     fp, p = got
     i = _rank_one_index(fp, p, parts)
     if i is None:
-        return closure_rank(fp, p, d, parts) == d * d
+        return None
+    d = view.dim
     return _spans_all(fp, p, d, i) and _spans_all(fp.transpose(0, 2, 1), p, d, i)
+
+
+def certifies_full_closure(f, view, parts):
+    """True if the unital algebra that a graded action over f and its sector
+    projections generate has dimension d^2 mod p, which proves it is all of
+    End(f^d).  `view` is the action's FpView and `parts` the basis indices
+    of each non-empty sector, as closure_rank takes them.  The answer is
+    rank_one_certificate's when a rank-one idempotent shows, closure_rank's
+    otherwise (see the module docstring)."""
+    answer = rank_one_certificate(f, view, parts)
+    if answer is not None:
+        return answer
+    fp, p = _first_image(f, view)  # rank_one_certificate got the image
+    return closure_rank(fp, p, view.dim, parts) == view.dim ** 2
 
 
 def whole_spin_test(f, view):

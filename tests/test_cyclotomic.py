@@ -139,6 +139,39 @@ def test_inverse_skips_a_prime_that_divides_the_denominator_or_the_norm():
     assert on_a_root.inverse() == f.num([Fraction(a, p), Fraction(-b, p)])
 
 
+@pytest.mark.parametrize("m", [4, 5, 12, 60])
+def test_a_wrong_residue_raises_past_the_height_bound(monkeypatch, m):
+    # a residue that is wrong at the first prime is carried by CRT into
+    # every later one, so no candidate passes; the search must stop with
+    # ArithmeticError once the primes cover the height bound, not run on
+    f = field(m)
+    x = _dense_num(f, random.Random(4000 + m))
+    height = fpfield._inverse_height(x)
+    y = x.inverse()
+    assert all(abs(q.numerator) <= height and q.denominator <= height
+               for q in (Fraction(c, y.den) for c in y.nums))
+    bound = 2 * height**2
+    first = fpfield.prime_for(m)
+    real = fpfield._inverse_mod
+    primes = []
+
+    def corrupted(f, nums, den, p):
+        primes.append(p)
+        assert len(primes) < 1000, "the inverse did not stop"
+        coords = real(f, nums, den, p)
+        return (coords + 1) % p if p == first else coords
+
+    monkeypatch.setattr(fpfield, "_inverse_mod", corrupted)
+    with pytest.raises(ArithmeticError):
+        x.inverse()
+    # it stops at the first prime whose product with the earlier ones passes
+    # the bound (none of these primes divides the norm or the denominator)
+    product = 1
+    for k, p in enumerate(primes):
+        product *= p
+        assert (product > bound) == (k == len(primes) - 1)
+
+
 def test_an_inverse_at_m_512_takes_under_half_a_second():
     f = field(512)
     a = _dense_num(f, random.Random(512))

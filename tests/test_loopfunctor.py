@@ -1,17 +1,23 @@
 import pytest
+from test_colouralg import _gl_constants
 
 from liecolour import (
+    AbelianGroup,
     bijection_F,
     coarsen,
+    commutant,
     field,
     full_subgroup,
     is_graded_irreducible,
     is_isomorphic,
     iso_classes,
+    iso_labels,
     iterate_lift,
     jordan_holder,
+    linalg,
     loop,
     make_algebra,
+    make_commutation_factor,
     make_module,
     parity_shift,
     submodule_to_module,
@@ -21,9 +27,11 @@ from liecolour import (
     twist_orbit,
     twist_reps,
 )
+from liecolour.abelian import _prime_factors
 from liecolour.errors import InvalidInput, InvalidSubgroupStep
 from liecolour.workbench import (
     GROUP,
+    catalog_modules,
     h2_subgroup,
     make_sl2_graded,
     make_V_lambda,
@@ -32,6 +40,61 @@ from liecolour.workbench import (
 
 F4 = field(4)
 K0 = trivial_subgroup(GROUP)
+
+
+def _pauli_sl(n):
+    """sl_n with its Pauli grading by Z_n x Z_n on the standard module over
+    Q(zeta_n), ungraded: J_ab = X^a Z^b (X e_j = e_{j+1}, Z e_j = w^j e_j,
+    w = zeta_n), so [J_ab, J_cd] = (w^{bc} - w^{ad}) J_{a+c,b+d}, trivial
+    eps."""
+    g = AbelianGroup([n, n])
+    f = field(n)
+    w = f.zeta()
+    labels = [(a, b) for a in range(n) for b in range(n) if (a, b) != (0, 0)]
+    index = {ab: k for k, ab in enumerate(labels)}
+    constants = {}
+    for i, (a, b) in enumerate(labels):
+        for j, (c, d) in enumerate(labels[i + 1:], i + 1):
+            coef = w ** (b * c % n) - w ** (a * d % n)
+            if not coef.is_zero():
+                constants[(i, j)] = {index[((a + c) % n, (b + d) % n)]: coef}
+    eps = make_commutation_factor(g, f, [[0, 0], [0, 0]])
+    alg = make_algebra(g, eps, [(f"J{a}{b}", (a, b)) for a, b in labels], constants)
+    mats = []
+    for a, b in labels:
+        mat = linalg.zeros(n)
+        for j in range(n):
+            mat[(j + a) % n][j] = w ** (b * j % n)
+        mats.append(mat)
+    return make_module(alg, full_subgroup(g), [g.zero()] * n, mats)
+
+
+def _gl3():
+    """gl_3 with the elementary Z3 x Z3 grading deg E_ab = g_a - g_b for
+    g = (0,0), (1,0), (0,1), on the standard module over Q(zeta_3),
+    ungraded."""
+    g = AbelianGroup([3, 3])
+    f = field(3)
+    gs = [(0, 0), (1, 0), (0, 1)]
+    basis = [(f"E{a}{b}", g.sub(gs[a], gs[b])) for a in range(3) for b in range(3)]
+    eps = make_commutation_factor(g, f, [[0, 0], [0, 0]])
+    alg = make_algebra(g, eps, basis, _gl_constants(3))
+    mats = []
+    for a in range(3):
+        for b in range(3):
+            mat = linalg.zeros(3)
+            mat[a][b] = f.one
+            mats.append(mat)
+    return make_module(alg, full_subgroup(g), [g.zero()] * 3, mats)
+
+
+def _prime_index_subgroups(hsub):
+    """The subgroups of prime index in hsub (every subgroup of these rank-2
+    groups has at most two generators), in a fixed order."""
+    group = hsub.parent
+    subs = {subgroup_from_generators(group, [a, b]) for a in hsub.elements for b in hsub.elements}
+    prime = [k for k in subs if _prime_factors(hsub.order() // k.order()) == {hsub.order() // k.order()}]
+    return sorted(prime, key=lambda k: k.elements)
 
 
 def test_loop_of_e_variant_layout():
@@ -64,17 +127,118 @@ def test_loop_requires_prime_step():
         loop(E, subgroup_from_generators(GROUP, [(0, 1)]))  # not inside H2
 
 
+def _pauli_step(n):
+    """The gradable first lift step of the Pauli sl_n module and the next
+    subgroup of the chain, of index n in its grading subgroup."""
+    V = _pauli_sl(n)
+    chain = jordan_holder(V.algebra.group).chain
+    return bijection_F(V, chain[1]).module, chain[2]
+
+
 def test_loop_shift_relabelling_matrix():
-    from liecolour import linalg
+    # for every h in H, at index 2 (E_1 along {0}) and at index 3 (the
+    # Pauli sl_3 step), the relabelling is a permutation matrix, of degree
+    # 0 into the shifted loop, that intertwines every action matrix
     from liecolour.loopfunctor import shift_intertwiner
 
-    lm = loop(make_sl2_graded(1, "E"), K0)
-    S = shift_intertwiner(lm, (1, 1))
-    shifted = parity_shift(lm.module, (1, 1))
-    for k in range(3):
-        lhs = linalg.mat_mul(S, lm.module.action[k])
-        rhs = linalg.mat_mul(shifted.action[k], S)
-        assert lhs == rhs
+    for source, refiner in [(make_sl2_graded(1, "E"), K0), _pauli_step(3)]:
+        lm = loop(source, refiner)
+        L, f = lm.module, lm.module.field
+        assert source.hsub.order() // refiner.order() in (2, 3)
+        for h in source.hsub.elements:
+            S = shift_intertwiner(lm, h)
+            shifted = parity_shift(L, h)
+            assert sorted(c for row in S for c in row) == list(range(L.dim))
+            assert all(list(row.values()) == [f.one] for row in S)
+            assert linalg.is_invertible(f, S)
+            assert all(shifted.degrees[r] == L.degrees[c] for r, row in enumerate(S) for c in row)
+            for a, b in zip(L.action, shifted.action):
+                assert linalg.mat_mul(S, a) == linalg.mat_mul(b, S)
+
+
+def _dichotomy(M, K):
+    """(irreducible, dim End_0) of the loop of M along K, once the lift
+    step's verdict is checked against is_graded_irreducible's and the
+    degree-0 commutant is checked to be the scalars exactly on irreducible
+    loops."""
+    from liecolour.loopfunctor import _lift_step
+
+    L = loop(M, K).module
+    irreducible = is_graded_irreducible(L).irreducible
+    assert _lift_step(M, K).gradable == (not irreducible)
+    dim_end = len(commutant(L))
+    assert (dim_end == 1) == irreducible
+    return irreducible, dim_end
+
+
+def test_loop_dichotomy_decides_every_catalog_step():
+    # every graded-irreducible catalog module, along each subgroup of prime
+    # index (2 here) in its grading subgroup
+    verdicts = []
+    for M in catalog_modules(7).values():
+        if is_graded_irreducible(M).irreducible:
+            for K in _prime_index_subgroups(M.hsub):
+                verdicts.append(_dichotomy(M, K))
+    assert len(verdicts) == 89
+    assert sum(irreducible for irreducible, _ in verdicts) == 57
+    assert {dim_end for irreducible, dim_end in verdicts if not irreducible} == {2}
+
+
+def test_loop_dichotomy_at_index_3_and_5():
+    # the ungraded Pauli sl_3, sl_5 and gl_3 modules, and each gradable lift
+    # step's output, along every subgroup of prime index in their grading
+    # subgroups: a reducible loop is the sum of the p shifts of one
+    # regrading, which are not isomorphic here, so End_0 has dimension p
+    seen = set()
+    for V in (_pauli_sl(3), _pauli_sl(5), _gl3()):
+        sources = [V] + [s.module for s in iterate_lift(V).steps if s.gradable]
+        for M in sources:
+            for K in _prime_index_subgroups(M.hsub):
+                p = M.hsub.order() // K.order()
+                irreducible, dim_end = _dichotomy(M, K)
+                assert irreducible or dim_end == p
+                seen.add((p, irreducible))
+    assert seen == {(3, True), (3, False), (5, True), (5, False)}
+
+
+def test_iterate_lift_classes_are_the_shift_partition():
+    # the reference: iso_labels over every parity shift of the final module,
+    # the first of each class, sorted by sector dimensions
+    cases = [(make_V_lambda(lam), None, None) for lam in range(8)]
+    cases += [(_pauli_sl(3), 1, 9), (_pauli_sl(5), 1, 25), (_gl3(), 9, 3)]
+    for V, count, dim in cases:
+        rep = iterate_lift(V)
+        shifts = [parity_shift(rep.final, h) for h in rep.final.quo.coset_reps]
+        labels = iso_labels(shifts)
+        want = [m for i, m in enumerate(shifts) if labels[i] == i]
+        assert rep.classes == sorted(want, key=lambda m: m.sector_dims())
+        if count is not None:
+            assert [m.dim for m in rep.classes] == [dim] * count
+
+
+@pytest.mark.parametrize("lam", range(9))
+def test_classify_row_runs_no_closure_rank_and_few_shift_checks(monkeypatch, lam):
+    # the lift decides its loops without modp.closure_rank, and the shift
+    # classes take one is_isomorphic call per shift outside the known part
+    # of the stabilizer: one at odd lam (the loop's H is known), three at
+    # even lam (the stabilizer is trivial), where pairwise checks took 3 and 6
+    from liecolour import loopfunctor, modp
+    from liecolour.workbench import classify_lambda
+
+    def closure_rank(*args):
+        raise AssertionError("closure_rank was called")
+
+    calls = []
+    real = loopfunctor.is_isomorphic
+
+    def counted(V, W):
+        calls.append((V, W))
+        return real(V, W)
+
+    monkeypatch.setattr(modp, "closure_rank", closure_rank)
+    monkeypatch.setattr(loopfunctor, "is_isomorphic", counted)
+    assert classify_lambda(lam).passed
+    assert len(calls) == (1 if lam % 2 else 3)
 
 
 def test_bijection_even_weight_is_gradable():

@@ -527,11 +527,11 @@ def _solves_per_call(monkeypatch):
 
 
 def test_a_rational_hom_basis_is_solved_under_one_embedding(monkeypatch):
-    """Every Hom basis of classify_lambda(0..8) is rational, so each
+    """Every Hom basis of classify_lambda(0..9) is rational, so each
     certified_hom call that is not answered at once solves one embedding
     per prime it uses."""
     calls = _solves_per_call(monkeypatch)
-    for lam in range(9):
+    for lam in range(10):
         assert classify_lambda(lam).passed
     solved = [primes for _, primes in calls if primes]
     assert len(solved) >= 100
