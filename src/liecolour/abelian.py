@@ -338,7 +338,10 @@ def twist_reps(group, subgroup):
     Representatives are the lexicographically smallest exponent tuples, so
     the trivial character always comes first.
     """
-    perp = h_perp(group, subgroup)
-    dual = dual_group(group)
-    q = quotient(dual, perp)
-    return [Character(group, rep) for rep in q.coset_reps]
+    return [Character(group, rep) for rep in twist_quotient(group, subgroup).coset_reps]
+
+
+def twist_quotient(group, subgroup) -> QuotientGroup:
+    """The dual group modulo H-perp, whose cosets index the twists of a
+    module graded by G/H up to isomorphism."""
+    return quotient(dual_group(group), h_perp(group, subgroup))

@@ -79,7 +79,13 @@ class InconclusiveIsomorphism(LieColourError):
 
 
 class NotCompletelyReducible(LieColourError):
-    pass
+    """A graded submodule has no invariant complement.  The certificate is
+    `submodule`, a graded irreducible gmodule.Submodule S of the module:
+    every map in intertwiners(module, S) vanishes on S, so none projects."""
+
+    def __init__(self, message, submodule=None):
+        super().__init__(message)
+        self.submodule = submodule
 
 
 class ClassificationMismatch(LieColourError):

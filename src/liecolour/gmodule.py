@@ -16,7 +16,9 @@ full-rank answer mod p certifies the exact answer, anything else falls
 back to exact witness search and, as a last resort, the same sector
 closure over Q(zeta_m).  The witness search and decompose
 share one scan of candidate vectors (_proper_spins), which skips the unit
-vectors whose spin mod p is already the whole space.
+vectors whose spin mod p is already the whole space.  decompose splits off
+one summand at a time along the kernel of an intertwiner onto it (graded
+Schur), and its "not completely reducible" carries a certificate.
 
 Modules are validated where they enter the program, and only there: the
 GradedModule constructor (user code and the catalog formulas) and JSON
@@ -664,14 +666,13 @@ def _candidate_vectors(module, end=None):
     yield from _commutant_kernel_vectors(module, basis)
 
 
-def _proper_spins(module, candidates, skip=None):
+def _proper_spins(module, candidates):
     """The exact spins of the vectors `candidates` yields that are proper
-    submodules, in that order.  A vector that `skip` rejects is not spun,
-    nor is a unit vector whose spin mod p is the whole module, which proves
-    that its exact spin is too (modp.whole_spin_test)."""
+    submodules, in that order.  A unit vector whose spin mod p is the whole
+    module, which proves its exact spin is too, is not spun (whole_spin_test)."""
     whole = modp.whole_spin_test(module.field, module.fp_view)
     for v in candidates:
-        if (skip is not None and skip(v)) or whole(v):
+        if whole(v):
             continue
         sub = spin(module, [v])
         if sub.dim < module.dim:
@@ -749,54 +750,49 @@ def shrink_to_irreducible(sub) -> Submodule:
 def _shrink_and_restrict(sub):
     """shrink_to_irreducible(sub), with submodule_to_module of the result,
     which the last step of the descent has already computed."""
-    module = sub.parent
-    f = module.field
     while True:
         restricted, rows = submodule_to_module(sub)
         verdict = is_graded_irreducible(restricted)
         if verdict.irreducible:
             return sub, restricted, rows
-        lifted = [linalg.vec_mat(w, rows) for w in verdict.witness.rows]
-        basis = linalg.row_span(f, lifted, module.dim)
-        sub = Submodule(parent=module, rows=tuple(basis.rows))
+        sub = _echelon_span(sub.parent, mat_mul(verdict.witness.rows, rows))
 
 
 def decompose(module):
-    """Split a completely reducible module into graded irreducible summands.
+    """Split a completely reducible module into graded irreducible summands,
+    each as the reduced echelon rows of its span.
 
-    Greedy assembly over minimal submodules inside the proper spins of the
-    candidate vectors (_proper_spins): unit vectors first, then (only if
-    those do not fill the module, since a unit vector can meet several
-    summands at once) kernel vectors of commutant elements.  A vector inside
-    the accumulated span is not spun.  Each candidate is shrunk to a graded
-    irreducible S, and S meets the accumulated span, a graded submodule, in
-    a graded submodule of S: 0 or S.  So S's first row decides whether S is
-    a new summand, whose rows are then added to the span as they are.  When
-    the scan ends before the summands fill the module, NotCompletelyReducible
-    is raised.  That is no proof: the candidates may miss the summands of a
-    completely reducible module (a dense conjugate of V_1 (+) V_3, say), so
-    the answer carries no certificate.  When no candidate
-    spins to a proper submodule, the module is its own summand if
-    is_graded_irreducible says so, and that call's
-    InconclusiveIrreducibility is raised when it has no verdict.
+    The rest R still to split (at first the module) is its own summand when
+    modp.rank_one_certificate holds, or when no candidate spins to a proper
+    submodule (_proper_spins) and is_graded_irreducible certifies it (or
+    raises InconclusiveIrreducibility).  Else the first proper spin is shrunk
+    to a graded irreducible S with inclusion i, and H is the first element of
+    the Hom(R, S) basis with H i != 0: by graded Schur H i is invertible, so
+    ker H is a graded invariant complement of S, which is split next.  If
+    every basis element vanishes on S, S has no complement in R (the degree-0
+    part of a projection would be the identity on S), nor in the module (by
+    the modular law it would meet R in one): NotCompletelyReducible is
+    raised, with S as its certificate.
     """
     f = module.field
-    d = module.dim
-    if d == 0:
-        return []
-    summands = []
-    accum = RowBasis(f, d)
-    for spun in _proper_spins(module, _candidate_vectors(module), accum.contains):
-        sub = shrink_to_irreducible(spun)
-        if not accum.contains(sub.rows[0]):
-            for r in sub.rows:
-                accum.add(r)
-            summands.append(sub)
-            if accum.rank == d:
-                return summands
-    if not summands and is_graded_irreducible(module).irreducible:
-        return [Submodule(parent=module, rows=tuple(identity(f, d)))]
-    raise NotCompletelyReducible(f"direct sum stalled at dimension {accum.rank} of {d}")
+    summands, rest, inside = [], module, identity(f, module.dim)  # inside: rest's basis in module
+    while rest.dim:
+        spun = None
+        if not modp.rank_one_certificate(f, rest.fp_view, _sector_parts(rest)):
+            spun = (next(_proper_spins(rest, _candidate_vectors(rest)), None)
+                    or is_graded_irreducible(rest).witness)
+        if spun is None:
+            return summands + [_echelon_span(module, inside)]
+        sub, S, iota = _shrink_and_restrict(spun)
+        piece = _echelon_span(module, mat_mul(sub.rows, inside))
+        H = next((H for H in intertwiners(rest, S) if any(mat_vec(H, r) for r in iota)), None)
+        if H is None:
+            raise NotCompletelyReducible(
+                f"irreducible submodule of dimension {S.dim} has no invariant complement", piece)
+        summands.append(piece)
+        rest, rows = submodule_to_module(Submodule(rest, tuple(linalg.nullspace(f, H, rest.dim))))
+        inside = mat_mul(rows, inside)
+    return summands
 
 
 def graded_quotient(module, sub) -> GradedModule:
@@ -822,8 +818,12 @@ def graded_quotient(module, sub) -> GradedModule:
     return GradedModule._derived(module.algebra, module.quo, degrees, mats)
 
 
+def _echelon_span(module, rows):
+    """The span of the rows in `module`, on its reduced echelon basis."""
+    return Submodule(module, tuple(linalg.row_span(module.field, rows, module.dim).rows))
+
+
 def submodule_from_rows(module, rows) -> Submodule:
-    basis = linalg.row_span(module.field, rows, module.dim)
-    sub = Submodule(parent=module, rows=tuple(basis.rows))
+    sub = _echelon_span(module, rows)
     sub.validate()
     return sub

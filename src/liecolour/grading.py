@@ -24,7 +24,7 @@ def default_field(group):
 class _Bimultiplicative:
     """Shared storage/evaluation for generator-exponent maps G x G -> mu_m."""
 
-    __slots__ = ("group", "field", "exponents", "_cache")
+    __slots__ = ("group", "field", "exponents")
 
     def __init__(self, group, f, exponents):
         k = group.rank
@@ -34,7 +34,6 @@ class _Bimultiplicative:
         self.group = group
         self.field = f
         self.exponents = exponents
-        self._cache = {}
 
     def exponent(self, a, b):
         """The e in 0..m-1 with eval(a, b) = zeta_m^e; the orders are
@@ -49,14 +48,7 @@ class _Bimultiplicative:
         return e % self.field.m
 
     def eval(self, a, b):
-        a = self.group.reduce(a)
-        b = self.group.reduce(b)
-        key = (a, b)
-        val = self._cache.get(key)
-        if val is None:
-            val = self.field.zeta(self.exponent(a, b))
-            self._cache[key] = val
-        return val
+        return self.field.zeta(self.exponent(self.group.reduce(a), self.group.reduce(b)))
 
     def _check_orders(self, err):
         m = self.field.m

@@ -166,9 +166,6 @@ class RowBasis:
         self._row_at[pivot] = v
         return True
 
-    def contains(self, vec):
-        return not self.reduce(vec)
-
     def close(self, vectors, images):
         """Grow to the smallest span containing the vectors and closed under
         `images`: images(v) is added for every v that enlarged the span.
@@ -181,13 +178,6 @@ class RowBasis:
                         return self
                     work.append(w)
         return self
-
-    def copy(self):
-        other = RowBasis(self.field, self.ncols)
-        other.rows = [dict(r) for r in self.rows]
-        other.pivots = list(self.pivots)
-        other._row_at = dict(zip(other.pivots, other.rows))
-        return other
 
 
 def row_span(f, vectors, ncols):

@@ -44,8 +44,10 @@ are the cosets of the stabilizer S = {h : M[h] ~ M}, a subgroup, since a
 degree-0 isomorphism M[a] -> M[b] is one M -> M[b - a], the same matrix.
 When the last step of iterate_lift was a loop, S contains the image of H,
 certified by the relabelling, which is checked exactly to be an invertible
-degree-0 intertwiner.  Walking a composition series of Gamma lifts an
-ungraded irreducible all the way to a Gamma-graded one.
+degree-0 intertwiner.  The twist classes (twist_orbit) are the cosets of
+{chi : M^chi ~ M} alike; _classes_by_stabilizer finds both.  Walking a
+composition series of Gamma lifts an ungraded irreducible all the way to a
+Gamma-graded one.
 """
 
 from __future__ import annotations
@@ -56,11 +58,12 @@ from typing import Optional
 
 from . import linalg, modp
 from .abelian import (
+    Character,
     _prime_factors,
     jordan_holder,
     quotient,
     subgroup_from_generators,
-    twist_reps,
+    twist_quotient,
 )
 from .errors import InconclusiveIrreducibility, InvalidInput, InvalidSubgroupStep
 from .gmodule import (
@@ -75,7 +78,6 @@ from .gmodule import (
     commutant,
     is_graded_irreducible,
     is_isomorphic,
-    iso_labels,
     parity_shift,
     submodule_to_module,
     twist,
@@ -322,38 +324,34 @@ def iterate_lift(module) -> LiftReport:
 
 
 def twist_orbit(module):
-    """Twists of the module by coset representatives of H-perp, deduplicated."""
+    """Twists of the module by coset representatives of H-perp (twist_reps),
+    up to isomorphism: the first of each class, in that order."""
     g = module.algebra.group
-    twists = [twist(module, ch) for ch in twist_reps(g, module.hsub)]
-    labels = iso_labels(twists)
-    return [m for i, m in enumerate(twists) if labels[i] == i]
+    return _classes_by_stabilizer(
+        module, twist_quotient(g, module.hsub), lambda e: twist(module, Character(g, e)))
 
 
-def _generated(module, elements):
-    """The coset reps of the subgroup of Gamma / H that `elements` generate,
-    for module.quo = Gamma / H."""
-    sub = subgroup_from_generators(module.algebra.group, [*module.hsub.generators, *elements])
-    return {module.quo.rep(e) for e in sub.elements}
+def _generated(quo, elements):
+    """The coset reps of the subgroup of quo = G / N that `elements` generate."""
+    sub = subgroup_from_generators(quo.parent, [*quo.subgroup.generators, *elements])
+    return {quo.rep(e) for e in sub.elements}
 
 
-def iso_classes_of_module(module, stabilizer=()):
-    """Parity shifts over Gamma (mod the grading kernel), up to isomorphism:
-    the first shift of each class in coset order, sorted by sector
-    dimensions.
-
-    The classes are the cosets of S = {h : M[h] ~ M} (see the module
-    docstring).  `stabilizer` lists elements of S already certified;
-    is_isomorphic(M[h], M) decides each other h in no coset settled so
-    far, S is closed under addition at each member found, and each h
-    outside S rules out h + S.
-    """
-    quo = module.quo
-    inside, outside = _generated(module, stabilizer), set()
+def _classes_by_stabilizer(module, quo, act, stabilizer=()):
+    """The modules act(h), h in quo.coset_reps, up to isomorphism: the first
+    of each class, in coset order, for an action `act` of quo on modules
+    that preserves isomorphism, with act(0) ~ module.  act(a) ~ act(b)
+    exactly when act(b - a) ~ module, so the classes are the cosets of the
+    stabilizer S = {h : act(h) ~ module}.  `stabilizer` lists elements of S
+    already certified; is_isomorphic decides each other h in no coset
+    settled so far, S is closed under addition at each member found, and
+    each h outside S rules out h + S."""
+    inside, outside = _generated(quo, stabilizer), set()
     for h in quo.coset_reps:
         if h in inside or h in outside:
             continue
-        if is_isomorphic(parity_shift(module, h), module):
-            inside = _generated(module, [*inside, h])
+        if is_isomorphic(act(h), module):
+            inside = _generated(quo, [*inside, h])
         else:
             outside.add(h)
         outside = {quo.add(o, s) for o in outside for s in inside}
@@ -361,7 +359,16 @@ def iso_classes_of_module(module, stabilizer=()):
     for h in quo.coset_reps:
         if h not in seen:
             seen.update(quo.add(h, s) for s in inside)
-            classes.append(parity_shift(module, h))
+            classes.append(act(h))
+    return classes
+
+
+def iso_classes_of_module(module, stabilizer=()):
+    """Parity shifts over Gamma (mod the grading kernel), up to isomorphism
+    (_classes_by_stabilizer, with the elements of {h : M[h] ~ M} that
+    `stabilizer` certifies), sorted by sector dimensions."""
+    classes = _classes_by_stabilizer(
+        module, module.quo, lambda h: parity_shift(module, h), stabilizer)
     # the candidates share their action matrices, so sector dimensions are
     # the whole sort key (the sort is stable)
     classes.sort(key=lambda m: m.sector_dims())

@@ -34,7 +34,7 @@ from liecolour import (
     trivial_subgroup,
     twist,
 )
-from liecolour import gmodule
+from liecolour import gmodule, modp
 from liecolour.colouralg import ColourAlgebra
 from liecolour.errors import (
     InconclusiveIrreducibility,
@@ -383,31 +383,40 @@ def _bd_ungraded(*mats):
 
 
 ZERO_2 = [[F4.zero] * 2 for _ in range(2)]
+NILPOTENT = [[F4.zero, F4.one], [F4.zero, F4.zero]]
 
 
-def test_decompose_stalls_on_a_non_split_extension():
-    from liecolour.errors import NotCompletelyReducible
-
-    zero = [[F4.zero] * 2 for _ in range(2)]
-    nilpotent = [[F4.zero, F4.one], [F4.zero, F4.zero]]
-    V = _bd_ungraded(zero, nilpotent, zero, zero)
-    # span(e_0) is the only proper submodule: no complement exists
-    with pytest.raises(NotCompletelyReducible, match="stalled at dimension 1 of 2"):
-        decompose(V)
+def test_decompose_finds_no_complement_in_a_non_split_extension():
+    """Q1 acts as a nonzero nilpotent N, so the kernel of N is the only
+    proper submodule: span(e_0) for N upper triangular, span(e_1) for its
+    transpose.  decompose raises with that submodule as its certificate:
+    every map of the complete Hom basis from V onto it vanishes on it."""
+    for kernel, nilpotent in enumerate([NILPOTENT, [list(r) for r in zip(*NILPOTENT)]]):
+        V = _bd_ungraded(ZERO_2, nilpotent, ZERO_2, ZERO_2)
+        with pytest.raises(NotCompletelyReducible,
+                           match="submodule of dimension 1 has no invariant complement") as caught:
+            decompose(V)
+        S = caught.value.submodule
+        S.validate()
+        assert S.parent is V and S.rows == (_unit(2, kernel),)
+        restricted, iota = submodule_to_module(S)
+        maps = intertwiners(V, restricted)
+        assert maps and all(not linalg.mat_vec(H, r) for H in maps for r in iota)
 
 
 def _greedy_decompose(module):
-    """decompose as it was before repeated whole-module spins were skipped:
-    every candidate outside the span is spun and shrunk (the reference)."""
-    d = module.dim
+    """decompose as a greedy assembly, the reference: every candidate vector
+    outside the span of the summands so far is spun and shrunk, and the
+    result is a new summand when its rows are independent of that span."""
+    f, d = module.field, module.dim
     summands = []
-    accum = linalg.RowBasis(module.field, d)
+    accum = linalg.RowBasis(f, d)
     for v in gmodule._candidate_vectors(module):
-        if accum.contains(v):
+        if not accum.reduce(v):
             continue
         sub = gmodule.shrink_to_irreducible(spin(module, [v]))
-        probe = accum.copy()
-        if all([probe.add(r) for r in sub.rows]):
+        probe = linalg.row_span(f, accum.rows + list(sub.rows), d)
+        if probe.rank == accum.rank + sub.dim:
             summands.append(sub)
             accum = probe
             if accum.rank == d:
@@ -427,8 +436,7 @@ def _decompose_battery():
     cat = catalog_modules(2)
     pairs = (("V1", "V2"), ("E+2", "O-2"), ("U++1", "U-+1"))
     modules += [direct_sum(cat[a], cat[b]) for a, b in pairs]
-    zero = [[F4.zero] * 2 for _ in range(2)]
-    modules.append(_bd_ungraded(zero, [[F4.zero, F4.one], [F4.zero, F4.zero]], zero, zero))
+    modules.append(_bd_ungraded(ZERO_2, NILPOTENT, ZERO_2, ZERO_2))
     return modules
 
 
@@ -446,20 +454,34 @@ def _recording(monkeypatch, name):
     return calls
 
 
+def _summand_modules(summands):
+    return [submodule_to_module(s)[0] for s in summands]
+
+
+def _same_summands(got, want):
+    """The two lists of summand modules agree up to isomorphism and order."""
+    labels = iso_labels(got + want)
+    return sorted(labels[:len(got)]) == sorted(labels[len(got):])
+
+
 def test_decompose_matches_the_greedy_reference_with_fewer_shrinks(monkeypatch):
-    shrinks = _recording(monkeypatch, "shrink_to_irreducible")
+    """decompose gives summands isomorphic to the greedy reference's, or
+    like it no decomposition at all (on the non-split extension), and
+    shrinks no more submodules to irreducible ones than it does."""
+    shrinks = _recording(monkeypatch, "_shrink_and_restrict")
     counts = []
     for m in _decompose_battery():
         got = []
         for run in (_greedy_decompose, decompose):
             del shrinks[:]
             try:
-                out = [(s.rows, s.homogeneous) for s in run(m)]
-            except NotCompletelyReducible as exc:
-                out = str(exc)
+                out = _summand_modules(run(m))
+            except NotCompletelyReducible:
+                out = None
             got.append((out, len(shrinks)))
         (want, before), (out, after) = got
-        assert out == want
+        assert (out is None) == (want is None)
+        assert out is None or _same_summands(out, want)
         assert after <= before
         counts.append((before, after))
     assert sum(a for _, a in counts) < sum(b for b, _ in counts)
@@ -492,9 +514,10 @@ def test_witnesses_and_summands_pass_submodule_validation():
 
 def test_decompose_shrinks_only_proper_spins_and_solves_one_commutant(monkeypatch):
     """decompose shrinks proper submodules only, never a spin that is the
-    whole module, and computes each module's commutant at most once (the
-    odd V_lambda loops reach the commutant kernel vectors)."""
-    shrinks = _recording(monkeypatch, "shrink_to_irreducible")
+    whole module, and computes the commutant of each module it splits (the
+    input, then each complement) at most once; the odd V_lambda loops reach
+    the commutant kernel vectors."""
+    shrinks = _recording(monkeypatch, "_shrink_and_restrict")
     commutants = _recording(monkeypatch, "commutant")
     reached = 0
     for m in _decompose_battery():
@@ -503,10 +526,93 @@ def test_decompose_shrinks_only_proper_spins_and_solves_one_commutant(monkeypatc
             decompose(m)
         except NotCompletelyReducible:
             pass
-        assert shrinks and all(sub.dim < m.dim for sub in shrinks)
-        assert len(commutants) <= 1
-        reached += len(commutants)
+        assert shrinks and all(sub.dim < sub.parent.dim for sub in shrinks)
+        assert len({id(V) for V in commutants}) == len(commutants)
+        reached += sum(V is m for V in commutants)
     assert reached >= 2
+
+
+def test_decompose_of_a_certified_irreducible_module_computes_no_commutant(monkeypatch):
+    """An irreducible module that modp.rank_one_certificate certifies is
+    its own summand at once: no spin, no commutant."""
+    commutants = _recording(monkeypatch, "commutant")
+    spins = _recording(monkeypatch, "spin")
+    certified = 0
+    for m in catalog_modules(5).values():
+        if modp.rank_one_certificate(m.field, m.fp_view, gmodule._sector_parts(m)):
+            del commutants[:], spins[:]
+            assert [s.dim for s in decompose(m)] == [m.dim]
+            assert commutants == spins == []
+            certified += 1
+    assert certified >= 40
+
+
+def _dense_conjugate(module, rng):
+    """P A P^-1 for every action matrix A, with P invertible and its entries
+    a + b i, a, b in -3..3, drawn in that order (P redrawn until invertible)."""
+    f, n = module.field, module.dim
+    i = f.zeta()
+    while True:
+        P = [{c: f.from_rational(rng.randint(-3, 3)) + i * rng.randint(-3, 3) for c in range(n)}
+             for _ in range(n)]
+        P = [{c: x for c, x in r.items() if not x.is_zero()} for r in P]
+        P_inv = linalg.invert(f, P)
+        if P_inv is not None:
+            break
+    mats = [linalg.mat_mul(linalg.mat_mul(P, a), P_inv) for a in module.action]
+    return GradedModule(module.algebra, module.hsub, module.degrees, mats)
+
+
+def _dense_sums():
+    """Two seeded dense conjugates each of V_1 (+) V_3 and V_1 (+) V_1 (+) V_3,
+    with the summands they conjugate."""
+    rng = random.Random(11)
+    out = []
+    for lams in [(1, 3), (1, 3), (1, 1, 3), (1, 1, 3)]:
+        parts = [make_V_lambda(lam) for lam in lams]
+        total = parts[0]
+        for part in parts[1:]:
+            total = direct_sum(total, part)
+        out.append((_dense_conjugate(total, rng), parts))
+    return out
+
+
+def test_decompose_never_denies_a_dense_conjugate_of_a_sum():
+    """On dense conjugates of completely reducible sums, the candidate
+    vectors may miss every summand, but no false "not completely reducible"
+    follows: decompose returns the conjugated summands, up to isomorphism,
+    or raises InconclusiveIrreducibility."""
+    split = 0
+    for module, parts in _dense_sums():
+        try:
+            summands = decompose(module)
+        except InconclusiveIrreducibility:
+            continue
+        assert _same_summands(_summand_modules(summands), parts)
+        split += 1
+    assert split >= 1
+
+
+CATALOG_2_SUMS = [
+    (a, b) for a, b in itertools.combinations_with_replacement(catalog_modules(2).values(), 2)
+    if a.algebra == b.algebra and a.hsub == b.hsub
+]
+
+
+@settings(derandomize=True, max_examples=40, deadline=None)
+@given(st.data())
+def test_decompose_splits_a_sum_into_its_summands(data):
+    """On a sum of two modules of one catalog family, the summand rows
+    together span V, each summand restricts to a graded-irreducible module,
+    and the summands are the two parts up to isomorphism."""
+    a, b = data.draw(st.sampled_from(CATALOG_2_SUMS), label="parts")
+    V = direct_sum(a, b)
+    summands = decompose(V)
+    rows = [r for s in summands for r in s.rows]
+    assert linalg.row_span(V.field, rows, V.dim).rank == len(rows) == V.dim
+    mods = _summand_modules(summands)
+    assert all(is_graded_irreducible(m).irreducible for m in mods)
+    assert _same_summands(mods, [a, b])
 
 
 def test_denominators_divisible_by_p_give_no_certificate_but_exact_verdicts():

@@ -367,6 +367,31 @@ def test_twist_orbit_size_divides_subgroup_order():
         assert h2_subgroup().order() % len(orbit) == 0
 
 
+@pytest.mark.parametrize("lam", [3, 5, 7])
+def test_twist_orbit_decides_the_classes_by_their_stabilizer(monkeypatch, lam):
+    """twist_orbit returns the first twist of each isomorphism class, in
+    twist_reps order, which the pairwise partition (iso_labels) also gives;
+    the four twists of U++ are pairwise non-isomorphic, and one
+    is_isomorphic call per twist outside the stabilizer decides them, where
+    pairwise checks took 6."""
+    from liecolour import loopfunctor
+
+    module = make_sl2_graded(lam, "U++")
+    twists = [twist(module, ch) for ch in twist_reps(GROUP, module.hsub)]
+    labels = iso_labels(twists)
+    calls = []
+    real = loopfunctor.is_isomorphic
+
+    def counted(V, W):
+        calls.append((V, W))
+        return real(V, W)
+
+    monkeypatch.setattr(loopfunctor, "is_isomorphic", counted)
+    orbit = twist_orbit(module)
+    assert orbit == [m for i, m in enumerate(twists) if labels[i] == i]
+    assert len(orbit) == 4 and len(calls) == 3
+
+
 def test_iso_classes_counts():
     rep2 = iterate_lift(make_V_lambda(2))
     assert len(rep2.classes) == 4
