@@ -34,9 +34,13 @@ constructor's homogeneity check, with the same error.  The regradings
 (coarsen, parity_shift, regrade) keep the action tuple and its F_p view.
 
 A Submodule is its parent and its rows.  Whether it is graded is read off
-the rows (`homogeneous`), never stored, and one check (_checked_span:
-independent rows, invariant span) serves Submodule.validate,
-submodule_to_module and graded_quotient.
+the rows (`homogeneous`), never stored.  A submodule is checked once, where
+it crosses the public boundary: one check (_checked_span: independent rows,
+invariant span) serves Submodule.validate, submodule_to_module and
+graded_quotient.  Spans that are invariant by construction (a spin, the
+kernel of an intertwiner) are restricted by _restriction, which reads each
+image's coordinates at the rows' unit columns and checks only that the
+rows are homogeneous.
 """
 
 from __future__ import annotations
@@ -222,8 +226,7 @@ class Submodule:
         """Every row lies in one sector (always so when the parent is
         ungraded: it has one sector).  For echelon rows this holds exactly
         when the span is the sum of its sector parts, a graded submodule."""
-        V = self.parent
-        return all(len({V.degrees[i] for i in r}) <= 1 for r in self.rows)
+        return _homogeneous(self.parent, self.rows)
 
     def validate(self):
         _checked_span(self)
@@ -356,24 +359,48 @@ def spin(module, vectors) -> Submodule:
     return Submodule(parent=module, rows=tuple(basis.rows))
 
 
+def _homogeneous(V, rows):
+    """Every row lies in one sector of V."""
+    return all(len({V.degrees[i] for i in r}) <= 1 for r in rows)
+
+
 def _checked_span(sub):
     """The one check of a submodule: its rows are independent and their
-    span is invariant.  Returns the echelon basis of the span and, per
-    action matrix, the coordinates on that basis of each row's image."""
+    span is invariant (under generator_action, which has the same invariant
+    subspaces as the whole action).  Returns the echelon basis of the span."""
     V = sub.parent
     basis = linalg.row_span(V.field, sub.rows, V.dim)
     if basis.rank != len(sub.rows):
         raise InvalidSubmodule("basis rows are dependent")
-    images = []
-    for mat in V.action:
-        coords = []
+    for mat in V.generator_action:
         for r in sub.rows:
-            resid, c = basis.reduce(mat_vec(mat, r), coords=True)
-            if resid:
+            if basis.reduce(mat_vec(mat, r)):
                 raise InvalidSubmodule("span is not invariant under the action")
-            coords.append(c)
-        images.append(coords)
-    return basis, images
+    return basis
+
+
+def _restriction(V, rows, units):
+    """The action of V restricted to the span of `rows`, on their
+    coordinates, for a span that is invariant: row i is 1 at column
+    units[i] and every other row is 0 there (the pivots of reduced echelon
+    rows, the free columns of a linalg.nullspace basis), so the coordinate
+    on row j of an image in the span is its entry at units[j].  The
+    invariance is the caller's to know (a spin, the kernel of an
+    intertwiner, or _checked_span); the rows must be homogeneous, which is
+    checked."""
+    if not _homogeneous(V, rows):
+        raise InvalidSubmodule("restriction needs homogeneous basis rows")
+    mats = []
+    for mat in V.action:
+        images = [mat_vec(mat, r) for r in rows]
+        mats.append([{i: img[u] for i, img in enumerate(images) if u in img} for u in units])
+    return GradedModule._derived(V.algebra, V.quo, [V.degrees[u] for u in units], mats)
+
+
+def _restricted(sub):
+    """_restriction to a submodule on reduced echelon rows, whose pivots
+    are their first columns, and invariant by construction."""
+    return _restriction(sub.parent, sub.rows, [min(r) for r in sub.rows])
 
 
 def submodule_to_module(sub):
@@ -381,25 +408,28 @@ def submodule_to_module(sub):
 
     Returns (module, rows); basis row k of `rows` is the vector of the
     restricted module's k-th coordinate inside the parent.  The rows may be
-    in any order and need not be echelon: coordinates on the echelon basis
-    are entries at its pivots, and the transition matrix to the given rows
-    (the identity when they are the echelon rows) is applied to them.
+    in any order and need not be echelon: the action is restricted to the
+    echelon basis of their span (_restriction at its pivots) and carried to
+    the given rows by the transition matrix T, rows = T (echelon rows),
+    whose entries are the rows' entries at the pivots.
     """
     V = sub.parent
     f = V.field
-    basis, images = _checked_span(sub)
-    if not sub.homogeneous:
-        raise InvalidSubmodule("restriction needs homogeneous basis rows")
+    basis = _checked_span(sub)
     rows = list(sub.rows)
     n = len(rows)
     at_pivots = [{k: r[p] for k, p in enumerate(basis.pivots) if p in r} for r in rows]
-    if at_pivots != identity(f, n):
-        to_rows = linalg.transpose(linalg.invert(f, at_pivots), n)
-        images = [[mat_vec(to_rows, c) for c in coords] for coords in images]
-    mats = [linalg.transpose(coords, n) for coords in images]
+    if at_pivots == identity(f, n):  # the rows are the echelon rows
+        return _restriction(V, rows, basis.pivots), rows
+    if not sub.homogeneous:
+        raise InvalidSubmodule("restriction needs homogeneous basis rows")
+    # on the echelon basis A, on the rows T^-T A T^T
+    echelon = _restriction(V, basis.rows, basis.pivots)
+    to_rows = linalg.transpose(linalg.invert(f, at_pivots), n)
+    from_rows = linalg.transpose(at_pivots, n)
+    mats = [mat_mul(mat_mul(to_rows, a), from_rows) for a in echelon.action]
     degrees = [V.degrees[min(r)] for r in rows]
-    module = GradedModule._derived(V.algebra, V.quo, degrees, mats)
-    return module, rows
+    return GradedModule._derived(V.algebra, V.quo, degrees, mats), rows
 
 
 # ---------------------------------------------------------------------------
@@ -439,7 +469,8 @@ def intertwiners(V, W):
     checked exactly), otherwise linalg.nullspace itself on the dense system
     (a denominator divisible by p, a spin basis singular under another
     embedding or prime, last columns that differ between them, no lift that
-    passes the exact check).  Both paths, and the exact check, use
+    passes the exact check once the primes' product passes the square of a
+    height bound of the basis).  Both paths, and the exact check, use
     generator_action, the matrices of the algebra's generating set: a map
     that intertwines them intertwines the whole action.
     """
@@ -471,18 +502,42 @@ def commutant(V):
 _COMBINATIONS = 4
 
 
+def _sector_traces(V):
+    """{(k, s): trace}: the exact trace on each sector s of rho(x_k) for
+    each generator x_k (ColourAlgebra.generators) whose degree lies in H,
+    so that rho(x_k) maps each sector to itself.  Traces that are 0 are left
+    out, so a sector whose diagonal sums to 0 compares equal to one with no
+    diagonal entry."""
+    alg, quo = V.algebra, V.quo
+    sums = {}
+    for k in alg.generators:
+        if quo.rep(alg.degree(k)) != quo.zero():
+            continue
+        for r, row in enumerate(V.action[k]):
+            x = row.get(r)
+            if x is not None:
+                key = (k, V.degrees[r])
+                sums[key] = sums[key] + x if key in sums else x
+    return {key: x for key, x in sums.items() if not x.is_zero()}
+
+
 def is_isomorphic(V, W) -> bool:
     """Graded isomorphism test (ungraded isomorphism when H = Gamma).
 
-    True is certified by an invertible degree-0 intertwiner, False by
-    different (sector) dimensions, Hom(V, W) = 0, or Hom(V, W) = K M with M
-    singular (every element of Hom is then a multiple of M, so none is
-    invertible).  When dim Hom >= 2, seeded combinations sum c_k M_k with
-    c_k in 1..100 dim V are tried: det is a nonzero polynomial of degree
-    dim V in the c_k if an isomorphism exists, so by Schwartz-Zippel each
-    is singular with probability at most 1/100.  If none is invertible
-    there is no certificate either way, and InconclusiveIsomorphism is
-    raised.
+    True is certified by an invertible degree-0 intertwiner: the identity
+    when V == W, entry for entry, else one found in Hom(V, W).  False is
+    certified by different (sector) dimensions; by a generator x_k of
+    degree in H whose exact trace on some sector differs between V and W
+    (_sector_traces: a degree-0 isomorphism M is block diagonal by sector,
+    so M_s rho_V(x_k)_ss M_s^-1 = rho_W(x_k)_ss); by Hom(V, W) = 0; or by
+    Hom(V, W) = K M with M singular (every element of Hom is then a
+    multiple of M, so none is invertible).  Hom is solved only when the
+    cheaper checks leave the answer open.  When dim Hom >= 2, seeded
+    combinations sum c_k M_k with c_k in 1..100 dim V are tried: det is a
+    nonzero polynomial of degree dim V in the c_k if an isomorphism exists,
+    so by Schwartz-Zippel each is singular with probability at most 1/100.
+    If none is invertible there is no certificate either way, and
+    InconclusiveIsomorphism is raised.
     """
     if V.algebra != W.algebra:
         raise InvalidInput("modules over different algebras")
@@ -490,8 +545,10 @@ def is_isomorphic(V, W) -> bool:
         raise InvalidInput("modules graded by different quotients")
     if V.sector_dims() != W.sector_dims():
         return False
-    if V.dim == 0:
+    if V == W:
         return True
+    if _sector_traces(V) != _sector_traces(W):
+        return False
     maps = intertwiners(V, W)
     if not maps:
         return False
@@ -743,19 +800,24 @@ def _searched_verdict(module, parts, candidates, end):
 
 def shrink_to_irreducible(sub) -> Submodule:
     """A graded irreducible submodule inside `sub`, found by restricting and
-    descending into reducibility witnesses."""
-    return _shrink_and_restrict(sub)[0]
+    descending into reducibility witnesses.  `sub` is checked
+    (_checked_span) and taken on the echelon basis of its span."""
+    basis = _checked_span(sub)
+    return _shrink_and_restrict(Submodule(sub.parent, tuple(basis.rows)))[0]
 
 
 def _shrink_and_restrict(sub):
-    """shrink_to_irreducible(sub), with submodule_to_module of the result,
-    which the last step of the descent has already computed."""
+    """shrink_to_irreducible(sub), with the restriction to the result,
+    which the last step of the descent has already computed.  `sub` is on
+    reduced echelon rows and invariant by construction (a spin), and so is
+    every witness on the way down: each is restricted without a check of
+    its invariance."""
     while True:
-        restricted, rows = submodule_to_module(sub)
+        restricted = _restricted(sub)
         verdict = is_graded_irreducible(restricted)
         if verdict.irreducible:
-            return sub, restricted, rows
-        sub = _echelon_span(sub.parent, mat_mul(verdict.witness.rows, rows))
+            return sub, restricted
+        sub = _echelon_span(sub.parent, mat_mul(verdict.witness.rows, sub.rows))
 
 
 def decompose(module):
@@ -764,34 +826,45 @@ def decompose(module):
 
     The rest R still to split (at first the module) is its own summand when
     modp.rank_one_certificate holds, or when no candidate spins to a proper
-    submodule (_proper_spins) and is_graded_irreducible certifies it (or
-    raises InconclusiveIrreducibility).  Else the first proper spin is shrunk
-    to a graded irreducible S with inclusion i, and H is the first element of
-    the Hom(R, S) basis with H i != 0: by graded Schur H i is invertible, so
-    ker H is a graded invariant complement of S, which is split next.  If
-    every basis element vanishes on S, S has no complement in R (the degree-0
-    part of a projection would be the identity on S), nor in the module (by
-    the modular law it would meet R in one): NotCompletelyReducible is
-    raised, with S as its certificate.
+    submodule (_proper_spins) and a closure certifies it: mod p
+    (certifies_full_closure, when no rank-one idempotent showed), else the
+    exact closure of _searched_verdict, which is given the commutant the
+    scan computed and raises InconclusiveIrreducibility when the closure is
+    not full.  Else the first proper spin is shrunk to a graded irreducible
+    S with inclusion i, and H is the first element of the Hom(R, S) basis
+    with H i != 0: by graded Schur H i is invertible, so ker H is a graded
+    invariant complement of S, which is split next (a kernel is invariant
+    by construction, so it is restricted unchecked, at the free columns of
+    its nullspace basis).  If every basis element vanishes on S, S has no
+    complement in R (the degree-0 part of a projection would be the
+    identity on S), nor in the module (by the modular law it would meet R
+    in one): NotCompletelyReducible is raised, with S as its certificate.
     """
     f = module.field
     summands, rest, inside = [], module, identity(f, module.dim)  # inside: rest's basis in module
     while rest.dim:
-        spun = None
-        if not modp.rank_one_certificate(f, rest.fp_view, _sector_parts(rest)):
-            spun = (next(_proper_spins(rest, _candidate_vectors(rest)), None)
-                    or is_graded_irreducible(rest).witness)
+        parts = _sector_parts(rest)
+        certified = modp.rank_one_certificate(f, rest.fp_view, parts)
+        spun, end = None, []
+        if not certified:
+            spun = next(_proper_spins(rest, _candidate_vectors(rest, end)), None)
         if spun is None:
+            if certified is False or certified is None and not modp.certifies_full_closure(
+                    f, rest.fp_view, parts):
+                # the candidates have run out, so no witness comes back: the
+                # exact closure certifies rest, or this raises
+                _searched_verdict(rest, parts, (), end)
             return summands + [_echelon_span(module, inside)]
-        sub, S, iota = _shrink_and_restrict(spun)
+        sub, S = _shrink_and_restrict(spun)
         piece = _echelon_span(module, mat_mul(sub.rows, inside))
-        H = next((H for H in intertwiners(rest, S) if any(mat_vec(H, r) for r in iota)), None)
+        H = next((H for H in intertwiners(rest, S) if any(mat_vec(H, r) for r in sub.rows)), None)
         if H is None:
             raise NotCompletelyReducible(
                 f"irreducible submodule of dimension {S.dim} has no invariant complement", piece)
         summands.append(piece)
-        rest, rows = submodule_to_module(Submodule(rest, tuple(linalg.nullspace(f, H, rest.dim))))
-        inside = mat_mul(rows, inside)
+        kernel = linalg.nullspace(f, H, rest.dim)
+        rest = _restriction(rest, kernel, [max(v) for v in kernel])
+        inside = mat_mul(kernel, inside)
     return summands
 
 
@@ -799,7 +872,7 @@ def graded_quotient(module, sub) -> GradedModule:
     """Quotient by a graded submodule, on the canonical complement basis."""
     if sub.parent is not module and sub.parent != module:
         raise InvalidSubmodule("submodule belongs to a different module")
-    basis, _ = _checked_span(sub)
+    basis = _checked_span(sub)
     if not sub.homogeneous:
         raise InvalidSubmodule("quotient needs a homogeneous submodule")
     d = module.dim

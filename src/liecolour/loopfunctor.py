@@ -71,6 +71,7 @@ from .gmodule import (
     IrreducibilityVerdict,
     _candidate_vectors,
     _commutant_kernel_vectors,
+    _restricted,
     _searched_verdict,
     _sector_parts,
     _shrink_and_restrict,
@@ -79,7 +80,6 @@ from .gmodule import (
     is_graded_irreducible,
     is_isomorphic,
     parity_shift,
-    submodule_to_module,
     twist,
 )
 
@@ -228,9 +228,12 @@ def _lift_step(module, refiner) -> BijectionOutcome:
         return BijectionOutcome(
             gradable=False, module=lm.module, loop=lm, source=module
         )
-    restricted, rows = submodule_to_module(verdict.witness)
-    if restricted.dim > module.dim:
-        _, restricted, rows = _shrink_and_restrict(verdict.witness)
+    # the witness is a spin, invariant by construction: restricted unchecked
+    sub = verdict.witness
+    if sub.dim > module.dim:
+        sub, restricted = _shrink_and_restrict(sub)
+    else:
+        restricted = _restricted(sub)
     if restricted.dim != module.dim:
         raise InconclusiveIrreducibility(
             "proper graded submodule of the loop is not a copy of the source"
@@ -238,7 +241,7 @@ def _lift_step(module, refiner) -> BijectionOutcome:
     # the forgetful map is an isomorphism onto the source exactly when this
     # square matrix is invertible; that carries the source's graded
     # irreducibility over to the restriction, and is asserted, not assumed
-    if not linalg.is_invertible(module.field, _forget_labels(lm, rows)):
+    if not linalg.is_invertible(module.field, _forget_labels(lm, sub.rows)):
         raise InconclusiveIrreducibility("loop bookkeeping did not invert")
     return BijectionOutcome(gradable=True, module=restricted, loop=lm, source=module)
 

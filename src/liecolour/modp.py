@@ -73,8 +73,12 @@ algebra's generating set are solved as follows.
    and the rational candidate was the whole attempt.  Their phi(m) images
    of each entry determine its power-basis coordinates mod p (a
    Vandermonde solve), which are combined by CRT with the earlier primes'
-   and lifted to Q(zeta_m) the same way.  Primes p = 1 (mod m) are added,
-   up to _MAX_PRIMES, while no candidate passes.
+   and lifted to Q(zeta_m) the same way.  Primes p = 1 (mod m) are added
+   while no candidate passes, until their product passes 2 H^2 for a
+   height bound H of the basis (_hom_height: Hadamard's bound on the
+   minors of the intertwiner system, carried to power-basis coordinates
+   as fpfield's inverse does), where the reconstruction is unique: a
+   basis that every prime reduces alike passes by then.
 
 A basis returned is exact, complete, and the very basis linalg.nullspace
 returns for the intertwiner system, from one embedding or from all:
@@ -191,7 +195,8 @@ stops at d of about 2,900.  A Hom basis's power-basis coordinates
 from __future__ import annotations
 
 from collections import Counter
-from math import gcd
+from itertools import count
+from math import gcd, isqrt, lcm
 
 import numpy as np
 
@@ -450,10 +455,6 @@ def fp_rank(rows, p):
     return len(fp_rref(rows, p))
 
 
-# Primes p = 1 (mod m) that a Hom lift may combine by CRT.
-_MAX_PRIMES = 4
-
-
 def _spin_tree(mats, p, d):
     """Word tree of a basis of F_p^d spun from unit vectors under the d x d
     F_p matrices `mats`: entry i is (None, c) when basis vector i is the unit
@@ -562,6 +563,44 @@ def _checked_lift(f, residues, modulus, d, act_v, act_w):
     return None
 
 
+def _hom_height(f, act_v, act_w, deg_v, deg_w):
+    """A height bound H for the canonical Hom basis of the exact actions
+    act_v and act_w (sparse rows) with basis degrees deg_v and deg_w: every
+    power-basis coordinate a/b of every entry, in lowest terms, has |a| <= H
+    and b <= H.
+
+    The basis is linalg.nullspace's for the intertwiner system, so by
+    Cramer's rule each entry is N / D for minors N, D of that system with
+    its rows scaled into Z[zeta] (row (k, r, c) by the lcm D_k of the
+    denominators in rho_V(x_k) and rho_W(x_k)).  Its entries at the
+    variables (r, t) and (t, c) are rho_V(x_k)[t][c] and -rho_W(x_k)[r][t],
+    and |sigma(z)| <= s(z), the sum of the absolute values of z's integer
+    coordinates, for every embedding sigma, so under each sigma the row has
+    Euclidean length at most h, the largest sum of the two lengths of a
+    column of D_k rho_V(x_k) and a row of D_k rho_W(x_k).  By Hadamard's
+    bound |sigma(N)|, |sigma(D)| <= B = h^v for the v unknowns, the minors'
+    largest possible size.  As in fpfield._inverse_height, N / D =
+    N adj(D) / Norm(D) with |Norm(D)| <= B^n (n = phi(m)) and
+    |sigma(N adj(D))| <= B^n, whose coordinates Lagrange interpolation at
+    the roots of Phi = Phi_m bounds by n |Phi|_1 2^(m-n) B^n / m."""
+    h = 0
+    for a, b in zip(act_v, act_w):
+        scale = lcm(*(x.den for mat in (a, b) for row in mat for x in row.values()))
+        cols = Counter()  # squared lengths of the columns of a
+        for row in a:
+            for c, x in row.items():
+                cols[c] += (sum(map(abs, x.nums)) * scale // x.den) ** 2
+        rows = [sum((sum(map(abs, x.nums)) * scale // x.den) ** 2 for x in row.values())
+                for row in b]
+        # isqrt(s) + 1 > sqrt(s)
+        h = max(h, isqrt(max(cols.values(), default=0)) + isqrt(max(rows, default=0)) + 2)
+    in_sector = Counter(deg_v)
+    n, m = f.degree, f.m
+    norm = (h ** sum(in_sector[s] for s in deg_w)) ** n
+    lagrange = (n * sum(abs(c) for c in f.poly) * norm) << (m - n)
+    return max(norm, -(-lagrange // m))
+
+
 def certified_hom(f, view_v, view_w, deg_v, deg_w):
     """Basis of the degree-0 maps phi: V -> W (sparse rows) with
     phi rho_V(x_k) = rho_W(x_k) phi for the exact actions of the FpViews
@@ -574,11 +613,13 @@ def certified_hom(f, view_v, view_w, deg_v, deg_w):
     maps, given at once.  [] is certified by full column rank mod p.  At
     each prime the first embedding is solved and its basis lifted to Q
     with the earlier primes' first-embedding bases; the other embeddings
-    are solved only when that rational candidate fails.  None is returned
-    for a denominator divisible by a prime used, a singular spin basis,
-    last columns that differ between embeddings or primes, or no candidate
-    basis that reconstructs and passes the exact check within _MAX_PRIMES
-    primes.
+    are solved only when that rational candidate fails.  Primes are added
+    until their product passes 2 H^2 for the height bound H of _hom_height:
+    past it the reconstruction is unique, so a basis that all the primes
+    reduce alike is found.  None is returned for a denominator divisible by
+    a prime used, a singular spin basis, last columns that differ between
+    embeddings or primes, or no candidate basis that reconstructs and passes
+    the exact check once the product has passed 2 H^2.
     """
     act_v, act_w = view_v.action, view_w.action
     d, e = len(deg_v), len(deg_w)
@@ -593,9 +634,9 @@ def certified_hom(f, view_v, view_w, deg_v, deg_w):
     sectors = {}
     for r, s in enumerate(deg_w):
         sectors.setdefault(s, []).append(r)
-    tree = unknowns = last = rational = residues = None
+    tree = unknowns = last = rational = residues = bound = None
     modulus = 1
-    for i in range(_MAX_PRIMES):
+    for i in count():
         p = prime_for(m, i)
         omega = order_m_root(m, p)
         images = []
@@ -638,7 +679,10 @@ def certified_hom(f, view_v, view_w, deg_v, deg_w):
             maps = _checked_lift(f, residues, modulus, d, act_v, act_w)
             if maps is not None:
                 return maps
-    return None
+        if bound is None:  # made only when one prime does not suffice
+            bound = 2 * _hom_height(f, act_v, act_w, deg_v, deg_w) ** 2
+        if modulus > bound:
+            return None
 
 
 def _first_image(f, view):

@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from liecolour import (
     Character,
@@ -440,6 +440,43 @@ def _decompose_battery():
     return modules
 
 
+def _restriction_cases(module):
+    """("spin" or "kernel", rows, unit columns) for rows of `module` whose
+    span is invariant by construction: the spin of each unit vector
+    (reduced echelon rows, at their pivots) and the kernel of each map of
+    the Hom basis from the module to each of its summands (a nullspace
+    basis, at its free columns)."""
+    f, d = module.field, module.dim
+    for i in range(d):
+        sub = spin(module, [{i: f.one}])
+        yield "spin", sub.rows, [min(r) for r in sub.rows]
+    try:
+        summands = decompose(module)
+    except NotCompletelyReducible:
+        return
+    for summand in summands:
+        for H in intertwiners(module, submodule_to_module(summand)[0]):
+            kernel = linalg.nullspace(f, H, d)
+            yield "kernel", tuple(kernel), [max(v) for v in kernel]
+
+
+def test_restriction_equals_the_checked_restriction():
+    """_restriction of spans that are invariant by construction equals
+    submodule_to_module on the same rows, which checks them, on the
+    decompose battery (with the criterion-5 loops) and catalog_modules(5)."""
+    modules = _decompose_battery() + list(catalog_modules(5).values())
+    checked = collections.Counter()
+    for module in modules:
+        for kind, rows, units in _restriction_cases(module):
+            sub = Submodule(module, rows)
+            assert sub.homogeneous
+            restricted = gmodule._restriction(module, rows, units)
+            assert restricted == submodule_to_module(sub)[0]
+            checked[kind, restricted.dim < module.dim] += 1
+    # proper spins and kernels, besides the spins that are the whole module
+    assert checked["spin", True] >= 32 and checked["kernel", True] >= 96
+
+
 def _recording(monkeypatch, name):
     """Replace gmodule.<name> by a wrapper that appends its first argument
     to the returned list."""
@@ -593,6 +630,34 @@ def test_decompose_never_denies_a_dense_conjugate_of_a_sum():
     assert split >= 1
 
 
+def test_a_dense_commutant_is_certified_within_its_height_bound(monkeypatch):
+    """The commutant of the first dense V_1 (+) V_1 (+) V_3 conjugate has a
+    canonical basis whose coordinates need about 2^131 to reconstruct, past
+    four primes of about 2^20: it is certified by the primes its height
+    bound allows, with no exact nullspace, and is that nullspace's basis."""
+    module, _ = _dense_sums()[2]
+    nullspaces = []
+    real = linalg.nullspace
+
+    def counted(*args):
+        nullspaces.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(linalg, "nullspace", counted)
+    end = commutant(module)
+    assert nullspaces == []
+    monkeypatch.undo()
+    variables, rows = gmodule._intertwiner_system(module, module)
+    exact = []
+    for sol in linalg.nullspace(module.field, rows, len(variables)):
+        mat = linalg.zeros(module.dim)
+        for t, x in sol.items():
+            r, c = variables[t]
+            mat[r][c] = x
+        exact.append(mat)
+    assert len(end) == 5 and end == exact
+
+
 CATALOG_2_SUMS = [
     (a, b) for a, b in itertools.combinations_with_replacement(catalog_modules(2).values(), 2)
     if a.algebra == b.algebra and a.hsub == b.hsub
@@ -705,12 +770,65 @@ def test_sums_of_equal_summands_are_isomorphic(name):
     assert is_isomorphic(direct_sum(UU, U), direct_sum(U, UU))
 
 
+def _nilpotent_sums():
+    """A (+) A and A (+) B for the ungraded block-model modules A: Q1 -> N
+    and B: Q2 -> N, N nilpotent."""
+    a = _bd_ungraded(ZERO_2, NILPOTENT, ZERO_2, ZERO_2)
+    b = _bd_ungraded(ZERO_2, ZERO_2, NILPOTENT, ZERO_2)
+    return direct_sum(a, a), direct_sum(a, b)
+
+
 def test_isomorphism_without_a_certificate_is_inconclusive():
-    # Hom(U++ (+) U++, U++ (+) U+-) holds the maps into the common summand,
-    # none of them invertible; no certified "not isomorphic" exists yet
-    a, b = make_sl2_graded(3, "U++"), make_sl2_graded(3, "U+-")
+    # every generator acts nilpotently, so every trace is 0, and Hom has
+    # dimension 6 with no invertible element found: no certificate either way
+    V, W = _nilpotent_sums()
+    assert gmodule._sector_traces(V) == gmodule._sector_traces(W) == {}
+    assert len(intertwiners(V, W)) == 6
     with pytest.raises(InconclusiveIsomorphism):
-        is_isomorphic(direct_sum(a, a), direct_sum(a, b))
+        is_isomorphic(V, W)
+
+
+def _counting_hom(monkeypatch):
+    calls = []
+    real = modp.certified_hom
+
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(modp, "certified_hom", counted)
+    return calls
+
+
+def test_different_traces_certify_not_isomorphic_without_hom(monkeypatch):
+    # the generators act on the ungraded U++ and U+- with other traces, so
+    # U++ (+) U++ and U++ (+) U+- differ, though Hom between them holds the
+    # maps into the common summand, none of them invertible
+    a, b = make_sl2_graded(3, "U++"), make_sl2_graded(3, "U+-")
+    V, W = direct_sum(a, a), direct_sum(a, b)
+    assert gmodule._sector_traces(V) != gmodule._sector_traces(W)
+    calls = _counting_hom(monkeypatch)
+    assert is_isomorphic(V, W) is False
+    assert calls == []
+
+
+def test_equal_modules_are_isomorphic_without_hom(monkeypatch):
+    calls = _counting_hom(monkeypatch)
+    for name in sorted(ISO_SUMMANDS):
+        U = ISO_SUMMANDS[name]()
+        assert is_isomorphic(U, ISO_SUMMANDS[name]())
+    assert calls == []
+
+
+def test_a_zero_trace_compares_equal_to_no_diagonal_entry():
+    # diag(1, -1) and the swap [[0, 1], [1, 0]] are conjugate by
+    # [[1, 1], [1, -1]]: the first has diagonal entries that sum to 0, the
+    # second none at all
+    V = _one_operator([{0: 1}, {1: -1}])
+    W = _one_operator([{1: 1}, {0: 1}])
+    assert gmodule._sector_traces(V) == gmodule._sector_traces(W) == {}
+    assert is_isomorphic(V, W) and is_isomorphic(W, V)
+    assert not is_isomorphic(V, _one_operator([{0: 1}, {1: 1}]))
 
 
 def test_a_one_dimensional_hom_with_a_singular_generator_certifies_not_isomorphic():
@@ -749,8 +867,9 @@ def test_isomorphism_is_inconclusive_only_on_a_hom_of_dimension_two():
             verdicts[is_isomorphic(V, W), dim_hom <= 1] += 1
         except InconclusiveIsomorphism:
             verdicts["inconclusive", dim_hom] += 1
-    # dim Hom <= 1 always decides; 16 pairs with dim Hom = 2 stay open
-    assert verdicts == {(True, False): 56, (False, True): 83, ("inconclusive", 2): 16}
+    # dim Hom <= 1 always decides; the 16 pairs with dim Hom = 2 and no
+    # invertible element are ungraded sums whose generator traces differ
+    assert verdicts == {(True, False): 56, (False, True): 83, (False, False): 16}
 
 
 CATALOG_2 = list(catalog_modules(2).values())
@@ -767,6 +886,61 @@ def _verdict(V, W):
         return is_isomorphic(V, W)
     except InconclusiveIsomorphism:
         return "inconclusive"
+
+
+def _hom_only_verdict(V, W):
+    """is_isomorphic decided from Hom(V, W) alone, as before the identity
+    and trace checks: the reference where it is decisive."""
+    if V.sector_dims() != W.sector_dims():
+        return False
+    if V.dim == 0:
+        return True
+    maps = intertwiners(V, W)
+    if not maps:
+        return False
+    f = V.field
+    if len(maps) == 1:
+        return linalg.is_invertible(f, maps[0])
+    rng = random.Random(0)
+    for _ in range(gmodule._COMBINATIONS):
+        acc = linalg.zeros(V.dim)
+        for m in maps:
+            acc = linalg.mat_add(acc, linalg.mat_scale(m, f.from_rational(rng.randint(1, 100 * V.dim))))
+        if linalg.is_invertible(f, acc):
+            return True
+    return "inconclusive"
+
+
+def _sector_preserving_conjugate(data, V):
+    """P V P^-1 for a random invertible P that keeps each sector."""
+    f = V.field
+    entry = st.builds(lambda a, b: f.num([a, b]), st.integers(-3, 3), st.integers(-2, 2))
+    P = linalg.zeros(V.dim)
+    for idx in V.sector_indices().values():
+        for r in idx:
+            for c in idx:
+                x = data.draw(entry, label="P")
+                if not x.is_zero():
+                    P[r][c] = x
+    P_inv = linalg.invert(f, P)
+    assume(P_inv is not None)
+    conj = [linalg.mat_mul(linalg.mat_mul(P, a), P_inv) for a in V.action]
+    return GradedModule(V.algebra, V.hsub, V.degrees, conj)
+
+
+@settings(derandomize=True, max_examples=40, deadline=None)
+@given(st.data())
+def test_the_verdict_agrees_with_the_hom_only_reference(data):
+    """On catalog pairs, their sums and sector-preserving conjugates, the
+    verdict is the Hom-only reference's wherever that is decisive."""
+    V, W = _comparable_pair(data)
+    if data.draw(st.booleans(), label="sums"):
+        V, W = direct_sum(V, V), direct_sum(V, W)
+    if data.draw(st.booleans(), label="conjugate"):
+        W = _sector_preserving_conjugate(data, W)
+    reference = _hom_only_verdict(V, W)
+    if reference != "inconclusive":
+        assert _verdict(V, W) == reference
 
 
 @settings(derandomize=True, max_examples=25, deadline=None)
@@ -946,9 +1120,12 @@ def test_irreducible_over_q_i_but_not_absolutely_is_inconclusive(name, monkeypat
         "closure rank 2 < 4 and commutant dimension 2, but no proper graded submodule "
         "found (the module is reducible over C and may be irreducible over Q(zeta_4))"
     )
-    # no candidate splits it, so decompose has the same lack of a verdict
+    # no candidate splits it, so decompose has the same lack of a verdict,
+    # from the one commutant its scan computed
+    del commutants[:]
     with pytest.raises(InconclusiveIrreducibility) as split:
         decompose(module)
+    assert len(commutants) == 1
     assert (str(split.value), split.value.closure_rank, split.value.commutant_dim) == (
         str(exc), exc.closure_rank, exc.commutant_dim
     )

@@ -404,12 +404,35 @@ def test_cli_isomorphic_on_a_direct_sum_of_equal_summands(tmp_path, capsys):
     assert json.loads(capsys.readouterr().out) == {"isomorphic": True}
 
 
+def _nilpotent(alg, k):
+    """The ungraded block-model module on which generator k (1 = Q1,
+    2 = Q2) acts as a nilpotent 2 x 2 matrix and the rest as 0."""
+    from liecolour import GradedModule, full_subgroup
+
+    f = alg.field
+    mats = [[{}, {}] for _ in range(4)]
+    mats[k] = [{1: f.one}, {}]
+    return GradedModule(alg, full_subgroup(alg.group), [alg.group.zero()] * 2, mats)
+
+
 def test_cli_isomorphic_inconclusive_exits_1_without_output(tmp_path, capsys):
-    a, b = make_sl2_graded(3, "U++"), make_sl2_graded(3, "U+-")
+    # A (+) A and A (+) B for A: Q1 -> N and B: Q2 -> N: every trace is 0 and
+    # Hom has dimension 6 with no invertible element found
+    alg = make_bd_model()[0]
+    a, b = _nilpotent(alg, 1), _nilpotent(alg, 2)
     pa = _write(tmp_path, "aa.json", jsonio.module_to_json(direct_sum(a, a)))
     pb = _write(tmp_path, "ab.json", jsonio.module_to_json(direct_sum(a, b)))
     assert main(["--json", "isomorphic", pa, pb]) == 1
     assert capsys.readouterr().out == ""
+
+
+def test_cli_isomorphic_by_traces(tmp_path, capsys):
+    # U++ (+) U++ and U++ (+) U+-: the generator traces differ
+    a, b = make_sl2_graded(3, "U++"), make_sl2_graded(3, "U+-")
+    pa = _write(tmp_path, "aa.json", jsonio.module_to_json(direct_sum(a, a)))
+    pb = _write(tmp_path, "ab.json", jsonio.module_to_json(direct_sum(a, b)))
+    assert main(["--json", "isomorphic", pa, pb]) == 1
+    assert json.loads(capsys.readouterr().out) == {"isomorphic": False}
 
 
 def test_cli_lift(tmp_path, capsys):

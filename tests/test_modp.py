@@ -443,8 +443,6 @@ NO_CERTIFICATE = {
     # p -> 0: the rank drops mod p, the candidate fails the exact check and
     # the next prime has other last columns
     "rank drop": (lambda: [{0: _q(P4), 1: F4.one}], True),
-    # 10^13 exceeds the reconstruction bound of _MAX_PRIMES primes
-    "height beyond every prime": (lambda: [{0: F4.one, 1: _q(-10**13)}], True),
     # zeta - w vanishes under zeta -> w, whose rational candidate fails the
     # exact check, but not under zeta -> w^3 = -w, which has other last columns
     "pivots differ between embeddings": (
@@ -463,6 +461,19 @@ def test_each_fallback_returns_the_exact_basis(name, monkeypatch):
     assert _certified(V, W) is None
     maps = intertwiners(V, W)
     assert maps == _exact_maps(V, W) and len(maps) == 1
+
+
+def test_a_height_past_four_primes_is_lifted_within_its_bound(monkeypatch):
+    # the nullspace (10^13, 1) needs a modulus past 2 10^26, five primes of
+    # about 2^20; the height bound of the inputs lets the lift go that far
+    rows = [{0: F4.one, 1: _q(-10**13)}]
+    V, W = _realising(rows, 2)
+    assert 2 * 10**26 < P4**5 and P4**4 < 2 * 10**26
+    calls = _solves_per_call(monkeypatch)
+    assert _certified(V, W) == _exact_maps(V, W) == [[{0: _q(10**13)}, {0: F4.one}]]
+    assert len(set(calls[0][1])) == 5
+    assert 2 * modp._hom_height(F4, V.fp_view.action, W.fp_view.action,
+                                V.degrees, W.degrees) ** 2 >= P4**5
 
 
 def test_order_m_root_has_exact_order_m():
@@ -527,11 +538,11 @@ def _solves_per_call(monkeypatch):
 
 
 def test_a_rational_hom_basis_is_solved_under_one_embedding(monkeypatch):
-    """Every Hom basis of classify_lambda(0..9) is rational, so each
+    """Every Hom basis of classify_lambda(0..21) is rational, so each
     certified_hom call that is not answered at once solves one embedding
     per prime it uses."""
     calls = _solves_per_call(monkeypatch)
-    for lam in range(10):
+    for lam in range(22):
         assert classify_lambda(lam).passed
     solved = [primes for _, primes in calls if primes]
     assert len(solved) >= 100
