@@ -63,14 +63,20 @@ def _load(path, kind):
 
 
 def _fuzz_algebra(alg, seed, trials=20):
-    """Seeded single-entry perturbations of the completed bracket table;
-    each must be rejected by validation (or revalidate as genuinely
-    consistent, which the perturbed-complete-table never does in practice)."""
+    """Seeded single-entry perturbations of the completed bracket table,
+    each of which breaks an axiom, so validation must reject it.  With
+    n >= 2 basis elements the entry (i, j) has j != i and (j, i) stays as
+    it was, so eps-antisymmetry fails, or the grading.  (A diagonal entry
+    can change validly: [[x, x]] is free when eps(a, a) = -1.)  With n = 1
+    the one entry [[x_0, x_0]] must be 0 when eps(a, a) = 1 and otherwise
+    (a != 0) lies in degree 2a != a; n = 0 has no entry and gets no trial."""
     rng = random.Random(seed)
     n = alg.dim()
+    trials = trials if n else 0
     rejected = 0
     for _ in range(trials):
-        i, j = rng.randrange(n), rng.randrange(n)
+        i = rng.randrange(n)
+        j = (i + rng.randrange(1, n)) % n if n > 1 else i
         k = rng.randrange(n)
         delta = alg.field.from_rational(rng.choice([1, -1, 2, 3]))
         constants = {

@@ -11,13 +11,11 @@ algebra's generating set (generator_action) and the sector projections
 (the span of the grading operators for characters of Gamma/H): the module
 is absolutely irreducible iff the unital algebra these generate is all of
 End(V).  Its dimension is the sum over sectors V_t of the dimension of the
-words in the action on V_t (see modp).  It is computed mod p first; a
-full-rank answer mod p certifies the exact answer, anything else falls
-back to exact witness search and, as a last resort, the same sector
-closure over Q(zeta_m).  The witness search and decompose
-share one scan of candidate vectors (_proper_spins), which skips the unit
-vectors whose spin mod p is already the whole space.  decompose splits off
-one summand at a time along the kernel of an intertwiner onto it (graded
+words in the action on V_t (see modp).  One procedure, _verdict, decides
+irreducibility for is_graded_irreducible, for each rest of decompose and
+for the loop of loopfunctor's lift step, with a certificate either way (a
+full closure or a proper graded submodule).  decompose splits off one
+summand at a time along the kernel of an intertwiner onto it (graded
 Schur), and its "not completely reducible" carries a certificate.
 
 Modules are validated where they enter the program, and only there: the
@@ -708,36 +706,8 @@ def _commutant_kernel_vectors(module, end):
             yield from linalg.nullspace(f, mat_sub(M, mat_scale(eye, c)), d)
 
 
-def _unit_vectors(module):
-    return ({i: module.field.one} for i in range(module.dim))
-
-
-def _candidate_vectors(module, end=None):
-    """Vectors to spin in search of submodules: the unit vectors, then the
-    commutant kernel vectors, which are computed only if reached.  The
-    commutant basis is then appended to the list `end`, when given."""
-    yield from _unit_vectors(module)
-    basis = commutant(module)
-    if end is not None:
-        end.extend(basis)
-    yield from _commutant_kernel_vectors(module, basis)
-
-
-def _proper_spins(module, candidates):
-    """The exact spins of the vectors `candidates` yields that are proper
-    submodules, in that order.  A unit vector whose spin mod p is the whole
-    module, which proves its exact spin is too, is not spun (whole_spin_test)."""
-    whole = modp.whole_spin_test(module.field, module.fp_view)
-    for v in candidates:
-        if whole(v):
-            continue
-        sub = spin(module, [v])
-        if sub.dim < module.dim:
-            yield sub
-
-
 def is_graded_irreducible(module) -> IrreducibilityVerdict:
-    """Burnside-closure irreducibility with exact certification.
+    """Burnside-closure irreducibility with exact certification (_verdict).
 
     Irreducible verdicts always come with closure dimension dim^2 (full
     rank mod p already implies full rank exactly), so they hold over C too;
@@ -752,14 +722,9 @@ def is_graded_irreducible(module) -> IrreducibilityVerdict:
     and may be irreducible over Q(zeta_m), though not when its commutant is
     the scalars.
     """
-    d = module.dim
-    if d == 0:
+    if module.dim == 0:
         raise InvalidInput("irreducibility of the zero module is undefined")
-    parts = _sector_parts(module)
-    if modp.certifies_full_closure(module.field, module.fp_view, parts):
-        return IrreducibilityVerdict(True, closure_dim=d * d)
-    end = []
-    return _searched_verdict(module, parts, _candidate_vectors(module, end), end)
+    return _verdict(module)
 
 
 def _sector_parts(module):
@@ -767,30 +732,78 @@ def _sector_parts(module):
     return [idx for idx in module.sector_indices().values() if idx]
 
 
-def _searched_verdict(module, parts, candidates, end):
-    """is_graded_irreducible past its mod-p certificate: the first proper
-    spin of the vectors `candidates` yields, else the exact closure, else
-    InconclusiveIrreducibility, whose commutant dimension is len(end) once
-    the candidates have run out: `end` is the commutant basis by then."""
-    d = module.dim
-    f = module.field
-    witness = next(_proper_spins(module, candidates), None)
-    if witness is not None:
-        return IrreducibilityVerdict(False, witness=witness)
+def _verdict(module, dichotomy=False):
+    """The one decision of graded irreducibility, for is_graded_irreducible,
+    each rest of decompose and, with `dichotomy`, the loop of
+    loopfunctor's lift step.  Each step runs only if the ones before leave
+    the answer open:
+
+    1. the rank-one certificate mod p (modp.rank_one_certificate);
+    2. the first proper spin of the candidates: the unit vectors whose
+       spin is not known to be the whole module (whole_spin_test: a spin
+       mod p that is whole proves the exact one is), then the kernel
+       vectors of the degree-0 commutant (_commutant_kernel_vectors), which
+       is computed at most once;
+    3. when no rank-one idempotent showed, the closure rank mod p, on the
+       image that step 1 read;
+    4. the exact closure, or InconclusiveIrreducibility.
+
+    With `dichotomy` the module is the loop L of a graded-irreducible
+    module, and when no rank-one idempotent shows, End_0(L) is computed
+    first: dimension 1 certifies L irreducible (see the loopfunctor
+    docstring), and otherwise the candidate unit vectors are those read
+    off End_0(L)'s columns.  By the dichotomy a reducible L is, over C, a
+    sum of absolutely graded-irreducible summands, so by density its
+    Burnside algebra A is End_{End_0(L)}(L), and A e = L exactly when
+    End_0(L) e has dimension dim End_0(L) (a summand type of multiplicity
+    k takes rank k from e's components); both are ranks, the same over
+    Q(zeta_m).  So no unit vector is spun mod p, and the witness is the
+    one the scan would find.
+    """
+    d, f = module.dim, module.field
+    parts = _sector_parts(module)
+    answers = modp._closure_answers(f, module.fp_view, parts)
+    certified = next(answers)
+    if certified:
+        return IrreducibilityVerdict(True, closure_dim=d * d)
+    end = None
+    if dichotomy and certified is None:
+        end = commutant(module)
+        if len(end) == 1:
+            return IrreducibilityVerdict(True, closure_dim=d * d)
+        cols = [linalg.transpose(M, d) for M in end]
+        units = [i for i in range(d)
+                 if linalg.row_span(f, [c[i] for c in cols], d).rank < len(end)]
+    else:
+        whole = modp.whole_spin_test(f, module.fp_view)
+        units = (i for i in range(d) if not whole({i: f.one}))
+
+    def candidates():
+        nonlocal end
+        yield from ({i: f.one} for i in units)
+        if end is None:
+            end = commutant(module)
+        yield from _commutant_kernel_vectors(module, end)
+
+    for v in candidates():
+        witness = spin(module, [v])
+        if witness.dim < d:
+            return IrreducibilityVerdict(False, witness=witness)
+    if certified is None and next(answers):
+        return IrreducibilityVerdict(True, closure_dim=d * d)
     # exact authority: the mod-p rank may have dropped on an unlucky prime
     rank_exact = _closure_rank_exact(f, module.generator_action, parts, d)
     if rank_exact == d * d:
         return IrreducibilityVerdict(True, closure_dim=d * d)
     # by the density theorem a graded irreducible module whose commutant is
     # the scalars has the full closure
-    dim_end = len(end)
-    why = (f"the commutant is the scalars, so one exists over Q(zeta_{f.m})" if dim_end == 1
+    why = (f"the commutant is the scalars, so one exists over Q(zeta_{f.m})" if len(end) == 1
            else f"the module is reducible over C and may be irreducible over Q(zeta_{f.m})")
     raise InconclusiveIrreducibility(
-        f"closure rank {rank_exact} < {d * d} and commutant dimension {dim_end}, "
+        f"closure rank {rank_exact} < {d * d} and commutant dimension {len(end)}, "
         f"but no proper graded submodule found ({why})",
         closure_rank=rank_exact,
-        commutant_dim=dim_end,
+        commutant_dim=len(end),
     )
 
 
@@ -825,13 +838,9 @@ def decompose(module):
     each as the reduced echelon rows of its span.
 
     The rest R still to split (at first the module) is its own summand when
-    modp.rank_one_certificate holds, or when no candidate spins to a proper
-    submodule (_proper_spins) and a closure certifies it: mod p
-    (certifies_full_closure, when no rank-one idempotent showed), else the
-    exact closure of _searched_verdict, which is given the commutant the
-    scan computed and raises InconclusiveIrreducibility when the closure is
-    not full.  Else the first proper spin is shrunk to a graded irreducible
-    S with inclusion i, and H is the first element of the Hom(R, S) basis
+    _verdict certifies it irreducible (or raises InconclusiveIrreducibility).
+    Else its witness, the first proper spin, is shrunk to a graded
+    irreducible S with inclusion i, and H is the first element of the Hom(R, S) basis
     with H i != 0: by graded Schur H i is invertible, so ker H is a graded
     invariant complement of S, which is split next (a kernel is invariant
     by construction, so it is restricted unchecked, at the free columns of
@@ -843,19 +852,10 @@ def decompose(module):
     f = module.field
     summands, rest, inside = [], module, identity(f, module.dim)  # inside: rest's basis in module
     while rest.dim:
-        parts = _sector_parts(rest)
-        certified = modp.rank_one_certificate(f, rest.fp_view, parts)
-        spun, end = None, []
-        if not certified:
-            spun = next(_proper_spins(rest, _candidate_vectors(rest, end)), None)
-        if spun is None:
-            if certified is False or certified is None and not modp.certifies_full_closure(
-                    f, rest.fp_view, parts):
-                # the candidates have run out, so no witness comes back: the
-                # exact closure certifies rest, or this raises
-                _searched_verdict(rest, parts, (), end)
+        verdict = _verdict(rest)
+        if verdict.irreducible:
             return summands + [_echelon_span(module, inside)]
-        sub, S = _shrink_and_restrict(spun)
+        sub, S = _shrink_and_restrict(verdict.witness)
         piece = _echelon_span(module, mat_mul(sub.rows, inside))
         H = next((H for H in intertwiners(rest, S) if any(mat_vec(H, r) for r in sub.rows)), None)
         if H is None:

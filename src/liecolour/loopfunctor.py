@@ -17,24 +17,18 @@ parity shifts W[h], h in H/K, of one Gamma/K-regrading W of V.  The
 projections onto those summands are p >= 2 independent degree-0 maps
 commuting with the action, so L is graded irreducible exactly when its
 degree-0 commutant End_0(L) is the scalars.  _lift_step decides the loop
-of a graded-irreducible V by this, with a certificate for each verdict:
+of a graded-irreducible V by gmodule._verdict with `dichotomy` set, with a
+certificate for each verdict:
 
-* irreducible: the closure dimension d^2.  It is certified mod p by
-  modp.rank_one_certificate when a rank-one idempotent shows, and when
-  none shows, by dim End_0(L) = 1: a Hom dimension is the same over every
-  extension of Q(zeta_m), so over C, too, L is no sum of p summands and is
-  graded irreducible; its Burnside algebra with the sector projections
-  then acts irreducibly with commutant C, so by the density theorem it is
-  all of End(L), of dimension d^2 over either field.  (When an idempotent
-  shows but its spins mod p are proper, is_graded_irreducible's scan and
-  exact closure answer, as for any module.);
-* gradable: a proper graded submodule S of L, the one is_graded_irreducible's
-  scan finds: the spin of the first unit vector whose spin is proper, else
-  of a kernel vector of a non-scalar element of End_0(L) (such a kernel is
-  a graded submodule).  When no idempotent shows, the unit vectors with a
-  proper spin are read off End_0(L) (_loop_verdict), not spun mod p one by
-  one.  S is restricted to a Gamma/K-graded module W, shrunk first when S
-  is larger than V, and the forgetful map W -> V is checked exactly to be
+* irreducible: the closure dimension d^2.  When no rank-one idempotent
+  shows, it is certified by dim End_0(L) = 1: a Hom dimension is the same
+  over every extension of Q(zeta_m), so over C, too, L is no sum of p
+  summands and is graded irreducible; its Burnside algebra with the sector
+  projections then acts irreducibly with commutant C, so by the density
+  theorem it is all of End(L), of dimension d^2 over either field;
+* gradable: a proper graded submodule S of L, the witness _verdict finds.
+  S is restricted to a Gamma/K-graded module W, shrunk first when S is
+  larger than V, and the forgetful map W -> V is checked exactly to be
   invertible.  It is then an isomorphism onto V graded by Gamma/H, and W
   is graded irreducible: a Gamma/K-graded submodule of W is
   Gamma/H-graded, so its image in V is 0 or V.
@@ -53,10 +47,9 @@ Gamma-graded one.
 from __future__ import annotations
 
 from dataclasses import dataclass, field as dc_field
-from itertools import chain, compress
 from typing import Optional
 
-from . import linalg, modp
+from . import linalg
 from .abelian import (
     Character,
     _prime_factors,
@@ -68,15 +61,9 @@ from .abelian import (
 from .errors import InconclusiveIrreducibility, InvalidInput, InvalidSubgroupStep
 from .gmodule import (
     GradedModule,
-    IrreducibilityVerdict,
-    _candidate_vectors,
-    _commutant_kernel_vectors,
     _restricted,
-    _searched_verdict,
-    _sector_parts,
     _shrink_and_restrict,
-    _unit_vectors,
-    commutant,
+    _verdict,
     is_graded_irreducible,
     is_isomorphic,
     parity_shift,
@@ -223,7 +210,7 @@ def _lift_step(module, refiner) -> BijectionOutcome:
     """bijection_F on a module already certified graded irreducible: the
     loop is decided by the dichotomy (see the module docstring)."""
     lm = loop(module, refiner)
-    verdict = _loop_verdict(lm.module)
+    verdict = _verdict(lm.module, dichotomy=True)
     if verdict.irreducible:
         return BijectionOutcome(
             gradable=False, module=lm.module, loop=lm, source=module
@@ -244,41 +231,6 @@ def _lift_step(module, refiner) -> BijectionOutcome:
     if not linalg.is_invertible(module.field, _forget_labels(lm, sub.rows)):
         raise InconclusiveIrreducibility("loop bookkeeping did not invert")
     return BijectionOutcome(gradable=True, module=restricted, loop=lm, source=module)
-
-
-def _loop_verdict(L):
-    """is_graded_irreducible's verdict on the loop L of a graded-irreducible
-    module, by the dichotomy (see the module docstring).  The rank-one
-    certificate mod p answers when it holds.  When a rank-one idempotent
-    shows but a spin of its unit vector mod p is proper,
-    is_graded_irreducible's scan runs as it is.  When none shows,
-    dim End_0(L) = 1 decides, and otherwise the unit vectors with a proper
-    spin are read off the commutant.  By the dichotomy a reducible L is,
-    over C, a sum of absolutely graded-irreducible summands, so by density
-    its Burnside algebra A is End_{End_0(L)}(L), and A e = L exactly when
-    End_0(L) e has dimension dim End_0(L) (a summand type of multiplicity k
-    takes rank k from e's components); both are ranks, the same over
-    Q(zeta_m).  Those unit vectors are spun first, then the commutant's
-    kernel vectors, then the other unit vectors: the scan's order, so the
-    witness is the one the scan finds, without a spin mod p of each unit
-    vector.  If no candidate splits, the exact closure answers, as there."""
-    d, f = L.dim, L.field
-    parts = _sector_parts(L)
-    answer = modp.rank_one_certificate(f, L.fp_view, parts)
-    if answer:
-        return IrreducibilityVerdict(True, closure_dim=d * d)
-    if answer is False:
-        end = []
-        return _searched_verdict(L, parts, _candidate_vectors(L, end), end)
-    end = commutant(L)
-    if len(end) == 1:
-        return IrreducibilityVerdict(True, closure_dim=d * d)
-    cols = [linalg.transpose(M, d) for M in end]
-    short = [linalg.row_span(f, [c[i] for c in cols], d).rank < len(end) for i in range(d)]
-    units = list(_unit_vectors(L))
-    candidates = chain(compress(units, short), _commutant_kernel_vectors(L, end),
-                       compress(units, [not s for s in short]))
-    return _searched_verdict(L, parts, candidates, end)
 
 
 @dataclass

@@ -149,15 +149,12 @@ of Norton's irreducibility test (Holt & Rees, J. Austral. Math. Soc. A 57,
   of F_p^d either way, so the dimension is below d^2.
 
 So the answer is closure_rank(...) == d^2 in every case; closure_rank
-runs only when no E_ii shows.  rank_one_certificate is the two-spin half
-alone, for a caller that decides the other case without closure_rank
-(loopfunctor's lift step, by the commutant of the loop module).
+runs only when no E_ii shows.  _closure_answers gives the two steps one
+at a time, for gmodule._verdict, which looks for a witness between them.
 
 A full spin mod p also settles an exact spin (the lattice argument behind
-the MeatAxe's spinning; Parker 1984): whole_spin_test is the filter of
-the one scan of candidate spins that gmodule's witness search and
-decompose share, and skips the unit vectors whose exact spin is the whole
-module.
+the MeatAxe's spinning; Parker 1984): whole_spin_test lets _verdict's
+witness search skip the unit vectors whose exact spin is the whole module.
 Let the action's entries be p-integral (a view raises ValueError
 otherwise, and nothing is certified), let O be Z[zeta_m] localised at the
 prime P = (p, zeta - omega), a discrete valuation ring with O/P = F_p and
@@ -696,20 +693,30 @@ def _first_image(f, view):
         return None
 
 
+def _closure_answers(f, view, parts):
+    """certifies_full_closure in its two steps, on one image of the view,
+    each run only when the caller asks for it: first rank_one_certificate's
+    answer, then, when that is None, closure_rank == d^2."""
+    got = _first_image(f, view)
+    if got is None:
+        yield False
+        return
+    fp, p = got
+    i = _rank_one_index(fp, p, parts)
+    d = view.dim
+    if i is not None:
+        yield _spans_all(fp, p, d, i) and _spans_all(fp.transpose(0, 2, 1), p, d, i)
+        return
+    yield None
+    yield closure_rank(fp, p, d, parts) == d * d
+
+
 def rank_one_certificate(f, view, parts):
     """certifies_full_closure's answer when _rank_one_index finds an index
     i: two spins of e_i; None when no rank-one idempotent shows, so that
     only closure_rank could answer.  False is no certificate, as is a view
     that raises ValueError."""
-    got = _first_image(f, view)
-    if got is None:
-        return False
-    fp, p = got
-    i = _rank_one_index(fp, p, parts)
-    if i is None:
-        return None
-    d = view.dim
-    return _spans_all(fp, p, d, i) and _spans_all(fp.transpose(0, 2, 1), p, d, i)
+    return next(_closure_answers(f, view, parts))
 
 
 def certifies_full_closure(f, view, parts):
@@ -719,11 +726,9 @@ def certifies_full_closure(f, view, parts):
     of each non-empty sector, as closure_rank takes them.  The answer is
     rank_one_certificate's when a rank-one idempotent shows, closure_rank's
     otherwise (see the module docstring)."""
-    answer = rank_one_certificate(f, view, parts)
-    if answer is not None:
-        return answer
-    fp, p = _first_image(f, view)  # rank_one_certificate got the image
-    return closure_rank(fp, p, view.dim, parts) == view.dim ** 2
+    answers = _closure_answers(f, view, parts)
+    answer = next(answers)
+    return next(answers) if answer is None else answer
 
 
 def whole_spin_test(f, view):

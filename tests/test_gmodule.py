@@ -404,6 +404,13 @@ def test_decompose_finds_no_complement_in_a_non_split_extension():
         assert maps and all(not linalg.mat_vec(H, r) for H in maps for r in iota)
 
 
+def _candidate_vectors(module):
+    """The unit vectors, then the kernel vectors of the degree-0 commutant,
+    computed only if reached: the candidates that gmodule._verdict spins."""
+    yield from ({i: module.field.one} for i in range(module.dim))
+    yield from gmodule._commutant_kernel_vectors(module, commutant(module))
+
+
 def _greedy_decompose(module):
     """decompose as a greedy assembly, the reference: every candidate vector
     outside the span of the summands so far is spun and shrunk, and the
@@ -411,7 +418,7 @@ def _greedy_decompose(module):
     f, d = module.field, module.dim
     summands = []
     accum = linalg.RowBasis(f, d)
-    for v in gmodule._candidate_vectors(module):
+    for v in _candidate_vectors(module):
         if not accum.reduce(v):
             continue
         sub = gmodule.shrink_to_irreducible(spin(module, [v]))
@@ -567,6 +574,25 @@ def test_decompose_shrinks_only_proper_spins_and_solves_one_commutant(monkeypatc
         assert len({id(V) for V in commutants}) == len(commutants)
         reached += sum(V is m for V in commutants)
     assert reached >= 2
+
+
+@pytest.mark.parametrize("lam", [3, 5])
+def test_a_sum_without_a_rank_one_idempotent_is_split_before_any_closure(monkeypatch, lam):
+    """U (+) U shows no rank-one idempotent mod p, and its witness, a copy
+    of U, is found by the candidate spins before the closure rank mod p is
+    reached; the commutant is computed at most once."""
+    U = make_sl2_graded(lam, "U++")
+    V = direct_sum(U, U)
+    assert modp.rank_one_certificate(V.field, V.fp_view, gmodule._sector_parts(V)) is None
+
+    def refused(*args):
+        raise AssertionError("closure_rank ran")
+
+    monkeypatch.setattr(modp, "closure_rank", refused)
+    commutants = _recording(monkeypatch, "commutant")
+    verdict = is_graded_irreducible(V)
+    assert not verdict.irreducible and verdict.witness.dim == U.dim
+    assert len(commutants) <= 1
 
 
 def test_decompose_of_a_certified_irreducible_module_computes_no_commutant(monkeypatch):

@@ -81,6 +81,28 @@ def test_cli_verify(tmp_path, capsys):
     assert blob["fuzz"]["rejected"] == blob["fuzz"]["trials"]
 
 
+def test_cli_fuzz_rejects_every_perturbation_of_a_valid_algebra(tmp_path, capsys):
+    """Every perturbation the fuzz makes breaks an axiom, on every seed: on
+    the bd-model algebra a change of [[Q2, Q2]] at H alone would be valid,
+    as eps(Q2, Q2) = -1."""
+    assert main(["bd-model", "--out", str(tmp_path)]) == 0
+    path = str(tmp_path / "algebra.json")
+    capsys.readouterr()
+    for seed in range(40):
+        assert main(["--seed", str(seed), "verify", path]) == 0
+        assert "fuzz: 20/20 perturbations rejected" in capsys.readouterr().out
+
+
+def test_cli_fuzz_of_an_algebra_of_dimension_zero(tmp_path, capsys):
+    """A valid algebra with no basis has no entry to perturb: no trial."""
+    from liecolour.colouralg import ColourAlgebra
+
+    empty = ColourAlgebra(GROUP, make_sl2c().epsilon, [], {})
+    path = _write(tmp_path, "empty.json", jsonio.algebra_to_json(empty))
+    assert main(["--seed", "3", "--json", "verify", path]) == 0
+    assert json.loads(capsys.readouterr().out)["fuzz"] == {"rejected": 0, "trials": 0}
+
+
 def test_cli_verify_invalid_file(tmp_path):
     bad = tmp_path / "bad.json"
     bad.write_text("{\"neither\": true}")
